@@ -352,6 +352,9 @@ def main(argv=None) -> int:
     except (ParseError, FileNotFoundError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("input error: input is nested too deeply", file=sys.stderr)
+        return 2
     except BindLogError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -73,15 +73,13 @@ class CheckResult:
 
     `path` addresses the offending node: child indices from the root, where a
     proof node's premises and a term node's argument slots both count from 0.
+    Test `ok`: a result object is always truthy, failed or not.
     """
 
     ok: bool
     kind: str | None = None
     path: tuple[int, ...] | None = None
     message: str = ""
-
-    def __bool__(self) -> bool:
-        return self.ok
 
     def __str__(self) -> str:
         if self.ok:

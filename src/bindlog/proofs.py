@@ -206,7 +206,7 @@ def _check(sig, cong: Congruence, proof: ProofTree, modulo: bool) -> CheckResult
             return app.x, app.a, None
         side = "left" if app.rule in (Rule.ALL_L, Rule.EX_L) else "right"
         i, err = principal(node, path, side)
-        if err:
+        if err is not None:
             return None, None, err
         b = (node.conclusion.left if side == "left" else node.conclusion.right)[i]
         if modulo:
@@ -248,7 +248,7 @@ def _check(sig, cong: Congruence, proof: ProofTree, modulo: bool) -> CheckResult
         if rule in (Rule.CONTR_L, Rule.CONTR_R):
             side = "left" if rule is Rule.CONTR_L else "right"
             i, err = principal(node, path, side)
-            if err:
+            if err is not None:
                 return err
             (p,) = prems
             if rule is Rule.CONTR_L:
@@ -272,7 +272,7 @@ def _check(sig, cong: Congruence, proof: ProofTree, modulo: bool) -> CheckResult
         if rule in (Rule.WEAK_L, Rule.WEAK_R):
             side = "left" if rule is Rule.WEAK_L else "right"
             i, err = principal(node, path, side)
-            if err:
+            if err is not None:
                 return err
             (p,) = prems
             if rule is Rule.WEAK_L:
@@ -285,7 +285,7 @@ def _check(sig, cong: Congruence, proof: ProofTree, modulo: bool) -> CheckResult
 
         if rule is Rule.IMP_L:
             i, err = principal(node, path, "left")
-            if err:
+            if err is not None:
                 return err
             gamma = L[:i] + L[i + 1:]
             p1, p2 = prems
@@ -301,7 +301,7 @@ def _check(sig, cong: Congruence, proof: ProofTree, modulo: bool) -> CheckResult
 
         if rule is Rule.IMP_R:
             i, err = principal(node, path, "right")
-            if err:
+            if err is not None:
                 return err
             delta = R[:i] + R[i + 1:]
             (p,) = prems
@@ -314,7 +314,7 @@ def _check(sig, cong: Congruence, proof: ProofTree, modulo: bool) -> CheckResult
 
         if rule is Rule.AND_L:
             i, err = principal(node, path, "left")
-            if err:
+            if err is not None:
                 return err
             gamma = L[:i] + L[i + 1:]
             (p,) = prems
@@ -327,7 +327,7 @@ def _check(sig, cong: Congruence, proof: ProofTree, modulo: bool) -> CheckResult
 
         if rule is Rule.AND_R:
             i, err = principal(node, path, "right")
-            if err:
+            if err is not None:
                 return err
             delta = R[:i] + R[i + 1:]
             p1, p2 = prems
@@ -341,7 +341,7 @@ def _check(sig, cong: Congruence, proof: ProofTree, modulo: bool) -> CheckResult
 
         if rule is Rule.OR_L:
             i, err = principal(node, path, "left")
-            if err:
+            if err is not None:
                 return err
             gamma = L[:i] + L[i + 1:]
             p1, p2 = prems
@@ -355,7 +355,7 @@ def _check(sig, cong: Congruence, proof: ProofTree, modulo: bool) -> CheckResult
 
         if rule is Rule.OR_R:
             i, err = principal(node, path, "right")
-            if err:
+            if err is not None:
                 return err
             delta = R[:i] + R[i + 1:]
             (p,) = prems
@@ -368,7 +368,7 @@ def _check(sig, cong: Congruence, proof: ProofTree, modulo: bool) -> CheckResult
 
         if rule is Rule.BOT_L:
             i, err = principal(node, path, "left")
-            if err:
+            if err is not None:
                 return err
             if not ceq(L[i], Bottom()):
                 return fail("RuleMismatch", path, "principal is not falsity")
@@ -377,7 +377,7 @@ def _check(sig, cong: Congruence, proof: ProofTree, modulo: bool) -> CheckResult
         if rule is Rule.ALL_L or rule is Rule.EX_R:
             cls = Forall if rule is Rule.ALL_L else Exists
             x, a, err = quantifier_parts(node, path, cls)
-            if err:
+            if err is not None:
                 return err
             t = node.rule.t
             if t is None:
@@ -385,7 +385,7 @@ def _check(sig, cong: Congruence, proof: ProofTree, modulo: bool) -> CheckResult
             (p,) = prems
             if rule is Rule.ALL_L:
                 i, err = principal(node, path, "left")
-                if err:
+                if err is not None:
                     return err
                 gamma = L[:i] + L[i + 1:]
                 if len(p.left) != len(gamma) + 1 or not alpha_list(p.left[:-1], gamma) \
@@ -394,7 +394,7 @@ def _check(sig, cong: Congruence, proof: ProofTree, modulo: bool) -> CheckResult
                 instance, b = p.left[-1], L[i]
             else:
                 i, err = principal(node, path, "right")
-                if err:
+                if err is not None:
                     return err
                 delta = R[:i] + R[i + 1:]
                 if len(p.right) != len(delta) + 1 or not alpha_list(p.right[1:], delta) \
@@ -411,12 +411,12 @@ def _check(sig, cong: Congruence, proof: ProofTree, modulo: bool) -> CheckResult
         if rule is Rule.ALL_R or rule is Rule.EX_L:
             cls = Forall if rule is Rule.ALL_R else Exists
             x, a, err = quantifier_parts(node, path, cls)
-            if err:
+            if err is not None:
                 return err
             (p,) = prems
             if rule is Rule.ALL_R:
                 i, err = principal(node, path, "right")
-                if err:
+                if err is not None:
                     return err
                 delta = R[:i] + R[i + 1:]
                 if len(p.right) != len(delta) + 1 or not alpha_list(p.right[1:], delta) \
@@ -425,7 +425,7 @@ def _check(sig, cong: Congruence, proof: ProofTree, modulo: bool) -> CheckResult
                 body, b, ctx = p.right[0], R[i], list(L) + list(delta)
             else:
                 i, err = principal(node, path, "left")
-                if err:
+                if err is not None:
                     return err
                 gamma = L[:i] + L[i + 1:]
                 if len(p.left) != len(gamma) + 1 or not alpha_list(p.left[:-1], gamma) \

@@ -18,6 +18,7 @@ confluence/termination probe harnesses.
 
 from __future__ import annotations
 
+import functools
 import random
 import re
 from dataclasses import dataclass, field
@@ -380,7 +381,15 @@ def alpha_eq_l(a, b) -> bool:
 class Rule:
     name: str
     apply: Callable  # (node, sig) -> replacement | None
+    # What the left side's head must be (see _head_key): a node class on
+    # this layer, a head symbol on named terms. Nodes with another head are
+    # never offered to the rule.
+    head: object
     display: str = ""
+
+
+def _head_key(x):
+    return x.symbol if type(x) is syntax.App else type(x)
 
 
 @dataclass(frozen=True)
@@ -389,6 +398,17 @@ class RewriteSystem:
     rules: tuple[Rule, ...]
     layer: str  # "term" (named binding terms) or "lterm" (this layer)
     sig: Signature | None = None
+
+    @functools.cached_property
+    def _by_head(self) -> dict[object, tuple[Rule, ...]]:
+        index: dict[object, tuple[Rule, ...]] = {}
+        for r in self.rules:
+            index[r.head] = index.get(r.head, ()) + (r,)
+        return index
+
+    def rules_at(self, x) -> tuple[Rule, ...]:
+        """The rules that can fire at x's head, in declaration order."""
+        return self._by_head.get(_head_key(x), ())
 
     def rule(self, name: str) -> Rule:
         for r in self.rules:
@@ -427,7 +447,7 @@ def _rebuild(x, kids: tuple):
 
 
 def _head_rewrite(rs: RewriteSystem, x):
-    for rule in rs.rules:
+    for rule in rs.rules_at(x):
         r = rule.apply(x, rs.sig)
         if r is not None:
             return r
@@ -435,12 +455,19 @@ def _head_rewrite(rs: RewriteSystem, x):
 
 
 class _Budget:
-    __slots__ = ("left", "limit", "steps")
+    """Step budget of one normalize call, and the nodes it found normal.
+
+    Marks are keyed by object identity; the table keeps each marked node
+    alive so its id cannot be reused. A normal node rewrites to itself in
+    zero steps under either strategy, so skipping it changes no result."""
+
+    __slots__ = ("left", "limit", "steps", "normal")
 
     def __init__(self, limit: int):
         self.left = limit
         self.limit = limit
         self.steps = 0
+        self.normal: dict[int, object] = {}
 
     def spend(self):
         if self.left <= 0:
@@ -459,36 +486,46 @@ def _check_step_sorts(sig, before, after):
 
 
 def _nf_innermost(rs, x, budget, check_sorts):
-    while True:
+    normal = budget.normal
+    while id(x) not in normal:
         kids = _children(x)
         if kids:
-            x = _rebuild(x, tuple(_nf_innermost(rs, c, budget, check_sorts) for c in kids))
+            nfs = tuple(_nf_innermost(rs, c, budget, check_sorts) for c in kids)
+            # keep x itself when no child changed, so a mark on it still holds
+            if any(n is not c for n, c in zip(nfs, kids)):
+                x = _rebuild(x, nfs)
         r = _head_rewrite(rs, x)
         if r is None:
-            return x
+            normal[id(x)] = x
+            break
         budget.spend()
         if check_sorts:
             _check_step_sorts(rs.sig, x, r)
         x = r
+    return x
 
 
-def _step_outermost(rs, x):
-    """One leftmost-outermost step; returns (new_term, redex, replacement) or None."""
+def _step_outermost(rs, x, normal):
+    """One leftmost-outermost step; returns (new_term, redex, replacement),
+    or None after marking x normal."""
+    if id(x) in normal:
+        return None
     r = _head_rewrite(rs, x)
     if r is not None:
         return r, x, r
     kids = _children(x)
     for i, c in enumerate(kids):
-        sub = _step_outermost(rs, c)
+        sub = _step_outermost(rs, c, normal)
         if sub is not None:
             new_c, redex, repl = sub
             return _rebuild(x, kids[:i] + (new_c,) + kids[i + 1:]), redex, repl
+    normal[id(x)] = x
     return None
 
 
 def _nf_outermost(rs, x, budget, check_sorts):
     while True:
-        sub = _step_outermost(rs, x)
+        sub = _step_outermost(rs, x, budget.normal)
         if sub is None:
             return x
         x, redex, repl = sub
@@ -539,7 +576,7 @@ def all_one_step(rs: RewriteSystem, x) -> list[tuple[tuple[int, ...], str, objec
     results: list[tuple[tuple[int, ...], str, object]] = []
 
     def walk(node, wrap, path):
-        for rule in rs.rules:
+        for rule in rs.rules_at(node):
             r = rule.apply(node, rs.sig)
             if r is not None:
                 results.append((path, rule.name, wrap(r)))
@@ -554,10 +591,7 @@ def all_one_step(rs: RewriteSystem, x) -> list[tuple[tuple[int, ...], str, objec
 
 
 def has_redex(rs: RewriteSystem, x) -> bool:
-    for rule in rs.rules:
-        if rule.apply(x, rs.sig) is not None:
-            return True
-    return any(has_redex(rs, c) for c in _children(x))
+    return _head_rewrite(rs, x) is not None or any(has_redex(rs, c) for c in _children(x))
 
 
 # ---------------------------------------------------------------------------
@@ -653,18 +687,18 @@ def sigma_system(sig: Signature) -> RewriteSystem:
         return FApp(fa.f, q, tuple(new_args))
 
     rules = (
-        Rule("IndexExpand", index_expand, "n+1 -> 1[up^n]"),
-        Rule("VarCons", var_cons, "1[t . s] -> t"),
-        Rule("Id", clos_id, "t[id] -> t"),
-        Rule("Clos", clos_clos, "(t[s])[s'] -> t[s o s']"),
-        Rule("IdL", id_left, "id o s -> s"),
-        Rule("ShiftCons", shift_cons, "up o (t . s) -> s"),
-        Rule("AssEnv", assoc, "(s1 o s2) o s3 -> s1 o (s2 o s3)"),
-        Rule("MapEnv", map_env, "(t . s) o s' -> t[s'] . (s o s')"),
-        Rule("IdR", id_right, "s o id -> s"),
-        Rule("VarShift", var_shift, "1 . up -> id"),
-        Rule("SCons", s_cons, "1[s] . (up o s) -> s"),
-        Rule("FPush", f_push, "f_p(t1,...,tn)[s] -> f_q(t1[...], ...)"),
+        Rule("IndexExpand", index_expand, Index, "n+1 -> 1[up^n]"),
+        Rule("VarCons", var_cons, Closure, "1[t . s] -> t"),
+        Rule("Id", clos_id, Closure, "t[id] -> t"),
+        Rule("Clos", clos_clos, Closure, "(t[s])[s'] -> t[s o s']"),
+        Rule("IdL", id_left, Comp, "id o s -> s"),
+        Rule("ShiftCons", shift_cons, Comp, "up o (t . s) -> s"),
+        Rule("AssEnv", assoc, Comp, "(s1 o s2) o s3 -> s1 o (s2 o s3)"),
+        Rule("MapEnv", map_env, Comp, "(t . s) o s' -> t[s'] . (s o s')"),
+        Rule("IdR", id_right, Comp, "s o id -> s"),
+        Rule("VarShift", var_shift, Cons, "1 . up -> id"),
+        Rule("SCons", s_cons, Cons, "1[s] . (up o s) -> s"),
+        Rule("FPush", f_push, Closure, "f_p(t1,...,tn)[s] -> f_q(t1[...], ...)"),
     )
     return RewriteSystem("sigma", rules, "lterm", sig)
 
@@ -924,7 +958,7 @@ def compile_rule(name: str, lhs, rhs, display: str = "") -> Rule:
             return build_pattern(rhs, binds)
         return None
 
-    return Rule(name, apply, display)
+    return Rule(name, apply, _head_key(lhs), display)
 
 
 class _TermPatternParser(syntax.Parser):

@@ -74,6 +74,21 @@ def test_check_proof_invalid_exits_1(capsys, tmp_path, corpus_sig_file):
     assert code == 1 and "RuleMismatch" in out
 
 
+def test_check_proof_principal_out_of_range_exits_1(capsys, tmp_path, corpus_sig_file):
+    path = tmp_path / "bad.prf"
+    path.write_text("rule weak-left [at=5] |- Q |- Q\n  rule axiom |- Q |- Q\n")
+    code, out, err = run(capsys, "--sig", corpus_sig_file, "check-proof", str(path))
+    assert code == 1 and "PrincipalFormulaMissing" in out
+    assert "Traceback" not in out + err
+
+
+def test_parse_deeply_nested_input_is_an_input_error(capsys, corpus_sig_file):
+    term = "f(" * 3000 + "x" + ")" * 3000
+    code, out, err = run(capsys, "--sig", corpus_sig_file, "parse", "--term", term)
+    assert code == 2 and out == ""
+    assert err.startswith("input error") and len(err.splitlines()) == 1
+
+
 def test_check_proof_malformed_exits_2(capsys, tmp_path, corpus_sig_file):
     path = tmp_path / "bad.prf"
     path.write_text("rule nonsense |- Q |- Q\n")

@@ -327,13 +327,19 @@ def test_partial_quantifier_annotation_rejected():
 # mutation testing: break valid proofs in targeted ways, expect rejection
 
 
-def _replace_first_axiom_rhs(tree, junk):
-    """Swap the right side of the first axiom leaf for a junk formula."""
-    if tree.rule.rule is Rule.AXIOM:
-        return ProofTree(Sequent(tree.conclusion.left, (junk,)), tree.rule, ())
+def _corrupt_first_leaf(tree, junk):
+    """Swap the right side of the first axiom leaf for a junk formula; a
+    falsity leaf has its principal `false` swapped for the junk instead."""
+    app = tree.rule
+    if app.rule is Rule.AXIOM:
+        return ProofTree(Sequent(tree.conclusion.left, (junk,)), app, ())
+    if app.rule is Rule.BOT_L:
+        left = list(tree.conclusion.left)
+        left[len(left) - 1 if app.principal is None else app.principal] = junk
+        return ProofTree(Sequent(tuple(left), tree.conclusion.right), app, ())
     prems = list(tree.premises)
     for i, p in enumerate(prems):
-        mutated = _replace_first_axiom_rhs(p, junk)
+        mutated = _corrupt_first_leaf(p, junk)
         if mutated is not None:
             prems[i] = mutated
             return ProofTree(tree.conclusion, tree.rule, tuple(prems))
@@ -374,7 +380,7 @@ def _corrupt_witness(tree):
 def test_mutated_corpus_rejected():
     junk = parse_prop("P(f(f(f(x))))", CORPUS_SIG)
     for name, proof in corpus():
-        broken = _replace_first_axiom_rhs(proof, junk)
+        broken = _corrupt_first_leaf(proof, junk)
         assert broken is not None, name
         assert not check_binding_proof(CORPUS_SIG, broken).ok, name
 
