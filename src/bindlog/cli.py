@@ -180,8 +180,18 @@ def cmd_eval(args, cfg: RunConfig) -> int:
     return 0 if value == 1 else 1
 
 
+def _parse_bounds(text: str) -> tuple[int, int, int]:
+    try:
+        bounds = tuple(int(s) for s in text.split(","))
+    except ValueError:
+        bounds = ()
+    if len(bounds) != 3 or min(bounds) < 0:
+        raise ParseError(f"--bounds takes three non-negative integers n,p,q, not {text!r}")
+    return bounds
+
+
 def cmd_verify_model(args, cfg: RunConfig) -> int:
-    n, p, q = (int(s) for s in args.bounds.split(","))
+    n, p, q = _parse_bounds(args.bounds)
     sig = _load_signature(cfg) if cfg.sig_path else None
     m = _model_from_name(args.model, cfg, sig)
     ifs = m if isinstance(m, models.IFS) else m.ifs

@@ -11,6 +11,7 @@ probe-based equality (the disjoint-sum counter-model over the naturals).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -43,6 +44,12 @@ class IFS:
     box(a, bs, p) composes a (at level len(bs)) with elements of level p;
     elem_eq compares two elements of one level; sample draws a random
     element for sampled sweeps over non-enumerable carriers.
+
+    The sweeps memoize box and intern elements, so elements must be
+    hashable, box must give equal results on equal (==) arguments, and
+    elem_eq must be reflexive: a == b implies elem_eq(a, b, n). elem_eq
+    may be coarser than ==; it is then consulted wherever two results
+    differ under ==.
     """
 
     carrier: Callable[[int], tuple | None]
@@ -249,6 +256,11 @@ def _tuples_over(elems: tuple, k: int, mode: str, samples: int, rng):
         if k else iter([()])
 
 
+def _columns(rows: list, width: int):
+    """The columns of equal-length rows, or width empty tuples for no rows."""
+    return zip(*rows) if rows else itertools.repeat((), width)
+
+
 def check_ifs(ifs: IFS, n_max: int, p_max: int, q_max: int,
               mode: str = "exhaustive", samples: int = 50, seed: int = 0) -> SweepReport:
     """Check the projection, identity, and associativity laws on every
@@ -282,7 +294,20 @@ def check_ifs(ifs: IFS, n_max: int, p_max: int, q_max: int,
             rep.checked += 1
             if not ifs.elem_eq(box(a, projs, n), a, n):
                 rep.violations.append(f"identity law: {fmt_element(a)} at level {n}")
-    # associativity
+    # associativity, over elements interned per level to small integers the
+    # first time they are seen: equal indices mean equal elements, so whole
+    # rows of results compare at once and elem_eq runs only where they differ
+    index: dict[int, dict] = {}
+    table: dict[int, list] = {}
+
+    def intern(e, level: int) -> int:
+        ix = index.setdefault(level, {})
+        i = ix.get(e)
+        if i is None:
+            i = ix[e] = len(ix)
+            table.setdefault(level, []).append(e)
+        return i
+
     for n in range(0, n_max + 1):
         for p in range(0, p_max + 1):
             for q in range(0, q_max + 1):
@@ -290,19 +315,40 @@ def check_ifs(ifs: IFS, n_max: int, p_max: int, q_max: int,
                 elems_p = _level_elements(ifs, p, mode, samples, rng)
                 elems_q = _level_elements(ifs, q, mode, samples, rng)
                 cs_list = list(_tuples_over(elems_q, p, mode, samples, rng))
-                # inner composition precomputed per (b, cs)
-                inner: dict = {}
+                width = len(cs_list)
+                elems_at_q = table.setdefault(q, [])
+                # level-p element index -> indices of box(b, cs, q) per cs
+                rows: dict[int, list[int]] = {}
+
+                def row(b) -> list[int]:
+                    i = intern(b, p)
+                    r = rows.get(i)
+                    if r is None:
+                        r = rows[i] = [intern(box(b, cs, q), q) for cs in cs_list]
+                    return r
+
                 for b in elems_p:
-                    for cs in cs_list:
-                        inner[(b, cs)] = box(b, cs, q)
+                    row(b)
                 for a in elems_n:
+                    # column of inner results -> index of box(a, column, q)
+                    outer: dict[tuple, int] = {}
                     for bs in _tuples_over(elems_p, n, mode, samples, rng):
-                        ab = box(a, bs, p)
-                        for cs in cs_list:
-                            rep.checked += 1
-                            lhs = box(ab, cs, q)
-                            rhs = box(a, tuple(inner[(b, cs)] for b in bs), q)
-                            if not ifs.elem_eq(lhs, rhs, q):
+                        lhs = row(box(a, bs, p))
+                        inner = [row(b) for b in bs]
+                        rhs = list(map(outer.get, _columns(inner, width)))
+                        if None in rhs:
+                            for j, ds in enumerate(_columns(inner, width)):
+                                if rhs[j] is None:
+                                    d = outer.get(ds)
+                                    if d is None:
+                                        d = outer[ds] = intern(
+                                            box(a, tuple(elems_at_q[i] for i in ds), q), q)
+                                    rhs[j] = d
+                        rep.checked += width
+                        if lhs == rhs:
+                            continue
+                        for cs, i, j in zip(cs_list, lhs, rhs):
+                            if i != j and not ifs.elem_eq(elems_at_q[i], elems_at_q[j], q):
                                 rep.violations.append(
                                     f"associativity: {fmt_element(a)} "
                                     f"{_fmt_tuple(bs)} {_fmt_tuple(cs)} (n={n},p={p},q={q})")
@@ -328,6 +374,8 @@ def check_coherence(m: BindingModel, f: str, p_max: int, q_max: int,
     fh = m.fhat[f]
     for p in range(0, p_max + 1):
         for q in range(0, q_max + 1):
+            # the lifted argument tuples depend on bs but not on args
+            lift = functools.cache(lambda bs, k, q=q: upstep(ifs, bs, q, k))
             arg_levels = [p + k for k in arity]
             arg_spaces = [_level_elements(ifs, lv, mode, samples, rng) for lv in arg_levels]
             elems_q = _level_elements(ifs, q, mode, samples, rng)
@@ -337,7 +385,7 @@ def check_coherence(m: BindingModel, f: str, p_max: int, q_max: int,
                     rep.checked += 1
                     lhs = ifs.box(fh(p, args), bs, q)
                     lifted = tuple(
-                        ifs.box(a, upstep(ifs, bs, q, k), q + k)
+                        ifs.box(a, lift(bs, k), q + k)
                         for a, k in zip(args, arity)
                     )
                     rhs = fh(q, lifted)
@@ -648,45 +696,6 @@ def eval_lterm(nm: SigmaModel, t, phi: Mapping | None = None):
         q = sigma.sort_of(nm.sig, t).n
         return nm.comp(eval_lterm(nm, t.s1, phi), eval_lterm(nm, t.s2, phi), q)
     raise TypeError(f"not a sorted term: {t!r}")
-
-
-def eval_lprop_report(nm: SigmaModel, a, phi: Mapping | None = None) -> tuple[int, bool]:
-    phi = dict(phi or {})
-    dom = nm.term_carrier(0)
-    exhaustive = dom is not None
-    if dom is None:
-        dom = ()
-
-    def go(a, phi):
-        if isinstance(a, Atom):
-            vals = tuple(eval_lterm(nm, s.body, phi) for s in a.args)
-            return nm.pred(a.pred, vals), True
-        if isinstance(a, Bottom):
-            return 0, True
-        if isinstance(a, (Imp, And, Or)):
-            va, ea = go(a.a, phi)
-            vb, eb = go(a.b, phi)
-            if isinstance(a, Imp):
-                v = 1 if (va == 0 or vb == 1) else 0
-            elif isinstance(a, And):
-                v = va and vb
-            else:
-                v = va or vb
-            return v, ea and eb
-        if isinstance(a, (Forall, Exists)):
-            want_all = isinstance(a, Forall)
-            all_exact = True
-            for elem in dom:
-                v, e = go(a.body, {**phi, a.var: elem})
-                all_exact = all_exact and e
-                if want_all and v == 0:
-                    return 0, e
-                if not want_all and v == 1:
-                    return 1, e
-            return (1 if want_all else 0), exhaustive and all_exact
-        raise TypeError(f"not a proposition: {a!r}")
-
-    return go(a, phi)
 
 
 def binding_model_from_sigma(nm: SigmaModel, name: str = "") -> BindingModel:

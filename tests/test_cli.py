@@ -174,6 +174,13 @@ def test_verify_fullfn(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("bounds", ["--bounds=2,2", "--bounds=a,b,c", "--bounds=-1,2,2"])
+def test_verify_model_bad_bounds_are_input_errors(capsys, bounds):
+    code, out, err = run(capsys, "verify-model", "--model", "ext", bounds)
+    assert code == 2 and out == ""
+    assert err.startswith("input error") and len(err.splitlines()) == 1
+
+
 def test_demo_extensionality(capsys):
     code, out, _ = run(capsys, "demo", "extensionality")
     assert code == 0

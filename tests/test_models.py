@@ -1,6 +1,7 @@
 """Structures, denotations, the built-in counter-models, the adapters to
 and from the sorted layer, and model table files."""
 
+import dataclasses
 import itertools
 import random
 
@@ -211,16 +212,19 @@ def test_constant_family_is_coherent():
     assert check_coherence(m, "k", 3, 3).ok
 
 
-def test_incoherent_family_detected():
+def _incoherent_model():
     # swapping the two constants under composition breaks coherence
     def bad(p, args):
         a = args[0]
         return ("l", p) if a[0] == "k" else (("k", p) if a[0] == "l" else a)
 
-    m = models.BindingModel(
+    return models.BindingModel(
         name="bad", sig=syntax.Signature({"w": (0,)}, {}), ifs=EXT.ifs,
         fhat={"w": bad}, phat={})
-    rep = check_coherence(m, "w", 2, 2)
+
+
+def test_incoherent_family_detected():
+    rep = check_coherence(_incoherent_model(), "w", 2, 2)
     assert not rep.ok
 
 
@@ -245,6 +249,195 @@ def test_delta_ifs_sampled():
     assert rep.ok
     rep2 = check_coherence(DELTA, "δ", 1, 1, mode="sampled", samples=3, seed=8)
     assert rep2.ok
+
+
+# ---------------------------------------------------------------------------
+# the sweeps against their naive references
+#
+# The references are the sweeps before elements were interned and upstep
+# memoized: every associativity instance looks its inner results up in a
+# tuple-keyed dict and calls elem_eq, and upstep is recomputed per argument
+# tuple. The real sweeps must count the same instances and report the same
+# violations in the same order, drawing the same samples from a seed.
+
+
+def _naive_check_ifs(ifs, n_max, p_max, q_max, mode="exhaustive", samples=50, seed=0):
+    rng = random.Random(seed)
+    rep = models.SweepReport()
+    boxc: dict = {}
+
+    def box(a, bs, p):
+        key = (a, bs, p)
+        v = boxc.get(key)
+        if v is None:
+            v = ifs.box(a, bs, p)
+            boxc[key] = v
+        return v
+
+    # projections
+    for n in range(1, n_max + 1):
+        for p in range(0, p_max + 1):
+            elems_p = models._level_elements(ifs, p, mode, samples, rng)
+            for bs in models._tuples_over(elems_p, n, mode, samples, rng):
+                for i in range(1, n + 1):
+                    rep.checked += 1
+                    if not ifs.elem_eq(box(ifs.proj(i, n), bs, p), bs[i - 1], p):
+                        rep.violations.append(
+                            f"proj law: {i}_{n} with {models._fmt_tuple(bs)} at level {p}")
+    # identity
+    for n in range(0, n_max + 1):
+        projs = tuple(ifs.proj(i + 1, n) for i in range(n))
+        for a in models._level_elements(ifs, n, mode, samples, rng):
+            rep.checked += 1
+            if not ifs.elem_eq(box(a, projs, n), a, n):
+                rep.violations.append(f"identity law: {models.fmt_element(a)} at level {n}")
+    # associativity
+    for n in range(0, n_max + 1):
+        for p in range(0, p_max + 1):
+            for q in range(0, q_max + 1):
+                elems_n = models._level_elements(ifs, n, mode, samples, rng)
+                elems_p = models._level_elements(ifs, p, mode, samples, rng)
+                elems_q = models._level_elements(ifs, q, mode, samples, rng)
+                cs_list = list(models._tuples_over(elems_q, p, mode, samples, rng))
+                # inner composition precomputed per (b, cs)
+                inner: dict = {}
+                for b in elems_p:
+                    for cs in cs_list:
+                        inner[(b, cs)] = box(b, cs, q)
+                for a in elems_n:
+                    for bs in models._tuples_over(elems_p, n, mode, samples, rng):
+                        ab = box(a, bs, p)
+                        for cs in cs_list:
+                            rep.checked += 1
+                            lhs = box(ab, cs, q)
+                            rhs = box(a, tuple(inner[(b, cs)] for b in bs), q)
+                            if not ifs.elem_eq(lhs, rhs, q):
+                                rep.violations.append(
+                                    f"associativity: {models.fmt_element(a)} "
+                                    f"{models._fmt_tuple(bs)} {models._fmt_tuple(cs)} "
+                                    f"(n={n},p={p},q={q})")
+    return rep
+
+
+def _naive_check_coherence(m, f, p_max, q_max, mode="exhaustive", samples=30, seed=0):
+    rng = random.Random(seed)
+    rep = models.SweepReport()
+    ifs = m.ifs
+    arity = m.sig.functions[f]
+    fh = m.fhat[f]
+    for p in range(0, p_max + 1):
+        for q in range(0, q_max + 1):
+            arg_levels = [p + k for k in arity]
+            arg_spaces = [models._level_elements(ifs, lv, mode, samples, rng)
+                          for lv in arg_levels]
+            elems_q = models._level_elements(ifs, q, mode, samples, rng)
+            for args in (itertools.product(*arg_spaces) if mode == "exhaustive"
+                         else (tuple(rng.choice(sp) for sp in arg_spaces)
+                               for _ in range(samples))):
+                for bs in models._tuples_over(elems_q, p, mode, samples, rng):
+                    rep.checked += 1
+                    lhs = ifs.box(fh(p, args), bs, q)
+                    lifted = tuple(
+                        ifs.box(a, models.upstep(ifs, bs, q, k), q + k)
+                        for a, k in zip(args, arity)
+                    )
+                    rhs = fh(q, lifted)
+                    if not ifs.elem_eq(lhs, rhs, q):
+                        rep.violations.append(
+                            f"coherence of {f}: p={p} q={q} args={models._fmt_tuple(args)} "
+                            f"bs={models._fmt_tuple(bs)}")
+    if arity == (1,):
+        for p in range(1, p_max + 1):
+            for a in models._level_elements(ifs, p + 1, mode, samples, rng):
+                rep.checked += 1
+                i_args = (ifs.proj(1, p + 2),) + tuple(ifs.proj(j, p + 2) for j in range(3, p + 3))
+                lifted = ifs.box(a, i_args, p + 2)
+                d_args = (ifs.proj(1, p),) + tuple(ifs.proj(j, p) for j in range(1, p + 1))
+                rhs = ifs.box(fh(p + 1, (lifted,)), d_args, p)
+                if not ifs.elem_eq(fh(p, (a,)), rhs, p):
+                    rep.violations.append(
+                        f"level-shift identity of {f}: p={p} a={models.fmt_element(a)}")
+    return rep
+
+
+def _assert_same_sweep(got, want):
+    assert got.checked == want.checked
+    assert got.violations == want.violations
+
+
+def _broken_ext_ifs():
+    """ext whose barred twin of projection 2 composes to k at level 1."""
+    def box(a, bs, p):
+        if a[0] == "b" and a[1] == 2 and p == 1:
+            return ("k", p)
+        return EXT.ifs.box(a, bs, p)
+    return dataclasses.replace(EXT.ifs, box=box)
+
+
+def _tagged_ext_ifs(elem_eq=None):
+    """ext whose compositions with an odd number of arguments come back
+    wrapped in a tag: outside the carrier, equal to carrier elements only
+    under an elem_eq that drops the tag."""
+    def untag(e):
+        return e[1] if e[0] == "tag" else e
+
+    def box(a, bs, p):
+        r = EXT.ifs.box(untag(a), tuple(map(untag, bs)), p)
+        return ("tag", r) if len(bs) % 2 else r
+    return dataclasses.replace(
+        EXT.ifs, box=box, elem_eq=elem_eq or (lambda a, b, n: untag(a) == untag(b)))
+
+
+@pytest.mark.parametrize("bounds", [(2, 2, 2), (3, 3, 2)])
+def test_check_ifs_matches_naive_on_ext(bounds):
+    _assert_same_sweep(check_ifs(EXT.ifs, *bounds), _naive_check_ifs(EXT.ifs, *bounds))
+
+
+def test_check_ifs_matches_naive_on_full_functions():
+    ifs = full_function_ifs((0, 1))
+    _assert_same_sweep(check_ifs(ifs, 2, 2, 1), _naive_check_ifs(ifs, 2, 2, 1))
+
+
+def test_check_ifs_matches_naive_on_violations():
+    ifs = _broken_ext_ifs()
+    rep = check_ifs(ifs, 2, 2, 2)
+    assert len(rep.violations) > 100
+    _assert_same_sweep(rep, _naive_check_ifs(ifs, 2, 2, 2))
+
+
+def test_check_ifs_matches_naive_on_table_model():
+    ifs = load_model(dump_model(EXT, 2), EXT.sig).ifs
+    _assert_same_sweep(check_ifs(ifs, 2, 2, 2), _naive_check_ifs(ifs, 2, 2, 2))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_check_ifs_matches_naive_on_delta_samples(seed):
+    got = check_ifs(DELTA.ifs, 2, 2, 2, mode="sampled", samples=3, seed=seed)
+    _assert_same_sweep(got, _naive_check_ifs(DELTA.ifs, 2, 2, 2, mode="sampled",
+                                             samples=3, seed=seed))
+
+
+def test_check_ifs_consults_elem_eq_where_results_differ():
+    ifs = _tagged_ext_ifs()
+    rep = check_ifs(ifs, 2, 2, 2)
+    assert rep.ok
+    _assert_same_sweep(rep, _naive_check_ifs(ifs, 2, 2, 2))
+    # under == the tagged results are violations: elem_eq decided every one
+    strict = _tagged_ext_ifs(elem_eq=lambda a, b, n: a == b)
+    rep = check_ifs(strict, 2, 2, 2)
+    assert any(v.startswith("associativity") for v in rep.violations)
+    _assert_same_sweep(rep, _naive_check_ifs(strict, 2, 2, 2))
+
+
+def test_check_coherence_matches_naive():
+    for f in ("f", "Λ"):
+        _assert_same_sweep(check_coherence(EXT, f, 3, 3), _naive_check_coherence(EXT, f, 3, 3))
+    bad = _incoherent_model()
+    _assert_same_sweep(check_coherence(bad, "w", 2, 2), _naive_check_coherence(bad, "w", 2, 2))
+    for seed in (1, 2, 3):
+        _assert_same_sweep(
+            check_coherence(DELTA, "δ", 1, 1, mode="sampled", samples=3, seed=seed),
+            _naive_check_coherence(DELTA, "δ", 1, 1, mode="sampled", samples=3, seed=seed))
 
 
 def _extensional_model(universe=(0, 1)):
