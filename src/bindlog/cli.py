@@ -72,10 +72,24 @@ def _congruence_from_arg(modulo: str | None, sig, cfg: RunConfig):
     return proofs.Congruence(rs, budget=cfg.step_budget)
 
 
+def _load_proof(path: str, sig, cong: proofs.Congruence | None) -> proofs.ProofTree:
+    """Parse a proof file whose `syntax` line suits the checker that reads it:
+    the plain checker and term-layer congruences read term syntax, the
+    substitution congruence reads lprop."""
+    text = Path(path).read_text()
+    want = "lprop" if cong is not None and cong.layer == "lterm" else "term"
+    have = proofs.proof_file_layer(text)
+    if have != want:
+        checker = ("the plain checker" if cong is None
+                   else f"a congruence over the {cong.layer} layer")
+        raise ParseError(f"{path} is in {have} syntax; {checker} needs {want} syntax")
+    return proofs.parse_proof_file(text, sig)
+
+
 def cmd_check_proof(args, cfg: RunConfig) -> int:
     sig = _load_signature(cfg)
-    proof = proofs.parse_proof_file(Path(args.proof).read_text(), sig)
     cong = _congruence_from_arg(args.modulo, sig, cfg)
+    proof = _load_proof(args.proof, sig, cong)
     if cong is None:
         result = proofs.check_binding_proof(sig, proof)
         kind = "binding"
@@ -121,7 +135,7 @@ def cmd_precook(args, cfg: RunConfig) -> int:
 
 def cmd_translate_proof(args, cfg: RunConfig) -> int:
     sig = _load_signature(cfg)
-    proof = proofs.parse_proof_file(Path(args.proof).read_text(), sig)
+    proof = _load_proof(args.proof, sig, None)
     result = proofs.check_binding_proof(sig, proof)
     if not result.ok:
         print(f"source proof invalid: {result}", file=sys.stderr)
@@ -142,7 +156,10 @@ def _model_from_name(name: str, cfg: RunConfig, sig=None):
     if name == "delta":
         return models.delta_model(cfg.probe_budget)
     if name.startswith("fullfn:"):
-        size = int(name.split(":", 1)[1])
+        text = name.split(":", 1)[1]
+        size = int(text) if text.isascii() and text.isdigit() else 0
+        if size < 1:
+            raise ParseError(f"fullfn:<size> takes a positive integer, not {text!r}")
         return models.full_function_ifs(range(size))
     path = Path(name)
     if path.exists():
@@ -213,15 +230,6 @@ def cmd_verify_model(args, cfg: RunConfig) -> int:
     return 0 if ok else 1
 
 
-EXT_AXIOMS = (
-    "forall x. =(x, x)",
-    "forall x. forall y. =(x, y) => =(y, x)",
-    "forall x. forall y. forall z. =(x, y) => (=(y, z) => =(x, z))",
-    "forall x. forall y. =(x, y) => =(f(x), f(y))",
-    "forall x. forall y. =(x, y) => =(Λ(z. x), Λ(z. y))",
-)
-
-
 def cmd_demo(args, cfg: RunConfig) -> int:
     if args.which == "extensionality":
         return _demo_extensionality(cfg)
@@ -233,7 +241,7 @@ def _demo_extensionality(cfg: RunConfig) -> int:
     lines = []
     payload: dict = {"demo": "extensionality"}
     all_axioms_valid = True
-    for text in EXT_AXIOMS:
+    for text in models.EXT_AXIOMS:
         a = syntax.parse_prop(text, m.sig)
         v = models.eval_prop(m, a)
         all_axioms_valid = all_axioms_valid and v == 1

@@ -430,6 +430,16 @@ def check_unary_retraction(m: BindingModel, f: str, q_max: int) -> SweepReport:
 # ---------------------------------------------------------------------------
 # Built-in models
 
+# The five equality axioms over the extensionality model's signature; all
+# hold in ext_counter_model.
+EXT_AXIOMS = (
+    "forall x. =(x, x)",
+    "forall x. forall y. =(x, y) => =(y, x)",
+    "forall x. forall y. forall z. =(x, y) => (=(y, z) => =(x, z))",
+    "forall x. forall y. =(x, y) => =(f(x), f(y))",
+    "forall x. forall y. =(x, y) => =(Λ(z. x), Λ(z. y))",
+)
+
 
 def ext_counter_model(n_max: int = 4) -> BindingModel:
     """The finite model separating the equality axioms from the

@@ -180,11 +180,7 @@ class TheoryModulo:
 
 
 def translate_theory(sig: Signature, axioms) -> TheoryModulo:
-    return TheoryModulo(tuple(precook_prop(sig, a) for a in axioms), sigma_system_for(sig))
-
-
-def sigma_system_for(sig: Signature) -> RewriteSystem:
-    return sigma.sigma_system(sig)
+    return TheoryModulo(tuple(precook_prop(sig, a) for a in axioms), sigma.sigma_system(sig))
 
 
 def translate_proof(sig: Signature, p: "proofs.ProofTree") -> "proofs.ProofTree":
@@ -206,7 +202,7 @@ def translate_proof(sig: Signature, p: "proofs.ProofTree") -> "proofs.ProofTree"
             qx, qa = proofs.principal_quantifier_parts(node)
             x = qx
             a = precook_prop(sig, qa)
-            if app.rule in (proofs.Rule.ALL_L, proofs.Rule.EX_R):
+            if proofs.RULES[app.rule].witness:
                 t = precook(sig, app.t)
         new_app = proofs.RuleApp(app.rule, principal=app.principal, x=x, a=a, t=t)
         return proofs.ProofTree(concl, new_app, tuple(go(q) for q in node.premises))

@@ -49,17 +49,58 @@ class Rule(enum.Enum):
     EX_R = "ex-right"
 
 
-QUANTIFIER_RULES = {Rule.ALL_L, Rule.ALL_R, Rule.EX_L, Rule.EX_R}
-WITNESS_RULES = {Rule.ALL_L, Rule.EX_R}
+@dataclass(frozen=True)
+class RuleSpec:
+    """The shape of one rule figure, the checker's only per-rule knowledge
+    besides the axiom's one-formula conclusion.
 
-_PREMISE_COUNT = {
-    Rule.AXIOM: 0, Rule.BOT_L: 0,
-    Rule.CUT: 2, Rule.IMP_L: 2, Rule.AND_R: 2, Rule.OR_L: 2,
+    side: where the principal formula sits in the conclusion, "left" or
+        "right"; None for the axiom and cut, which have none.
+    premises: one (n, m) per premise: its left side is the conclusion's left
+        context followed by n new formulas, its right side m new formulas
+        followed by the conclusion's right context. A context is its side of
+        the conclusion without the principal formula.
+    connective: how the new formulas, in premise order and left ones first,
+        give the principal: a class (Imp, And, Or, Bottom) that rebuilds it;
+        SAME, each is a copy of it (of the first one when there is no
+        principal; the axiom's two formulas count as new); or None.
+    quantifier: Forall or Exists. The principal must be identified with
+        quantifier(x, A), (x, A) taken from the annotation or else read off
+        the principal.
+    witness: the new formula is A's instance at the witness term t; else it is
+        A itself and x must not be free in the context.
+    """
+
+    side: str | None
+    premises: tuple[tuple[int, int], ...]
+    connective: object = None
+    quantifier: type | None = None
+    witness: bool = False
+
+
+SAME = "same"
+
+RULES = {
+    Rule.AXIOM: RuleSpec(None, (), SAME),
+    Rule.CUT: RuleSpec(None, ((1, 0), (0, 1)), SAME),
+    Rule.CONTR_L: RuleSpec("left", ((2, 0),), SAME),
+    Rule.CONTR_R: RuleSpec("right", ((0, 2),), SAME),
+    Rule.WEAK_L: RuleSpec("left", ((0, 0),)),
+    Rule.WEAK_R: RuleSpec("right", ((0, 0),)),
+    Rule.IMP_L: RuleSpec("left", ((0, 1), (1, 0)), Imp),
+    Rule.IMP_R: RuleSpec("right", ((1, 1),), Imp),
+    Rule.AND_L: RuleSpec("left", ((2, 0),), And),
+    Rule.AND_R: RuleSpec("right", ((0, 1), (0, 1)), And),
+    Rule.OR_L: RuleSpec("left", ((1, 0), (1, 0)), Or),
+    Rule.OR_R: RuleSpec("right", ((0, 2),), Or),
+    Rule.BOT_L: RuleSpec("left", (), Bottom),
+    Rule.ALL_L: RuleSpec("left", ((1, 0),), quantifier=Forall, witness=True),
+    Rule.ALL_R: RuleSpec("right", ((0, 1),), quantifier=Forall),
+    Rule.EX_L: RuleSpec("left", ((1, 0),), quantifier=Exists),
+    Rule.EX_R: RuleSpec("right", ((0, 1),), quantifier=Exists, witness=True),
 }
-_LEFT_RULES = {Rule.CONTR_L, Rule.WEAK_L, Rule.IMP_L, Rule.AND_L, Rule.OR_L,
-               Rule.BOT_L, Rule.ALL_L, Rule.EX_L}
-_RIGHT_RULES = {Rule.CONTR_R, Rule.WEAK_R, Rule.IMP_R, Rule.AND_R, Rule.OR_R,
-                Rule.ALL_R, Rule.EX_R}
+
+QUANTIFIER_RULES = frozenset(r for r, spec in RULES.items() if spec.quantifier is not None)
 
 
 @dataclass(frozen=True)
@@ -151,11 +192,6 @@ class Congruence:
         return self.ops.alpha_eq(self.normal_form(a), self.normal_form(b))
 
 
-def congruence_closure_check(cong: Congruence, a, b) -> bool:
-    """True iff the normal forms of a and b are alpha-equal."""
-    return cong.equal(a, b)
-
-
 # ---------------------------------------------------------------------------
 # The checker engine
 
@@ -165,291 +201,128 @@ def check_binding_proof(sig: Signature, p: ProofTree) -> CheckResult:
     up to alpha-equivalence, quantifier witnesses substitute capture-avoidingly
     (with respect to symbol binders too), and the right-forall / left-exists
     rules enforce the freshness side condition."""
-    return _check(sig, Congruence.syntactic("term"), p, modulo=False)
+    return _check(Congruence.syntactic("term"), p)
 
 
 def check_modulo_proof(sig: Signature, cong: Congruence, p: ProofTree) -> CheckResult:
     """Check a proof tree against the calculus modulo: every side condition
     written as a congruence is decided by the supplied normalizing system."""
-    return _check(sig, cong, p, modulo=True)
+    return _check(cong, p)
 
 
-def _check(sig, cong: Congruence, proof: ProofTree, modulo: bool) -> CheckResult:
+class _Rejected(Exception):
+    """A node fails a check: the CheckResult kind and message."""
+
+    def __init__(self, kind: str, message: str):
+        self.kind = kind
+        self.message = message
+
+
+def _principal_index(node: ProofTree, side: str) -> int:
+    """The principal's index on its side: the rule's `at=`, else the position
+    the rule figures display. Raises _Rejected when no formula is there."""
+    formulas = node.conclusion.left if side == "left" else node.conclusion.right
+    i = node.rule.principal
+    if i is None:
+        i = len(formulas) - 1 if side == "left" else 0
+    if not 0 <= i < len(formulas):
+        raise _Rejected("PrincipalFormulaMissing", f"no formula at {side} index {i}")
+    return i
+
+
+def _quantifier_parts(node: ProofTree, normal_form):
+    """(x, A) of a quantifier node: the annotation if given, else read off the
+    principal formula after normal_form. Raises _Rejected."""
+    app = node.rule
+    if (app.x is None) != (app.a is None):
+        raise _Rejected("RuleMismatch", "quantifier annotation needs both x and A")
+    if app.x is not None:
+        return app.x, app.a
+    spec = RULES[app.rule]
+    formulas = node.conclusion.left if spec.side == "left" else node.conclusion.right
+    b = normal_form(formulas[_principal_index(node, spec.side)])
+    if not isinstance(b, spec.quantifier):
+        raise _Rejected("RuleMismatch", f"principal formula is not a "
+                        f"{spec.quantifier.__name__.lower()} and no (x,A) annotation given")
+    return b.var, b.body
+
+
+def principal_quantifier_parts(node: ProofTree):
+    """The (x, A) of a quantifier node: explicit annotation if present, else
+    read syntactically off the principal formula."""
+    try:
+        return _quantifier_parts(node, lambda b: b)
+    except _Rejected as e:
+        raise ValueError(e.message) from None
+
+
+def _check(cong: Congruence, proof: ProofTree) -> CheckResult:
     ops = cong.ops
-
-    def fail(kind, path, msg):
-        return CheckResult.failed(kind, path, msg)
+    ceq = cong.equal
 
     def alpha_list(xs, ys) -> bool:
-        return len(xs) == len(ys) and all(ops.alpha_eq(a, b) for a, b in zip(xs, ys))
+        return len(xs) == len(ys) and all(map(ops.alpha_eq, xs, ys))
 
-    def ceq(a, b) -> bool:
-        return cong.equal(a, b) if modulo else ops.alpha_eq(a, b)
-
-    def principal(node, path, side):
-        lst = node.conclusion.left if side == "left" else node.conclusion.right
-        i = node.rule.principal
-        if i is None:
-            i = len(lst) - 1 if side == "left" else 0
-        if not (0 <= i < len(lst)):
-            return None, fail("PrincipalFormulaMissing", path,
-                              f"no formula at {side} index {i}")
-        return i, None
-
-    def quantifier_parts(node, path, cls):
-        """(x, A) from the annotation, or read off the principal formula."""
+    def check_node(node: ProofTree):
         app = node.rule
-        if (app.x is None) != (app.a is None):
-            return None, None, fail("RuleMismatch", path,
-                                    "quantifier annotation needs both x and A")
-        if app.x is not None and app.a is not None:
-            return app.x, app.a, None
-        side = "left" if app.rule in (Rule.ALL_L, Rule.EX_L) else "right"
-        i, err = principal(node, path, side)
-        if err is not None:
-            return None, None, err
-        b = (node.conclusion.left if side == "left" else node.conclusion.right)[i]
-        if modulo:
-            b = cong.normal_form(b)
-        if not isinstance(b, cls):
-            return None, None, fail(
-                "RuleMismatch", path,
-                f"principal formula is not a {cls.__name__.lower()} and no (x,A) annotation given")
-        return b.var, b.body, None
-
-    def check_node(node: ProofTree, path) -> CheckResult | None:
-        rule = node.rule.rule
+        name, spec = app.rule.value, RULES[app.rule]
         L, R = node.conclusion.left, node.conclusion.right
-        want = _PREMISE_COUNT.get(rule, 1)
-        if len(node.premises) != want:
-            return fail("RuleMismatch", path,
-                        f"{rule.value} takes {want} premises, got {len(node.premises)}")
-        prems = [q.conclusion for q in node.premises]
+        if len(node.premises) != len(spec.premises):
+            raise _Rejected("RuleMismatch", f"{name} takes {len(spec.premises)} premises, "
+                                            f"got {len(node.premises)}")
+        if spec.quantifier is not None:
+            x, a = _quantifier_parts(node, cong.normal_form)
+            if spec.witness and app.t is None:
+                raise _Rejected("RuleMismatch", f"{name} needs a witness term")
 
-        if rule is Rule.AXIOM:
+        principal, gamma, delta, new = None, L, R, []
+        if spec.side == "left":
+            i = _principal_index(node, "left")
+            principal, gamma = L[i], L[:i] + L[i + 1:]
+        elif spec.side == "right":
+            i = _principal_index(node, "right")
+            principal, delta = R[i], R[:i] + R[i + 1:]
+        elif app.rule is Rule.AXIOM:
             if len(L) != 1 or len(R) != 1:
-                return fail("RuleMismatch", path, "axiom concludes a one-formula sequent")
-            if not ceq(L[0], R[0]):
-                return fail("RuleMismatch", path, "axiom formulas are not identified")
-            return None
+                raise _Rejected("RuleMismatch", "axiom concludes a one-formula sequent")
+            new = [L[0], R[0]]
 
-        if rule is Rule.CUT:
-            p1, p2 = prems
-            if len(p1.left) != len(L) + 1 or not alpha_list(p1.left[:-1], L) \
-                    or not alpha_list(p1.right, R):
-                return fail("RuleMismatch", path, "first cut premise does not extend the left side")
-            if len(p2.right) != len(R) + 1 or not alpha_list(p2.right[1:], R) \
-                    or not alpha_list(p2.left, L):
-                return fail("RuleMismatch", path, "second cut premise does not extend the right side")
-            if not ceq(p1.left[-1], p2.right[0]):
-                return fail("RuleMismatch", path, "cut formulas are not identified")
-            return None
+        for k, (p, (n, m)) in enumerate(zip(node.premises, spec.premises)):
+            pl, pr = p.conclusion.left, p.conclusion.right
+            if not (len(pl) == len(gamma) + n and alpha_list(pl[:len(gamma)], gamma)
+                    and len(pr) == len(delta) + m and alpha_list(pr[m:], delta)):
+                raise _Rejected("RuleMismatch", f"{name} premise {k} has the wrong shape")
+            new += pl[len(gamma):] + pr[:m]
 
-        if rule in (Rule.CONTR_L, Rule.CONTR_R):
-            side = "left" if rule is Rule.CONTR_L else "right"
-            i, err = principal(node, path, side)
-            if err is not None:
-                return err
-            (p,) = prems
-            if rule is Rule.CONTR_L:
-                gamma = L[:i] + L[i + 1:]
-                okctx = (len(p.left) == len(gamma) + 2 and alpha_list(p.left[:-2], gamma)
-                         and alpha_list(p.right, R))
-                b1, b2 = (p.left[-2:] if okctx else (None, None))
-                a = L[i]
-            else:
-                delta = R[:i] + R[i + 1:]
-                okctx = (len(p.right) == len(delta) + 2 and alpha_list(p.right[2:], delta)
-                         and alpha_list(p.left, L))
-                b1, b2 = (p.right[:2] if okctx else (None, None))
-                a = R[i]
-            if not okctx:
-                return fail("RuleMismatch", path, f"{rule.value} premise has the wrong shape")
-            if not (ceq(a, b1) and ceq(a, b2)):
-                return fail("RuleMismatch", path, "contracted formulas are not identified")
-            return None
+        if spec.connective is SAME:
+            first, copies = (new[0], new[1:]) if principal is None else (principal, new)
+            if not all(ceq(first, b) for b in copies):
+                raise _Rejected("RuleMismatch", f"{name} formulas are not identified")
+        elif spec.connective is not None and not ceq(principal, spec.connective(*new)):
+            raise _Rejected("RuleMismatch", f"principal is not the "
+                            f"{spec.connective.__name__.lower()} of the premise formulas")
 
-        if rule in (Rule.WEAK_L, Rule.WEAK_R):
-            side = "left" if rule is Rule.WEAK_L else "right"
-            i, err = principal(node, path, side)
-            if err is not None:
-                return err
-            (p,) = prems
-            if rule is Rule.WEAK_L:
-                ok = alpha_list(p.left, L[:i] + L[i + 1:]) and alpha_list(p.right, R)
-            else:
-                ok = alpha_list(p.right, R[:i] + R[i + 1:]) and alpha_list(p.left, L)
-            if not ok:
-                return fail("RuleMismatch", path, f"{rule.value} premise has the wrong shape")
-            return None
-
-        if rule is Rule.IMP_L:
-            i, err = principal(node, path, "left")
-            if err is not None:
-                return err
-            gamma = L[:i] + L[i + 1:]
-            p1, p2 = prems
-            if len(p1.right) != len(R) + 1 or not alpha_list(p1.right[1:], R) \
-                    or not alpha_list(p1.left, gamma):
-                return fail("RuleMismatch", path, "first imp-left premise has the wrong shape")
-            if len(p2.left) != len(gamma) + 1 or not alpha_list(p2.left[:-1], gamma) \
-                    or not alpha_list(p2.right, R):
-                return fail("RuleMismatch", path, "second imp-left premise has the wrong shape")
-            if not ceq(L[i], Imp(p1.right[0], p2.left[-1])):
-                return fail("RuleMismatch", path, "principal is not the implication of the premises")
-            return None
-
-        if rule is Rule.IMP_R:
-            i, err = principal(node, path, "right")
-            if err is not None:
-                return err
-            delta = R[:i] + R[i + 1:]
-            (p,) = prems
-            if len(p.left) != len(L) + 1 or not alpha_list(p.left[:-1], L) \
-                    or len(p.right) != len(delta) + 1 or not alpha_list(p.right[1:], delta):
-                return fail("RuleMismatch", path, "imp-right premise has the wrong shape")
-            if not ceq(R[i], Imp(p.left[-1], p.right[0])):
-                return fail("RuleMismatch", path, "principal is not the implication of the premise")
-            return None
-
-        if rule is Rule.AND_L:
-            i, err = principal(node, path, "left")
-            if err is not None:
-                return err
-            gamma = L[:i] + L[i + 1:]
-            (p,) = prems
-            if len(p.left) != len(gamma) + 2 or not alpha_list(p.left[:-2], gamma) \
-                    or not alpha_list(p.right, R):
-                return fail("RuleMismatch", path, "and-left premise has the wrong shape")
-            if not ceq(L[i], And(p.left[-2], p.left[-1])):
-                return fail("RuleMismatch", path, "principal is not the conjunction of the premise")
-            return None
-
-        if rule is Rule.AND_R:
-            i, err = principal(node, path, "right")
-            if err is not None:
-                return err
-            delta = R[:i] + R[i + 1:]
-            p1, p2 = prems
-            for p in (p1, p2):
-                if len(p.right) != len(delta) + 1 or not alpha_list(p.right[1:], delta) \
-                        or not alpha_list(p.left, L):
-                    return fail("RuleMismatch", path, "and-right premise has the wrong shape")
-            if not ceq(R[i], And(p1.right[0], p2.right[0])):
-                return fail("RuleMismatch", path, "principal is not the conjunction of the premises")
-            return None
-
-        if rule is Rule.OR_L:
-            i, err = principal(node, path, "left")
-            if err is not None:
-                return err
-            gamma = L[:i] + L[i + 1:]
-            p1, p2 = prems
-            for p in (p1, p2):
-                if len(p.left) != len(gamma) + 1 or not alpha_list(p.left[:-1], gamma) \
-                        or not alpha_list(p.right, R):
-                    return fail("RuleMismatch", path, "or-left premise has the wrong shape")
-            if not ceq(L[i], Or(p1.left[-1], p2.left[-1])):
-                return fail("RuleMismatch", path, "principal is not the disjunction of the premises")
-            return None
-
-        if rule is Rule.OR_R:
-            i, err = principal(node, path, "right")
-            if err is not None:
-                return err
-            delta = R[:i] + R[i + 1:]
-            (p,) = prems
-            if len(p.right) != len(delta) + 2 or not alpha_list(p.right[2:], delta) \
-                    or not alpha_list(p.left, L):
-                return fail("RuleMismatch", path, "or-right premise has the wrong shape")
-            if not ceq(R[i], Or(p.right[0], p.right[1])):
-                return fail("RuleMismatch", path, "principal is not the disjunction of the premise")
-            return None
-
-        if rule is Rule.BOT_L:
-            i, err = principal(node, path, "left")
-            if err is not None:
-                return err
-            if not ceq(L[i], Bottom()):
-                return fail("RuleMismatch", path, "principal is not falsity")
-            return None
-
-        if rule is Rule.ALL_L or rule is Rule.EX_R:
-            cls = Forall if rule is Rule.ALL_L else Exists
-            x, a, err = quantifier_parts(node, path, cls)
-            if err is not None:
-                return err
-            t = node.rule.t
-            if t is None:
-                return fail("RuleMismatch", path, f"{rule.value} needs a witness term")
-            (p,) = prems
-            if rule is Rule.ALL_L:
-                i, err = principal(node, path, "left")
-                if err is not None:
-                    return err
-                gamma = L[:i] + L[i + 1:]
-                if len(p.left) != len(gamma) + 1 or not alpha_list(p.left[:-1], gamma) \
-                        or not alpha_list(p.right, R):
-                    return fail("RuleMismatch", path, "all-left premise has the wrong shape")
-                instance, b = p.left[-1], L[i]
-            else:
-                i, err = principal(node, path, "right")
-                if err is not None:
-                    return err
-                delta = R[:i] + R[i + 1:]
-                if len(p.right) != len(delta) + 1 or not alpha_list(p.right[1:], delta) \
-                        or not alpha_list(p.left, L):
-                    return fail("RuleMismatch", path, "ex-right premise has the wrong shape")
-                instance, b = p.right[0], R[i]
-            if not ceq(b, cls(x, a)):
-                return fail("RuleMismatch", path, "principal does not match the (x,A) annotation")
-            if not ceq(instance, ops.substitute1(t, x, a)):
-                return fail("RuleMismatch", path,
-                            "premise formula is not the substitution instance of the annotation")
-            return None
-
-        if rule is Rule.ALL_R or rule is Rule.EX_L:
-            cls = Forall if rule is Rule.ALL_R else Exists
-            x, a, err = quantifier_parts(node, path, cls)
-            if err is not None:
-                return err
-            (p,) = prems
-            if rule is Rule.ALL_R:
-                i, err = principal(node, path, "right")
-                if err is not None:
-                    return err
-                delta = R[:i] + R[i + 1:]
-                if len(p.right) != len(delta) + 1 or not alpha_list(p.right[1:], delta) \
-                        or not alpha_list(p.left, L):
-                    return fail("RuleMismatch", path, "all-right premise has the wrong shape")
-                body, b, ctx = p.right[0], R[i], list(L) + list(delta)
-            else:
-                i, err = principal(node, path, "left")
-                if err is not None:
-                    return err
-                gamma = L[:i] + L[i + 1:]
-                if len(p.left) != len(gamma) + 1 or not alpha_list(p.left[:-1], gamma) \
-                        or not alpha_list(p.right, R):
-                    return fail("RuleMismatch", path, "ex-left premise has the wrong shape")
-                body, b, ctx = p.left[-1], L[i], list(gamma) + list(R)
-            if not ceq(b, cls(x, a)):
-                return fail("RuleMismatch", path, "principal does not match the (x,A) annotation")
-            if not ops.alpha_eq(body, a):
-                return fail("RuleMismatch", path, "premise formula differs from the annotation body")
-            if any(x in ops.free_vars(c) for c in ctx):
-                return fail("SideConditionViolated", path, f"{x} occurs free in the context")
-            return None
-
-        raise AssertionError(rule)
+        if spec.quantifier is not None:
+            (body,) = new
+            if not ceq(principal, spec.quantifier(x, a)):
+                raise _Rejected("RuleMismatch", "principal does not match the (x,A) annotation")
+            if spec.witness:
+                if not ceq(body, ops.substitute1(app.t, x, a)):
+                    raise _Rejected("RuleMismatch", "premise formula is not the "
+                                    "substitution instance of the annotation")
+            elif not ops.alpha_eq(body, a):
+                raise _Rejected("RuleMismatch", "premise formula differs from the annotation body")
+            elif any(x in ops.free_vars(c) for c in gamma + delta):
+                raise _Rejected("SideConditionViolated", f"{x} occurs free in the context")
 
     def walk(node: ProofTree, path) -> CheckResult:
         try:
-            err = check_node(node, path)
+            check_node(node)
+        except _Rejected as e:
+            return CheckResult.failed(e.kind, path, e.message)
         except CongruenceBudgetExceeded:
             return CheckResult.failed("CongruenceBudgetExceeded", path,
                                       "congruence decision ran out of budget")
-        if err is not None:
-            return err
         for i, q in enumerate(node.premises):
             r = walk(q, path + (i,))
             if not r.ok:
@@ -457,23 +330,6 @@ def _check(sig, cong: Congruence, proof: ProofTree, modulo: bool) -> CheckResult
         return CheckResult.passed()
 
     return walk(proof, ())
-
-
-def principal_quantifier_parts(node: ProofTree):
-    """The (x, A) of a quantifier node: explicit annotation if present, else
-    read syntactically off the principal formula."""
-    app = node.rule
-    if app.x is not None and app.a is not None:
-        return app.x, app.a
-    side_left = app.rule in (Rule.ALL_L, Rule.EX_L)
-    lst = node.conclusion.left if side_left else node.conclusion.right
-    i = app.principal
-    if i is None:
-        i = len(lst) - 1 if side_left else 0
-    b = lst[i]
-    if not isinstance(b, (Forall, Exists)):
-        raise ValueError(f"principal formula {b} is not quantified")
-    return b.var, b.body
 
 
 # ---------------------------------------------------------------------------
@@ -519,19 +375,32 @@ def _parse_params(s: str, lineno: int) -> dict[str, str]:
     return out
 
 
+def _proof_lines(text: str):
+    """The proof syntax a file declares ("term" unless its first line says
+    `syntax lprop`) and its other non-blank lines, comments cut, with
+    their line numbers."""
+    lines = [(lineno, raw.split("#", 1)[0].rstrip())
+             for lineno, raw in enumerate(text.splitlines(), start=1)]
+    lines = [(lineno, line) for lineno, line in lines if line.strip()]
+    if lines and lines[0][1].strip().startswith("syntax"):
+        lineno, header = lines.pop(0)
+        words = header.split()
+        if len(words) != 2 or words[0] != "syntax" or words[1] not in ("term", "lprop"):
+            raise ParseError(f"expected `syntax term` or `syntax lprop`: {header.strip()!r}",
+                             line=lineno)
+        return words[1], lines
+    return "term", lines
+
+
+def proof_file_layer(text: str) -> str:
+    """"lprop" for a proof file written over the sorted layer, else "term"."""
+    return _proof_lines(text)[0]
+
+
 def parse_proof_file(text: str, sig: Signature | None = None) -> ProofTree:
-    layer = "term"
-    lines = text.splitlines()
+    layer, lines = _proof_lines(text)
     entries: list[tuple[int, str, int]] = []
-    for lineno, raw in enumerate(lines, start=1):
-        stripped = raw.split("#", 1)[0].rstrip()
-        if not stripped.strip():
-            continue
-        if not entries and stripped.strip().startswith("syntax"):
-            layer = stripped.split()[1]
-            if layer not in ("term", "lprop"):
-                raise ParseError(f"unknown proof syntax {layer!r}", line=lineno)
-            continue
+    for lineno, stripped in lines:
         indent = len(stripped) - len(stripped.lstrip())
         if indent % 2 != 0:
             raise ParseError("indentation must be two spaces per level", line=lineno)
@@ -570,7 +439,13 @@ def parse_proof_file(text: str, sig: Signature | None = None) -> ProofTree:
         seq_parser = make_parser(rest[2:])
         left, right = seq_parser.sequent()
         seq_parser.done()
-        principal = int(params["at"]) if "at" in params else None
+        principal = None
+        if "at" in params:
+            try:
+                principal = int(params["at"])
+            except ValueError:
+                raise ParseError(f"at= takes an integer, not {params['at']!r}",
+                                 line=lineno) from None
         x = params.get("x")
         a = t = None
         if "A" in params:

@@ -1087,24 +1087,6 @@ _LTOKEN_RE = re.compile(
 )
 
 
-def tokenize_l(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _LTOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos=pos)
-        kind = m.lastgroup
-        if kind != "ws":
-            val = m.group()
-            if kind in ("ident", "sym"):
-                kind = "kw" if val in syntax._KEYWORDS else "name"
-            tokens.append((kind, val, pos))
-        pos = m.end()
-    tokens.append(("eof", "", pos))
-    return tokens
-
-
 def _parse_sub(txt: str):
     if txt.startswith("?"):
         if "+" in txt:
@@ -1117,10 +1099,7 @@ def _parse_sub(txt: str):
 class LParser(syntax.Parser):
     """Parser for sorted terms and for propositions over them."""
 
-    def __init__(self, text: str):
-        self.tokens = tokenize_l(text)
-        self.pos = 0
-        self.sig = None
+    token_re = _LTOKEN_RE
 
     def term(self):
         return self._cons()

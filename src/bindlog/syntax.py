@@ -398,21 +398,21 @@ _TOKEN_RE = re.compile(
 _KEYWORDS = {"forall", "exists", "false"}
 
 
-def tokenize(text: str) -> list[tuple[str, str, int]]:
+def tokenize(text: str, token_re: re.Pattern = _TOKEN_RE) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) tokens by the named groups of token_re; `ident`
+    and `sym` matches become keywords or names, `ws` is dropped."""
     tokens = []
     pos = 0
     while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
+        m = token_re.match(text, pos)
         if m is None:
             raise ParseError(f"unexpected character {text[pos]!r}", pos=pos)
         kind = m.lastgroup
         if kind != "ws":
+            val = m.group()
             if kind in ("ident", "sym"):
-                val = m.group()
                 kind = "kw" if val in _KEYWORDS else "name"
-                tokens.append((kind, val, pos))
-            else:
-                tokens.append((kind, m.group(), pos))
+            tokens.append((kind, val, pos))
         pos = m.end()
     tokens.append(("eof", "", pos))
     return tokens
@@ -425,8 +425,10 @@ class Parser:
     symbol parses as a zero-argument application instead of a variable.
     """
 
+    token_re = _TOKEN_RE
+
     def __init__(self, text: str, sig: Signature | None = None):
-        self.tokens = tokenize(text)
+        self.tokens = tokenize(text, self.token_re)
         self.pos = 0
         self.sig = sig
 

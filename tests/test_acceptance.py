@@ -23,20 +23,11 @@ def _report(num, desc, started, limit, ok=True):
     assert elapsed < limit, f"criterion {num} exceeded {limit}s ({elapsed:.2f}s)"
 
 
-EXT_AXIOMS = (
-    "forall x. =(x, x)",
-    "forall x. forall y. =(x, y) => =(y, x)",
-    "forall x. forall y. forall z. =(x, y) => (=(y, z) => =(x, z))",
-    "forall x. forall y. =(x, y) => =(f(x), f(y))",
-    "forall x. forall y. =(x, y) => =(Λ(z. x), Λ(z. y))",
-)
-
-
 def test_criterion_1_extensionality_independence():
     started = time.perf_counter()
     m = models.ext_counter_model()
     assert m.ifs.carrier(0) is not None and len(m.ifs.carrier(0)) == 2
-    for text in EXT_AXIOMS:
+    for text in models.EXT_AXIOMS:
         value, exact = models.eval_prop_report(m, parse_prop(text, m.sig))
         assert (value, exact) == (1, True), text
     assert models.eval_prop_report(m, parse_prop("forall x. =(f(x), x)", m.sig)) == (1, True)
@@ -176,7 +167,7 @@ def test_criterion_8_model_adapters():
     m2 = models.binding_model_from_sigma(nm, "roundtrip")
     transport2 = models.denotation_transport_check(m2, nm, samples=1000, seed=0xADA9)
     assert transport2.ok
-    for text in EXT_AXIOMS:
+    for text in models.EXT_AXIOMS:
         assert models.eval_prop_report(m2, parse_prop(text, m.sig)) == (1, True)
     eq = parse_prop("=(Λ(x. f(x)), Λ(x. x))", m.sig)
     assert models.eval_prop_report(m2, eq) == (0, True)

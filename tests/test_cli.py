@@ -96,6 +96,41 @@ def test_check_proof_malformed_exits_2(capsys, tmp_path, corpus_sig_file):
     assert code == 2
 
 
+@pytest.mark.parametrize("text", [
+    "rule weak-left [at=x] |- Q |- Q\n  rule axiom |- Q |- Q\n",
+    "syntax\nrule axiom |- Q |- Q\n",
+], ids=["at-not-an-integer", "bare-syntax-line"])
+def test_check_proof_bad_file_is_an_input_error(capsys, tmp_path, corpus_sig_file, text):
+    path = tmp_path / "bad.prf"
+    path.write_text(text)
+    code, out, err = run(capsys, "--sig", corpus_sig_file, "check-proof", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("input error") and "(line 1)" in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("layer, modulo", [
+    ("lprop", None), ("lprop", "arith.rw"), ("term", "sigma"),
+])
+def test_check_proof_layer_mismatch_is_an_input_error(capsys, tmp_path, corpus_sig_file,
+                                                      layer, modulo):
+    path = tmp_path / "proof.prf"
+    path.write_text(f"syntax {layer}\nrule axiom |- Q |- Q\n")
+    argv = ["--sig", corpus_sig_file, "check-proof", str(path)]
+    if modulo == "arith.rw":
+        rules = tmp_path / "arith.rw"
+        rules.write_text(ARITH_RULES_TEXT)
+        argv += ["--modulo", str(rules)]
+    elif modulo is not None:
+        argv += ["--modulo", modulo]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("input error") and "syntax" in err and len(err.splitlines()) == 1
+    # the same file under the checker of its own layer is read and checked
+    path.write_text(f"syntax {'term' if layer == 'lprop' else 'lprop'}\nrule axiom |- Q |- Q\n")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0, out
+
+
 def test_check_proof_modulo_arithmetic(capsys, tmp_path):
     sig = tmp_path / "arith.sig"
     sig.write_text(ARITH_SIG_TEXT)
@@ -174,7 +209,10 @@ def test_verify_fullfn(capsys):
     assert code == 0
 
 
-@pytest.mark.parametrize("bounds", ["--bounds=2,2", "--bounds=a,b,c", "--bounds=-1,2,2"])
+# argparse keeps the last value given, so each case overrides one default
+@pytest.mark.parametrize("bounds", ["--bounds=2,2", "--bounds=a,b,c", "--bounds=-1,2,2",
+                                    "--model=fullfn:x", "--model=fullfn:0",
+                                    "--model=fullfn:-1"])
 def test_verify_model_bad_bounds_are_input_errors(capsys, bounds):
     code, out, err = run(capsys, "verify-model", "--model", "ext", bounds)
     assert code == 2 and out == ""

@@ -10,6 +10,7 @@ import pytest
 from bindlog import gen, models, precook, syntax
 from bindlog.errors import InfiniteDomainExhaustionRequested, UnboundVariable
 from bindlog.models import (
+    EXT_AXIOMS,
     Computable,
     binding_model_from_sigma,
     check_coherence,
@@ -48,15 +49,6 @@ def DP(s):
 
 def DT(s):
     return parse_term(s, DELTA.sig)
-
-
-EXT_AXIOMS = [
-    "forall x. =(x, x)",
-    "forall x. forall y. =(x, y) => =(y, x)",
-    "forall x. forall y. forall z. =(x, y) => (=(y, z) => =(x, z))",
-    "forall x. forall y. =(x, y) => =(f(x), f(y))",
-    "forall x. forall y. =(x, y) => =(Λ(z. x), Λ(z. y))",
-]
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,14 @@
 and the proof text format."""
 
 import random
+import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from bindlog import precook, sigma, syntax
+from bindlog.errors import CheckResult, CongruenceBudgetExceeded
 from bindlog.proofs import (
     Congruence,
     ProofTree,
@@ -15,11 +18,21 @@ from bindlog.proofs import (
     Sequent,
     check_binding_proof,
     check_modulo_proof,
-    congruence_closure_check,
     parse_proof_file,
     print_proof_file,
 )
-from bindlog.syntax import Signature, parse_prop, parse_term, to_debruijn
+from bindlog.syntax import (
+    And,
+    Bottom,
+    Exists,
+    Forall,
+    Imp,
+    Or,
+    Signature,
+    parse_prop,
+    parse_term,
+    to_debruijn,
+)
 
 from proof_corpus import CORPUS_SIG, axiom, corpus, equality_compat_derivation, node
 
@@ -221,16 +234,15 @@ def test_axiom_fails_under_empty_congruence():
 
 def test_congruence_closure_examples():
     cong = arith_congruence()
-    assert congruence_closure_check(
-        cong, AP(f"=({num(4)}, {num(4)})"), AP(f"=(*({num(2)}, {num(2)}), {num(4)})"))
+    assert cong.equal(AP(f"=({num(4)}, {num(4)})"), AP(f"=(*({num(2)}, {num(2)}), {num(4)})"))
     a = AP("=(x, x)")
-    assert congruence_closure_check(Congruence.syntactic("term"), a, a)
+    assert Congruence.syntactic("term").equal(a, a)
     # one-step closure collapse under the substitution system
     lsig = Signature({}, {"=": (0, 0)})
     scong = Congruence(sigma.sigma_system(lsig))
     lhs = sigma.parse_lprop("=(1_1[t . id_0], u)")
     rhs = sigma.parse_lprop("=(t, u)")
-    assert congruence_closure_check(scong, lhs, rhs)
+    assert scong.equal(lhs, rhs)
 
 
 def test_congruence_budget_exceeded_is_reported():
@@ -401,6 +413,441 @@ def test_dropped_premise_rejected():
 
 
 # ---------------------------------------------------------------------------
+# the rule table against the hand-written checker it replaced: the parent
+# implementation is kept verbatim below as the reference
+
+_PREMISE_COUNT = {
+    Rule.AXIOM: 0, Rule.BOT_L: 0,
+    Rule.CUT: 2, Rule.IMP_L: 2, Rule.AND_R: 2, Rule.OR_L: 2,
+}
+
+
+def _reference_check(sig, cong: Congruence, proof: ProofTree, modulo: bool) -> CheckResult:
+    ops = cong.ops
+
+    def fail(kind, path, msg):
+        return CheckResult.failed(kind, path, msg)
+
+    def alpha_list(xs, ys) -> bool:
+        return len(xs) == len(ys) and all(ops.alpha_eq(a, b) for a, b in zip(xs, ys))
+
+    def ceq(a, b) -> bool:
+        return cong.equal(a, b) if modulo else ops.alpha_eq(a, b)
+
+    def principal(node, path, side):
+        lst = node.conclusion.left if side == "left" else node.conclusion.right
+        i = node.rule.principal
+        if i is None:
+            i = len(lst) - 1 if side == "left" else 0
+        if not (0 <= i < len(lst)):
+            return None, fail("PrincipalFormulaMissing", path,
+                              f"no formula at {side} index {i}")
+        return i, None
+
+    def quantifier_parts(node, path, cls):
+        """(x, A) from the annotation, or read off the principal formula."""
+        app = node.rule
+        if (app.x is None) != (app.a is None):
+            return None, None, fail("RuleMismatch", path,
+                                    "quantifier annotation needs both x and A")
+        if app.x is not None and app.a is not None:
+            return app.x, app.a, None
+        side = "left" if app.rule in (Rule.ALL_L, Rule.EX_L) else "right"
+        i, err = principal(node, path, side)
+        if err is not None:
+            return None, None, err
+        b = (node.conclusion.left if side == "left" else node.conclusion.right)[i]
+        if modulo:
+            b = cong.normal_form(b)
+        if not isinstance(b, cls):
+            return None, None, fail(
+                "RuleMismatch", path,
+                f"principal formula is not a {cls.__name__.lower()} and no (x,A) annotation given")
+        return b.var, b.body, None
+
+    def check_node(node: ProofTree, path) -> CheckResult | None:
+        rule = node.rule.rule
+        L, R = node.conclusion.left, node.conclusion.right
+        want = _PREMISE_COUNT.get(rule, 1)
+        if len(node.premises) != want:
+            return fail("RuleMismatch", path,
+                        f"{rule.value} takes {want} premises, got {len(node.premises)}")
+        prems = [q.conclusion for q in node.premises]
+
+        if rule is Rule.AXIOM:
+            if len(L) != 1 or len(R) != 1:
+                return fail("RuleMismatch", path, "axiom concludes a one-formula sequent")
+            if not ceq(L[0], R[0]):
+                return fail("RuleMismatch", path, "axiom formulas are not identified")
+            return None
+
+        if rule is Rule.CUT:
+            p1, p2 = prems
+            if len(p1.left) != len(L) + 1 or not alpha_list(p1.left[:-1], L) \
+                    or not alpha_list(p1.right, R):
+                return fail("RuleMismatch", path, "first cut premise does not extend the left side")
+            if len(p2.right) != len(R) + 1 or not alpha_list(p2.right[1:], R) \
+                    or not alpha_list(p2.left, L):
+                return fail("RuleMismatch", path, "second cut premise does not extend the right side")
+            if not ceq(p1.left[-1], p2.right[0]):
+                return fail("RuleMismatch", path, "cut formulas are not identified")
+            return None
+
+        if rule in (Rule.CONTR_L, Rule.CONTR_R):
+            side = "left" if rule is Rule.CONTR_L else "right"
+            i, err = principal(node, path, side)
+            if err is not None:
+                return err
+            (p,) = prems
+            if rule is Rule.CONTR_L:
+                gamma = L[:i] + L[i + 1:]
+                okctx = (len(p.left) == len(gamma) + 2 and alpha_list(p.left[:-2], gamma)
+                         and alpha_list(p.right, R))
+                b1, b2 = (p.left[-2:] if okctx else (None, None))
+                a = L[i]
+            else:
+                delta = R[:i] + R[i + 1:]
+                okctx = (len(p.right) == len(delta) + 2 and alpha_list(p.right[2:], delta)
+                         and alpha_list(p.left, L))
+                b1, b2 = (p.right[:2] if okctx else (None, None))
+                a = R[i]
+            if not okctx:
+                return fail("RuleMismatch", path, f"{rule.value} premise has the wrong shape")
+            if not (ceq(a, b1) and ceq(a, b2)):
+                return fail("RuleMismatch", path, "contracted formulas are not identified")
+            return None
+
+        if rule in (Rule.WEAK_L, Rule.WEAK_R):
+            side = "left" if rule is Rule.WEAK_L else "right"
+            i, err = principal(node, path, side)
+            if err is not None:
+                return err
+            (p,) = prems
+            if rule is Rule.WEAK_L:
+                ok = alpha_list(p.left, L[:i] + L[i + 1:]) and alpha_list(p.right, R)
+            else:
+                ok = alpha_list(p.right, R[:i] + R[i + 1:]) and alpha_list(p.left, L)
+            if not ok:
+                return fail("RuleMismatch", path, f"{rule.value} premise has the wrong shape")
+            return None
+
+        if rule is Rule.IMP_L:
+            i, err = principal(node, path, "left")
+            if err is not None:
+                return err
+            gamma = L[:i] + L[i + 1:]
+            p1, p2 = prems
+            if len(p1.right) != len(R) + 1 or not alpha_list(p1.right[1:], R) \
+                    or not alpha_list(p1.left, gamma):
+                return fail("RuleMismatch", path, "first imp-left premise has the wrong shape")
+            if len(p2.left) != len(gamma) + 1 or not alpha_list(p2.left[:-1], gamma) \
+                    or not alpha_list(p2.right, R):
+                return fail("RuleMismatch", path, "second imp-left premise has the wrong shape")
+            if not ceq(L[i], Imp(p1.right[0], p2.left[-1])):
+                return fail("RuleMismatch", path, "principal is not the implication of the premises")
+            return None
+
+        if rule is Rule.IMP_R:
+            i, err = principal(node, path, "right")
+            if err is not None:
+                return err
+            delta = R[:i] + R[i + 1:]
+            (p,) = prems
+            if len(p.left) != len(L) + 1 or not alpha_list(p.left[:-1], L) \
+                    or len(p.right) != len(delta) + 1 or not alpha_list(p.right[1:], delta):
+                return fail("RuleMismatch", path, "imp-right premise has the wrong shape")
+            if not ceq(R[i], Imp(p.left[-1], p.right[0])):
+                return fail("RuleMismatch", path, "principal is not the implication of the premise")
+            return None
+
+        if rule is Rule.AND_L:
+            i, err = principal(node, path, "left")
+            if err is not None:
+                return err
+            gamma = L[:i] + L[i + 1:]
+            (p,) = prems
+            if len(p.left) != len(gamma) + 2 or not alpha_list(p.left[:-2], gamma) \
+                    or not alpha_list(p.right, R):
+                return fail("RuleMismatch", path, "and-left premise has the wrong shape")
+            if not ceq(L[i], And(p.left[-2], p.left[-1])):
+                return fail("RuleMismatch", path, "principal is not the conjunction of the premise")
+            return None
+
+        if rule is Rule.AND_R:
+            i, err = principal(node, path, "right")
+            if err is not None:
+                return err
+            delta = R[:i] + R[i + 1:]
+            p1, p2 = prems
+            for p in (p1, p2):
+                if len(p.right) != len(delta) + 1 or not alpha_list(p.right[1:], delta) \
+                        or not alpha_list(p.left, L):
+                    return fail("RuleMismatch", path, "and-right premise has the wrong shape")
+            if not ceq(R[i], And(p1.right[0], p2.right[0])):
+                return fail("RuleMismatch", path, "principal is not the conjunction of the premises")
+            return None
+
+        if rule is Rule.OR_L:
+            i, err = principal(node, path, "left")
+            if err is not None:
+                return err
+            gamma = L[:i] + L[i + 1:]
+            p1, p2 = prems
+            for p in (p1, p2):
+                if len(p.left) != len(gamma) + 1 or not alpha_list(p.left[:-1], gamma) \
+                        or not alpha_list(p.right, R):
+                    return fail("RuleMismatch", path, "or-left premise has the wrong shape")
+            if not ceq(L[i], Or(p1.left[-1], p2.left[-1])):
+                return fail("RuleMismatch", path, "principal is not the disjunction of the premises")
+            return None
+
+        if rule is Rule.OR_R:
+            i, err = principal(node, path, "right")
+            if err is not None:
+                return err
+            delta = R[:i] + R[i + 1:]
+            (p,) = prems
+            if len(p.right) != len(delta) + 2 or not alpha_list(p.right[2:], delta) \
+                    or not alpha_list(p.left, L):
+                return fail("RuleMismatch", path, "or-right premise has the wrong shape")
+            if not ceq(R[i], Or(p.right[0], p.right[1])):
+                return fail("RuleMismatch", path, "principal is not the disjunction of the premise")
+            return None
+
+        if rule is Rule.BOT_L:
+            i, err = principal(node, path, "left")
+            if err is not None:
+                return err
+            if not ceq(L[i], Bottom()):
+                return fail("RuleMismatch", path, "principal is not falsity")
+            return None
+
+        if rule is Rule.ALL_L or rule is Rule.EX_R:
+            cls = Forall if rule is Rule.ALL_L else Exists
+            x, a, err = quantifier_parts(node, path, cls)
+            if err is not None:
+                return err
+            t = node.rule.t
+            if t is None:
+                return fail("RuleMismatch", path, f"{rule.value} needs a witness term")
+            (p,) = prems
+            if rule is Rule.ALL_L:
+                i, err = principal(node, path, "left")
+                if err is not None:
+                    return err
+                gamma = L[:i] + L[i + 1:]
+                if len(p.left) != len(gamma) + 1 or not alpha_list(p.left[:-1], gamma) \
+                        or not alpha_list(p.right, R):
+                    return fail("RuleMismatch", path, "all-left premise has the wrong shape")
+                instance, b = p.left[-1], L[i]
+            else:
+                i, err = principal(node, path, "right")
+                if err is not None:
+                    return err
+                delta = R[:i] + R[i + 1:]
+                if len(p.right) != len(delta) + 1 or not alpha_list(p.right[1:], delta) \
+                        or not alpha_list(p.left, L):
+                    return fail("RuleMismatch", path, "ex-right premise has the wrong shape")
+                instance, b = p.right[0], R[i]
+            if not ceq(b, cls(x, a)):
+                return fail("RuleMismatch", path, "principal does not match the (x,A) annotation")
+            if not ceq(instance, ops.substitute1(t, x, a)):
+                return fail("RuleMismatch", path,
+                            "premise formula is not the substitution instance of the annotation")
+            return None
+
+        if rule is Rule.ALL_R or rule is Rule.EX_L:
+            cls = Forall if rule is Rule.ALL_R else Exists
+            x, a, err = quantifier_parts(node, path, cls)
+            if err is not None:
+                return err
+            (p,) = prems
+            if rule is Rule.ALL_R:
+                i, err = principal(node, path, "right")
+                if err is not None:
+                    return err
+                delta = R[:i] + R[i + 1:]
+                if len(p.right) != len(delta) + 1 or not alpha_list(p.right[1:], delta) \
+                        or not alpha_list(p.left, L):
+                    return fail("RuleMismatch", path, "all-right premise has the wrong shape")
+                body, b, ctx = p.right[0], R[i], list(L) + list(delta)
+            else:
+                i, err = principal(node, path, "left")
+                if err is not None:
+                    return err
+                gamma = L[:i] + L[i + 1:]
+                if len(p.left) != len(gamma) + 1 or not alpha_list(p.left[:-1], gamma) \
+                        or not alpha_list(p.right, R):
+                    return fail("RuleMismatch", path, "ex-left premise has the wrong shape")
+                body, b, ctx = p.left[-1], L[i], list(gamma) + list(R)
+            if not ceq(b, cls(x, a)):
+                return fail("RuleMismatch", path, "principal does not match the (x,A) annotation")
+            if not ops.alpha_eq(body, a):
+                return fail("RuleMismatch", path, "premise formula differs from the annotation body")
+            if any(x in ops.free_vars(c) for c in ctx):
+                return fail("SideConditionViolated", path, f"{x} occurs free in the context")
+            return None
+
+        raise AssertionError(rule)
+
+    def walk(node: ProofTree, path) -> CheckResult:
+        try:
+            err = check_node(node, path)
+        except CongruenceBudgetExceeded:
+            return CheckResult.failed("CongruenceBudgetExceeded", path,
+                                      "congruence decision ran out of budget")
+        if err is not None:
+            return err
+        for i, q in enumerate(node.premises):
+            r = walk(q, path + (i,))
+            if not r.ok:
+                return r
+        return CheckResult.passed()
+
+    return walk(proof, ())
+
+def _outcome(check):
+    try:
+        r = check()
+    except Exception as e:  # an exception must match too, not just verdicts
+        return ("raised", type(e).__name__)
+    return (r.ok, r.kind, r.path)
+
+
+def _subtrees(tree, path=()):
+    yield path, tree
+    for i, q in enumerate(tree.premises):
+        yield from _subtrees(q, path + (i,))
+
+
+def _replace_at(tree, path, new):
+    if not path:
+        return new
+    prems = list(tree.premises)
+    prems[path[0]] = _replace_at(prems[path[0]], path[1:], new)
+    return ProofTree(tree.conclusion, tree.rule, tuple(prems))
+
+
+def _pools(tree, lterm: bool):
+    """Formulas (with their immediate subformulas), terms and variable names
+    found in a proof, for mutations that stay inside its layer."""
+    props, terms, names = [], [], ["x", "y", "z"]
+    for _, n in _subtrees(tree):
+        app = n.rule
+        props += [*n.conclusion.left, *n.conclusion.right] + ([app.a] if app.a else [])
+        terms += [app.t] if app.t is not None else []
+        names += [app.x] if app.x else []
+    for a in list(props):
+        props += [getattr(a, f) for f in ("a", "b", "body") if hasattr(a, f)]
+    terms += [sigma.FreeVar("x")] if lterm else [syntax.Var("x"), syntax.Var("y")]
+    return list(dict.fromkeys(props)), list(dict.fromkeys(terms)), list(dict.fromkeys(names))
+
+
+def _fault(rng, tree, pools):
+    """One seeded fault at a random node: retag, move the principal, drop,
+    duplicate, swap or graft premises, edit a side, wrap a formula in a
+    connective, add a context formula, or change the annotation or witness."""
+    props, terms, names = pools
+    path, n = rng.choice(list(_subtrees(tree)))
+    app, left, right, prems = n.rule, list(n.conclusion.left), list(n.conclusion.right), list(n.premises)
+    kind = rng.randrange(11)
+    if kind == 0:
+        app = RuleApp(rng.choice(list(Rule)), app.principal, app.x, app.a, app.t)
+    elif kind == 1:
+        app = RuleApp(app.rule, rng.choice([None, -1, 0, 1, 2, 3]), app.x, app.a, app.t)
+    elif kind == 2 and prems:
+        i = rng.randrange(len(prems))
+        prems = rng.choice([prems[:i] + prems[i + 1:], prems[:i + 1] + prems[i:], prems[::-1]])
+    elif kind == 3:
+        prems.append(rng.choice(list(_subtrees(tree)))[1])
+    elif kind in (4, 5):
+        side = rng.choice([left, right])
+        op = rng.randrange(3)
+        if op == 0 or not side:
+            side.insert(rng.randint(0, len(side)), rng.choice(props))
+        elif op == 1:
+            del side[rng.randrange(len(side))]
+        else:
+            side[rng.randrange(len(side))] = rng.choice(props)
+    elif kind == 6:
+        side = rng.choice([left, right])
+        if side:
+            i = rng.randrange(len(side))
+            other = rng.choice(props)
+            side[i] = rng.choice([Imp(side[i], other), Imp(other, side[i]), And(side[i], other),
+                                  Or(other, side[i]), Bottom(), Forall(rng.choice(names), side[i]),
+                                  Exists(rng.choice(names), side[i])])
+    elif kind == 7:
+        left, right = right, left
+    elif kind == 8:
+        # the same context formula added to a node and to its premises keeps
+        # the node's shape; one that mentions an eigenvariable breaks freshness
+        f = rng.choice(props)
+        if rng.random() < 0.5:
+            right.append(f)
+            prems = [ProofTree(Sequent(q.conclusion.left, q.conclusion.right + (f,)), q.rule,
+                               q.premises) for q in prems]
+        else:
+            left.insert(0, f)
+            prems = [ProofTree(Sequent((f,) + q.conclusion.left, q.conclusion.right), q.rule,
+                               q.premises) for q in prems]
+    elif kind == 9:
+        x = rng.choice([None, *names])
+        a = rng.choice([None, *props])
+        app = RuleApp(app.rule, app.principal, x, a, app.t)
+    else:
+        app = RuleApp(app.rule, app.principal, app.x, app.a, rng.choice([None, *terms]))
+    return _replace_at(tree, path, ProofTree(Sequent(tuple(left), tuple(right)), app, tuple(prems)))
+
+
+def _mutants(rng, tree, count, lterm=False):
+    """The tree itself, then `count` mutants with one to three faults each."""
+    pools = _pools(tree, lterm)
+    yield tree
+    for _ in range(count):
+        m = tree
+        for _ in range(rng.choice([1, 1, 2, 3])):
+            m = _fault(rng, m, pools)
+        yield m
+
+
+def _same_verdicts(sig, make_cong, trees, modulo):
+    """Count the trees; fail on the first whose outcome differs. Each checker
+    gets its own congruence, so neither sees the other's normal-form cache."""
+    new_cong, ref_cong = make_cong(), make_cong()
+    n = 0
+    for tree in trees:
+        if modulo:
+            new = _outcome(lambda: check_modulo_proof(sig, new_cong, tree))
+        else:
+            new = _outcome(lambda: check_binding_proof(sig, tree))
+        ref = _outcome(lambda: _reference_check(sig, ref_cong, tree, modulo))
+        assert new == ref, (new, ref, print_proof_file(tree))
+        n += 1
+    return n
+
+
+def test_rule_table_matches_reference_checker():
+    rng = random.Random(0x7AB1E)
+    checked = 0
+    for name, proof in corpus():
+        checked += _same_verdicts(CORPUS_SIG, lambda: Congruence.syntactic("term"),
+                                  list(_mutants(rng, proof, 120)), modulo=False)
+        checked += _same_verdicts(CORPUS_SIG, lambda: Congruence.syntactic("term"),
+                                  list(_mutants(rng, proof, 40)), modulo=True)
+    rs = sigma.sigma_system(CORPUS_SIG)
+    for name, proof in corpus():
+        translated = precook.translate_proof(CORPUS_SIG, proof)
+        checked += _same_verdicts(CORPUS_SIG, lambda: Congruence(rs),
+                                  list(_mutants(rng, translated, 60, lterm=True)), modulo=True)
+    arith = sigma.load_rules(ARITH_RULES, sig=ARITH_SIG)
+    for budget in (1, 10, sigma.DEFAULT_BUDGET):
+        checked += _same_verdicts(ARITH_SIG, lambda: Congruence(arith, budget=budget),
+                                  list(_mutants(rng, four_is_even_proof(), 200)), modulo=True)
+    assert checked >= 2000
+
+
+# ---------------------------------------------------------------------------
 # proof files
 
 
@@ -429,3 +876,139 @@ def test_proof_file_errors():
         parse_proof_file("rule axiom |- Q |- Q\n   rule axiom |- Q |- Q", CORPUS_SIG)
     with pytest.raises(syntax.ParseError):
         parse_proof_file("", CORPUS_SIG)
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: mutated proof files end in a ParseError or a CheckResult, never
+# in another exception
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+SAMPLE_SIGS = {"equality_compat": "lambda", "four_is_even": "arith"}
+_RULE_NAMES = [r.value for r in Rule] + ["bogus"]
+_FUZZ_CHARS = "()[],.=|-#_ \n\tx0St?Λ∀"
+
+
+def _fuzz_bases():
+    """(text, signature, term-layer congruence) for the samples and the
+    corpus, plain and precooked. A mutant read as term syntax is checked
+    plainly and modulo the congruence; one read as lprop modulo sigma."""
+    assert {p.stem for p in SAMPLES.glob("*.prf")} == set(SAMPLE_SIGS)
+    bases = []
+    for stem, sig_stem in SAMPLE_SIGS.items():
+        sig = syntax.parse_signature((SAMPLES / f"{sig_stem}.sig").read_text())
+        cong = Congruence(sigma.load_rules((SAMPLES / "arith.rw").read_text(), sig=sig)) \
+            if sig_stem == "arith" else Congruence.syntactic("term")
+        bases.append(((SAMPLES / f"{stem}.prf").read_text(), sig, cong))
+    for _, proof in corpus():
+        bases.append((print_proof_file(proof), CORPUS_SIG, Congruence.syntactic("term")))
+        translated = precook.translate_proof(CORPUS_SIG, proof)
+        bases.append((print_proof_file(translated, layer="lprop"), CORPUS_SIG,
+                      Congruence.syntactic("term")))
+    return bases
+
+
+def _byte_mutant(rng, text):
+    lines = text.split("\n")
+    i = rng.randrange(len(lines))
+    op = rng.randrange(6)
+    if op == 0:
+        j = rng.randint(0, len(text))
+        return text[:j] + rng.choice(_FUZZ_CHARS) + text[j:]
+    if op == 1 and text:
+        j = rng.randrange(len(text))
+        return text[:j] + text[j + rng.randint(1, 3):]
+    if op == 2 and text:
+        j = rng.randrange(len(text))
+        return text[:j] + rng.choice(_FUZZ_CHARS) + text[j + 1:]
+    if op == 3:
+        lines.insert(i, lines[rng.randrange(len(lines))])
+    elif op == 4:
+        del lines[i]
+    else:
+        lines[i] = rng.choice(["", " ", "  ", "   "]) + lines[i]
+    return "\n".join(lines)
+
+
+def _params(line):
+    """The parameter block of a rule line as (before, {key: value}, after)."""
+    m = re.match(r"(\s*rule\s+\S+\s*)\[(.*?)\](\s*\|-.*)$", line)
+    if m is None:
+        i = line.find("|-")
+        return line[:i], {}, " " + line[i:]
+    parts = re.split(r"\s+(?=(?:at|x|A|t)=)", m.group(2).strip())
+    return m.group(1), dict(p.split("=", 1) for p in parts if "=" in p), m.group(3)
+
+
+def _with_params(before, params, after):
+    block = " ".join(f"{k}={v}" for k, v in params.items())
+    return f"{before.rstrip()} [{block}]{after}" if params else f"{before.rstrip()}{after}"
+
+
+def _structural_mutant(rng, text):
+    lines = text.rstrip("\n").split("\n")
+    rules = [i for i, ln in enumerate(lines) if ln.lstrip().startswith("rule ")]
+    if not rules:
+        return text
+    i = rng.choice(rules)
+    op = rng.randrange(4)
+    if op == 0:
+        lines[i] = re.sub(r"rule\s+\S+", "rule " + rng.choice(_RULE_NAMES), lines[i], count=1)
+    elif op == 1:
+        before, params, after = _params(lines[i])
+        value = rng.choice(["x", "", "-1", "1.5", str(rng.randint(0, 4)), None])
+        params.pop("at", None)
+        if value is not None:
+            params["at"] = value
+        lines[i] = _with_params(before, params, after)
+    elif op == 2 and i != rules[0]:
+        depth = len(lines[i]) - len(lines[i].lstrip())
+        end = i + 1
+        while end < len(lines) and len(lines[end]) - len(lines[end].lstrip()) > depth:
+            end += 1
+        block = lines[i:end]
+        lines[i:end] = rng.choice([[], block + block])
+    else:
+        j = rng.choice(rules)
+        key = rng.choice(["A", "t", "x"])
+        b1, p1, a1 = _params(lines[i])
+        b2, p2, a2 = _params(lines[j])
+        v1, v2 = p1.pop(key, None), p2.pop(key, None)
+        if v2 is not None:
+            p1[key] = v2
+        if v1 is not None and i != j:
+            p2[key] = v1
+        lines[i] = _with_params(b1, p1, a1)
+        if i != j:
+            lines[j] = _with_params(b2, p2, a2)
+    return "\n".join(lines) + "\n"
+
+
+def _declares_lprop(text):
+    """Read independently of the parser: the first line that is not blank or
+    a comment is `syntax lprop`."""
+    lines = [ln.split("#", 1)[0].split() for ln in text.splitlines()]
+    return next((words for words in lines if words), None) == ["syntax", "lprop"]
+
+
+def test_fuzzed_proof_files_parse_or_check():
+    rng = random.Random(0xF0221)
+    sigma_cong = Congruence(sigma.sigma_system(CORPUS_SIG))
+    bases = _fuzz_bases()
+    outcomes = Counter()
+    for _ in range(1500):
+        text, sig, cong = rng.choice(bases)
+        for _ in range(rng.choice([1, 1, 2, 3])):
+            mutate = _byte_mutant if rng.random() < 0.5 else _structural_mutant
+            text = mutate(rng, text)
+        try:
+            proof = parse_proof_file(text, sig)
+        except syntax.ParseError:
+            outcomes["parse error"] += 1
+            continue
+        if _declares_lprop(text):
+            results = [check_modulo_proof(CORPUS_SIG, sigma_cong, proof)]
+        else:
+            results = [check_binding_proof(sig, proof), check_modulo_proof(sig, cong, proof)]
+        assert all(isinstance(r, CheckResult) for r in results), text
+        outcomes["checked ok" if results[0].ok else "rejected"] += 1
+    assert min(outcomes.values()) > 50, outcomes
