@@ -104,21 +104,12 @@ def _closed_term_values(m: BindingModel, a) -> list:
             v = eval_term(m, t, (), {})
             if v not in vals:
                 vals.append(v)
-        if isinstance(t, App):
-            for s in t.args:
-                visit_term(s.body)
+        for c in syntax.NODE_TYPES[type(t)].children(t):
+            visit_term(c)
 
-    def visit(a):
-        if isinstance(a, Atom):
-            for s in a.args:
-                visit_term(s.body)
-        elif isinstance(a, (Imp, And, Or)):
-            visit(a.a)
-            visit(a.b)
-        elif isinstance(a, (Forall, Exists)):
-            visit(a.body)
-
-    visit(a)
+    for atom in syntax.atoms(a):
+        for s in atom.args:
+            visit_term(s.body)
     return vals
 
 

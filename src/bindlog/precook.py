@@ -25,7 +25,7 @@ from .sigma import (
     RewriteSystem,
     shift_chain,
 )
-from .syntax import And, Atom, Bottom, Exists, Forall, Imp, Or, Signature, Slot, Var
+from .syntax import Atom, Signature, Slot, Var
 
 
 def precook(sig: Signature, t, ctx: tuple[str, ...] = ()):
@@ -53,17 +53,8 @@ def precook(sig: Signature, t, ctx: tuple[str, ...] = ()):
 def precook_prop(sig: Signature, a):
     """Translate a proposition; atoms translate their arguments under the
     reversed binder lists, connectives and quantifiers are untouched."""
-    if isinstance(a, Atom):
-        return Atom(a.pred, tuple(
-            Slot((), precook(sig, s.body, tuple(reversed(s.binders)))) for s in a.args
-        ))
-    if isinstance(a, (Imp, And, Or)):
-        return type(a)(precook_prop(sig, a.a), precook_prop(sig, a.b))
-    if isinstance(a, Bottom):
-        return a
-    if isinstance(a, (Forall, Exists)):
-        return type(a)(a.var, precook_prop(sig, a.body))
-    raise TypeError(f"not a proposition: {a!r}")
+    return syntax.map_atoms(lambda atom: Atom(atom.pred, tuple(
+        Slot((), precook(sig, s.body, s.binders[::-1])) for s in atom.args)), a)
 
 
 def _fresh_binder_namer(avoid: frozenset[str]):
@@ -107,13 +98,17 @@ def _uncook_term(sig, t, ctx: tuple[str, ...], fresh):
             raise NotAnFTerm(f"{t.f}_{t.p} under {len(ctx)} binders")
         if t.f not in sig.functions or len(sig.functions[t.f]) != len(t.args):
             raise NotAnFTerm(f"bad application of {t.f!r}")
-        slots = []
-        for a, k in zip(t.args, sig.functions[t.f]):
-            binders = tuple(fresh() for _ in range(k))
-            body = _uncook_term(sig, a, tuple(reversed(binders)) + ctx, fresh)
-            slots.append(Slot(binders, body))
-        return syntax.App(t.f, tuple(slots))
+        return syntax.App(t.f, _uncook_args(sig, t.args, sig.functions[t.f], ctx, fresh))
     raise NotAnFTerm(f"{sigma.print_lterm(t)} is not in the image of the translation")
+
+
+def _uncook_args(sig, args, arity, ctx: tuple[str, ...], fresh) -> tuple:
+    """Slots over the uncooked args, binding fresh names as arity says."""
+    slots = []
+    for a, k in zip(args, arity):
+        binders = tuple(fresh() for _ in range(k))
+        slots.append(Slot(binders, _uncook_term(sig, a, tuple(reversed(binders)) + ctx, fresh)))
+    return tuple(slots)
 
 
 def uncook_prop(sig: Signature, a):
@@ -121,25 +116,13 @@ def uncook_prop(sig: Signature, a):
     # occurrence of a quantified variable could be captured
     fresh = _fresh_binder_namer(sigma.all_names_l(a))
 
-    def go(a):
-        if isinstance(a, Atom):
-            if a.pred not in sig.predicates or len(sig.predicates[a.pred]) != len(a.args):
-                raise NotAnFTerm(f"bad atom {a.pred!r}")
-            slots = []
-            for s, k in zip(a.args, sig.predicates[a.pred]):
-                binders = tuple(fresh() for _ in range(k))
-                body = _uncook_term(sig, s.body, tuple(reversed(binders)), fresh)
-                slots.append(Slot(binders, body))
-            return Atom(a.pred, tuple(slots))
-        if isinstance(a, (Imp, And, Or)):
-            return type(a)(go(a.a), go(a.b))
-        if isinstance(a, Bottom):
-            return a
-        if isinstance(a, (Forall, Exists)):
-            return type(a)(a.var, go(a.body))
-        raise TypeError(f"not a proposition: {a!r}")
+    def uncook_atom(a):
+        if a.pred not in sig.predicates or len(sig.predicates[a.pred]) != len(a.args):
+            raise NotAnFTerm(f"bad atom {a.pred!r}")
+        bodies = [s.body for s in a.args]
+        return Atom(a.pred, _uncook_args(sig, bodies, sig.predicates[a.pred], (), fresh))
 
-    return go(a)
+    return syntax.map_atoms(uncook_atom, a)
 
 
 # ---------------------------------------------------------------------------
@@ -150,21 +133,15 @@ def subst_commutes(sig: Signature, t, u, x: str,
                    rs: RewriteSystem | None = None,
                    budget: int = sigma.DEFAULT_BUDGET) -> bool:
     """Does substituting then translating agree with translating then
-    substituting, up to normalization?
-
-    For terms the right-hand side grafts (terms of the sorted layer carry no
-    binders, so grafting and substitution coincide there); for propositions
-    it substitutes, renaming quantified variables as needed.
+    substituting, up to normalization and alpha-equivalence? Terms of the
+    sorted layer bind nothing, so on a term substitute_l grafts and
+    alpha-equivalence is equality.
     """
     if rs is None:
         rs = sigma.sigma_system(sig)
-    tp = precook(sig, t)
-    if isinstance(u, (Var, syntax.App)):
-        lhs = precook(sig, syntax.substitute({x: t}, u))
-        rhs = sigma.graft_l({x: tp}, precook(sig, u))
-        return sigma.normalize(rs, lhs, budget=budget) == sigma.normalize(rs, rhs, budget=budget)
-    lhs = precook_prop(sig, syntax.substitute({x: t}, u))
-    rhs = sigma.substitute_l({x: tp}, precook_prop(sig, u))
+    translate = precook_prop if isinstance(u, syntax.Prop) else precook
+    lhs = translate(sig, syntax.substitute({x: t}, u))
+    rhs = sigma.substitute_l({x: precook(sig, t)}, translate(sig, u))
     return sigma.alpha_eq_l(sigma.normalize(rs, lhs, budget=budget),
                             sigma.normalize(rs, rhs, budget=budget))
 

@@ -200,8 +200,30 @@ def check_binding_proof(sig: Signature, p: ProofTree) -> CheckResult:
     """Check a proof tree against the plain binding-logic rules: matching is
     up to alpha-equivalence, quantifier witnesses substitute capture-avoidingly
     (with respect to symbol binders too), and the right-forall / left-exists
-    rules enforce the freshness side condition."""
-    return _check(Congruence.syntactic("term"), p)
+    rules enforce the freshness side condition. The formulas must be
+    well-formed over sig."""
+    res = _check(Congruence.syntactic("term"), p)
+    return res if not res.ok else _check_well_formed(sig, p)
+
+
+def _check_well_formed(sig: Signature, proof: ProofTree) -> CheckResult:
+    """well_formed over the root sequent, the premises of every cut and every
+    witness. In a proof the rules accept, every other formula is
+    alpha-equivalent to a subformula of these or an instance of one at a
+    witness, so it is well-formed too."""
+
+    def check_node(node: ProofTree, path):
+        sequents = ([node] if not path else []) + \
+            (list(node.premises) if node.rule.rule is Rule.CUT else [])
+        items = [a for q in sequents for a in q.conclusion.left + q.conclusion.right]
+        if RULES[node.rule.rule].witness:
+            items.append(node.rule.t)
+        for x in items:
+            r = syntax.well_formed(sig, x)
+            if not r.ok:
+                raise _Rejected(r.kind, f"{x} is ill-formed: {r}")
+
+    return _first_rejection(proof, check_node)
 
 
 def check_modulo_proof(sig: Signature, cong: Congruence, p: ProofTree) -> CheckResult:
@@ -315,9 +337,16 @@ def _check(cong: Congruence, proof: ProofTree) -> CheckResult:
             elif any(x in ops.free_vars(c) for c in gamma + delta):
                 raise _Rejected("SideConditionViolated", f"{x} occurs free in the context")
 
+    return _first_rejection(proof, lambda node, path: check_node(node))
+
+
+def _first_rejection(proof: ProofTree, check_node) -> CheckResult:
+    """check_node(node, path) at every node in preorder; the first node it
+    rejects, as a failed CheckResult."""
+
     def walk(node: ProofTree, path) -> CheckResult:
         try:
-            check_node(node)
+            check_node(node, path)
         except _Rejected as e:
             return CheckResult.failed(e.kind, path, e.message)
         except CongruenceBudgetExceeded:

@@ -32,7 +32,7 @@ from .errors import (
     SortMismatch,
     StepBudgetExceeded,
 )
-from .syntax import And, Atom, Bottom, Exists, Forall, Imp, Or, Signature, Slot
+from .syntax import NODE_TYPES, Signature, Slot
 
 DEFAULT_BUDGET = 10**6
 
@@ -124,6 +124,15 @@ class Comp:
 
 LTerm = Index | FreeVar | FApp | Closure | Id | Cons | Shift | Comp
 
+syntax.register(Index, ("i", "n"))
+syntax.register(FreeVar, ("name",), variable=True)
+syntax.register(FApp, ("f", "p"), ("args",), seq=True)
+syntax.register(Closure, kids=("t", "s"))
+syntax.register(Id, ("n",))
+syntax.register(Cons, kids=("t", "s"))
+syntax.register(Shift, ("n",))
+syntax.register(Comp, kids=("s1", "s2"))
+
 
 def shift_chain(base: int, count: int):
     """up_base o (up_base+1 o ...), right-associated; count >= 1."""
@@ -199,13 +208,11 @@ def sort_of(sig: Signature, t, path: tuple[int, ...] = ()) -> Sort:
 def lprop_sorts_ok(sig: Signature, a) -> bool:
     """True iff every atom applies a declared predicate to binder-free slots
     whose bodies have the sorts the predicate's rank prescribes."""
-    if isinstance(a, Atom):
-        if a.pred not in sig.predicates:
+    for atom in syntax.atoms(a):
+        arity = sig.predicates.get(atom.pred)
+        if arity is None or len(arity) != len(atom.args):
             return False
-        arity = sig.predicates[a.pred]
-        if len(arity) != len(a.args):
-            return False
-        for s, k in zip(a.args, arity):
+        for s, k in zip(atom.args, arity):
             if s.binders:
                 return False
             try:
@@ -213,96 +220,19 @@ def lprop_sorts_ok(sig: Signature, a) -> bool:
                     return False
             except BindLogError:
                 return False
-        return True
-    if isinstance(a, (Imp, And, Or)):
-        return lprop_sorts_ok(sig, a.a) and lprop_sorts_ok(sig, a.b)
-    if isinstance(a, Bottom):
-        return True
-    if isinstance(a, (Forall, Exists)):
-        return lprop_sorts_ok(sig, a.body)
-    raise TypeError(f"not a proposition: {a!r}")
+    return True
 
 
 # ---------------------------------------------------------------------------
 # Variables, grafting, substitution, alpha on this layer
 
 
-def free_vars_l(x) -> frozenset[str]:
-    if isinstance(x, FreeVar):
-        return frozenset((x.name,))
-    if isinstance(x, (Index, Id, Shift)):
-        return frozenset()
-    if isinstance(x, FApp):
-        acc: set[str] = set()
-        for a in x.args:
-            acc |= free_vars_l(a)
-        return frozenset(acc)
-    if isinstance(x, (Closure, Cons)):
-        return free_vars_l(x.t) | free_vars_l(x.s)
-    if isinstance(x, Comp):
-        return free_vars_l(x.s1) | free_vars_l(x.s2)
-    if isinstance(x, Atom):
-        acc = set()
-        for s in x.args:
-            acc |= free_vars_l(s.body) - set(s.binders)
-        return frozenset(acc)
-    if isinstance(x, (Imp, And, Or)):
-        return free_vars_l(x.a) | free_vars_l(x.b)
-    if isinstance(x, Bottom):
-        return frozenset()
-    if isinstance(x, (Forall, Exists)):
-        return free_vars_l(x.body) - {x.var}
-    raise TypeError(f"not a sorted term or proposition: {x!r}")
-
-
-def all_names_l(x) -> frozenset[str]:
-    """Every variable name occurring in x, quantifier-bound ones included."""
-    if isinstance(x, (Forall, Exists)):
-        return all_names_l(x.body) | {x.var}
-    if isinstance(x, (Imp, And, Or)):
-        return all_names_l(x.a) | all_names_l(x.b)
-    if isinstance(x, Atom):
-        acc: set[str] = set()
-        for s in x.args:
-            acc |= set(s.binders) | all_names_l(s.body)
-        return frozenset(acc)
-    if isinstance(x, Bottom):
-        return frozenset()
-    acc = set()
-    if isinstance(x, FreeVar):
-        acc.add(x.name)
-    for c in _children(x):
-        acc |= all_names_l(c)
-    return frozenset(acc)
-
-
-def graft_l(theta, x):
-    """Replace variables by terms. Terms of this layer have no binders, so
-    on terms this is plain replacement; quantifiers restrict the map."""
-    if not theta:
-        return x
-    if isinstance(x, FreeVar):
-        return theta.get(x.name, x)
-    if isinstance(x, (Index, Id, Shift)):
-        return x
-    if isinstance(x, FApp):
-        return FApp(x.f, x.p, tuple(graft_l(theta, a) for a in x.args))
-    if isinstance(x, Closure):
-        return Closure(graft_l(theta, x.t), graft_l(theta, x.s))
-    if isinstance(x, Cons):
-        return Cons(graft_l(theta, x.t), graft_l(theta, x.s))
-    if isinstance(x, Comp):
-        return Comp(graft_l(theta, x.s1), graft_l(theta, x.s2))
-    if isinstance(x, Atom):
-        return Atom(x.pred, tuple(Slot(s.binders, graft_l(theta, s.body)) for s in x.args))
-    if isinstance(x, (Imp, And, Or)):
-        return type(x)(graft_l(theta, x.a), graft_l(theta, x.b))
-    if isinstance(x, Bottom):
-        return x
-    if isinstance(x, (Forall, Exists)):
-        inner = {v: t for v, t in theta.items() if v != x.var}
-        return type(x)(x.var, graft_l(inner, x.body))
-    raise TypeError(f"not a sorted term or proposition: {x!r}")
+# The walks of bindlog.syntax cover this layer too; as its terms bind nothing,
+# on them grafting is replacement and alpha-equivalence is equality.
+free_vars_l = syntax.free_vars
+all_names_l = syntax.all_names
+graft_l = syntax.graft
+alpha_eq_l = syntax.alpha_eq
 
 
 def substitute_l(theta, x):
@@ -310,67 +240,26 @@ def substitute_l(theta, x):
     from the free variables of the substituted terms."""
     if not theta:
         return x
-    if isinstance(x, (Forall, Exists)):
-        inner = {v: t for v, t in theta.items() if v != x.var}
-        if not inner:
-            return x
-        range_free: set[str] = set()
-        for t in inner.values():
-            range_free |= free_vars_l(t)
-        var, body = x.var, x.body
-        if var in range_free:
+    n = NODE_TYPES[type(x)]
+    if n.variable:
+        return theta.get(x.name, x)
+    kids = n.kids(x)
+    if not n.slotted:
+        return n.rebuild(x, tuple([substitute_l(theta, c) for c in kids])) if kids else x
+    new = []
+    for s in kids:
+        inner = syntax._unbind(theta, s.binders)
+        binders, body = s.binders, s.body
+        range_free = set().union(*map(free_vars_l, inner.values())) if binders else ()
+        if range_free and range_free.intersection(binders):
             # the fresh name must avoid every name in the body, bound ones
             # included, or an inner quantifier could capture it
-            avoid = range_free | all_names_l(body) | set(inner)
-            k = 1
-            while f"{var}{k}" in avoid:
-                k += 1
-            fresh = f"{var}{k}"
-            body = graft_l({var: FreeVar(fresh)}, body)
-            var = fresh
-        return type(x)(var, substitute_l(inner, body))
-    if isinstance(x, (Imp, And, Or)):
-        return type(x)(substitute_l(theta, x.a), substitute_l(theta, x.b))
-    if isinstance(x, (Bottom, Atom)) or isinstance(x, LTerm):
-        return graft_l(theta, x)
-    raise TypeError(f"not a sorted term or proposition: {x!r}")
-
-
-def alpha_eq_l(a, b) -> bool:
-    """Equality up to renaming of quantified variables. Terms of this layer
-    have no binders of their own, so on terms this is plain equality."""
-
-    def go(a, b, ab: dict, ba: dict) -> bool:
-        if type(a) is not type(b):
-            return False
-        if isinstance(a, FreeVar):
-            if a.name in ab:
-                return ab[a.name] == b.name
-            return b.name not in ba and a.name == b.name
-        if isinstance(a, (Index, Id, Shift)):
-            return a == b
-        if isinstance(a, FApp):
-            return (a.f == b.f and a.p == b.p and len(a.args) == len(b.args)
-                    and all(go(x, y, ab, ba) for x, y in zip(a.args, b.args)))
-        if isinstance(a, (Closure, Cons)):
-            return go(a.t, b.t, ab, ba) and go(a.s, b.s, ab, ba)
-        if isinstance(a, Comp):
-            return go(a.s1, b.s1, ab, ba) and go(a.s2, b.s2, ab, ba)
-        if isinstance(a, Atom):
-            return (a.pred == b.pred and len(a.args) == len(b.args)
-                    and all(s.binders == u.binders and go(s.body, u.body, ab, ba)
-                            for s, u in zip(a.args, b.args)))
-        if isinstance(a, (Imp, And, Or)):
-            return go(a.a, b.a, ab, ba) and go(a.b, b.b, ab, ba)
-        if isinstance(a, Bottom):
-            return True
-        if isinstance(a, (Forall, Exists)):
-            ab2 = {**ab, a.var: b.var}
-            ba2 = {**ba, b.var: a.var}
-            return go(a.body, b.body, ab2, ba2)
-        raise TypeError(f"not a sorted term or proposition: {a!r}")
-
-    return go(a, b, {}, {})
+            fresh = syntax._fresh_namer(range_free | all_names_l(body) | set(inner)
+                                         | set(s.binders))
+            binders = tuple([fresh(b) if b in range_free else b for b in s.binders])
+            body = graft_l({b: FreeVar(y) for b, y in zip(s.binders, binders) if b != y}, body)
+        new.append(Slot(binders, substitute_l(inner, body)))
+    return n.make(n.data(x), tuple(new))
 
 
 # ---------------------------------------------------------------------------
@@ -420,30 +309,14 @@ class RewriteSystem:
         return tuple(r.name for r in self.rules)
 
 
+# The engine's view of a node: its children in the term view, which
+# all_one_step's positions count.
 def _children(x) -> tuple:
-    if isinstance(x, FApp):
-        return x.args
-    if isinstance(x, (Closure, Cons)):
-        return (x.t, x.s)
-    if isinstance(x, Comp):
-        return (x.s1, x.s2)
-    if isinstance(x, syntax.App):
-        return tuple(s.body for s in x.args)
-    return ()
+    return NODE_TYPES[type(x)].children(x)
 
 
 def _rebuild(x, kids: tuple):
-    if isinstance(x, FApp):
-        return FApp(x.f, x.p, kids)
-    if isinstance(x, Closure):
-        return Closure(kids[0], kids[1])
-    if isinstance(x, Cons):
-        return Cons(kids[0], kids[1])
-    if isinstance(x, Comp):
-        return Comp(kids[0], kids[1])
-    if isinstance(x, syntax.App):
-        return syntax.App(x.symbol, tuple(Slot(s.binders, k) for s, k in zip(x.args, kids)))
-    return x
+    return NODE_TYPES[type(x)].rebuild(x, kids)
 
 
 def _head_rewrite(rs: RewriteSystem, x):
@@ -488,12 +361,13 @@ def _check_step_sorts(sig, before, after):
 def _nf_innermost(rs, x, budget, check_sorts):
     normal = budget.normal
     while id(x) not in normal:
-        kids = _children(x)
+        node = NODE_TYPES[type(x)]
+        kids = node.children(x)
         if kids:
             nfs = tuple(_nf_innermost(rs, c, budget, check_sorts) for c in kids)
             # keep x itself when no child changed, so a mark on it still holds
             if any(n is not c for n, c in zip(nfs, kids)):
-                x = _rebuild(x, nfs)
+                x = node.rebuild(x, nfs)
         r = _head_rewrite(rs, x)
         if r is None:
             normal[id(x)] = x
@@ -513,12 +387,13 @@ def _step_outermost(rs, x, normal):
     r = _head_rewrite(rs, x)
     if r is not None:
         return r, x, r
-    kids = _children(x)
+    node = NODE_TYPES[type(x)]
+    kids = node.children(x)
     for i, c in enumerate(kids):
         sub = _step_outermost(rs, c, normal)
         if sub is not None:
             new_c, redex, repl = sub
-            return _rebuild(x, kids[:i] + (new_c,) + kids[i + 1:]), redex, repl
+            return node.rebuild(x, kids[:i] + (new_c,) + kids[i + 1:]), redex, repl
     normal[id(x)] = x
     return None
 
@@ -534,27 +409,17 @@ def _nf_outermost(rs, x, budget, check_sorts):
             _check_step_sorts(rs.sig, redex, repl)
 
 
-def _norm_value(rs, x, budget, strategy, check_sorts):
-    if strategy == "innermost":
-        return _nf_innermost(rs, x, budget, check_sorts)
-    if strategy == "outermost":
-        return _nf_outermost(rs, x, budget, check_sorts)
-    raise ValueError(f"unknown strategy {strategy!r}")
-
-
 def _norm_any(rs, x, budget, strategy, check_sorts):
-    if isinstance(x, Atom):
-        return Atom(x.pred, tuple(
-            Slot(s.binders, _norm_value(rs, s.body, budget, strategy, check_sorts))
-            for s in x.args))
-    if isinstance(x, (Imp, And, Or)):
-        return type(x)(_norm_any(rs, x.a, budget, strategy, check_sorts),
-                       _norm_any(rs, x.b, budget, strategy, check_sorts))
-    if isinstance(x, Bottom):
-        return x
-    if isinstance(x, (Forall, Exists)):
-        return type(x)(x.var, _norm_any(rs, x.body, budget, strategy, check_sorts))
-    return _norm_value(rs, x, budget, strategy, check_sorts)
+    nf = {"innermost": _nf_innermost, "outermost": _nf_outermost}.get(strategy)
+    if nf is None:
+        raise ValueError(f"unknown strategy {strategy!r}")
+
+    def norm(t):
+        return nf(rs, t, budget, check_sorts)
+
+    if isinstance(x, syntax.Prop):
+        return syntax.map_atoms(lambda a: _rebuild(a, tuple(map(norm, _children(a)))), x)
+    return norm(x)
 
 
 def normalize(rs: RewriteSystem, x, budget: int = DEFAULT_BUDGET,
@@ -714,15 +579,8 @@ def is_F_term(sig: Signature, t, rs: RewriteSystem | None = None) -> bool:
 def is_F_prop(sig: Signature, a, rs: RewriteSystem | None = None) -> bool:
     if rs is None:
         rs = sigma_system(sig)
-    if isinstance(a, Atom):
-        return all(not s.binders and not has_redex(rs, s.body) for s in a.args)
-    if isinstance(a, (Imp, And, Or)):
-        return is_F_prop(sig, a.a, rs) and is_F_prop(sig, a.b, rs)
-    if isinstance(a, Bottom):
-        return True
-    if isinstance(a, (Forall, Exists)):
-        return is_F_prop(sig, a.body, rs)
-    raise TypeError(f"not a proposition: {a!r}")
+    return all(not s.binders and not has_redex(rs, s.body)
+               for atom in syntax.atoms(a) for s in atom.args)
 
 
 # ---------------------------------------------------------------------------
@@ -842,7 +700,7 @@ class MetaN:
 
 
 def _match_num(pat, val, binds) -> bool:
-    if isinstance(pat, int):
+    if not isinstance(pat, MetaN):
         return pat == val
     want = val - pat.offset
     if want < 0:
@@ -854,11 +712,14 @@ def _match_num(pat, val, binds) -> bool:
     return True
 
 
-def _build_num(pat, binds) -> int:
-    if isinstance(pat, int):
+def _build_num(pat, binds):
+    if not isinstance(pat, MetaN):
         return pat
     return binds["#" + pat.name] + pat.offset
 
+
+# Patterns are nodes of either layer with MetaT leaves and MetaN in place of
+# numeric data; slot binders must match exactly.
 
 def match_pattern(pat, node, binds: dict) -> bool:
     if isinstance(pat, MetaT):
@@ -866,91 +727,61 @@ def match_pattern(pat, node, binds: dict) -> bool:
             return binds[pat.name] == node
         binds[pat.name] = node
         return True
-    if isinstance(pat, Index):
-        return isinstance(node, Index) and _match_num(pat.i, node.i, binds) \
-            and _match_num(pat.n, node.n, binds)
-    if isinstance(pat, Id):
-        return isinstance(node, Id) and _match_num(pat.n, node.n, binds)
-    if isinstance(pat, Shift):
-        return isinstance(node, Shift) and _match_num(pat.n, node.n, binds)
-    if isinstance(pat, FreeVar):
-        return isinstance(node, FreeVar) and pat.name == node.name
-    if isinstance(pat, FApp):
-        return (isinstance(node, FApp) and pat.f == node.f
-                and _match_num(pat.p, node.p, binds)
-                and len(pat.args) == len(node.args)
-                and all(match_pattern(a, b, binds) for a, b in zip(pat.args, node.args)))
-    if isinstance(pat, Closure):
-        return isinstance(node, Closure) and match_pattern(pat.t, node.t, binds) \
-            and match_pattern(pat.s, node.s, binds)
-    if isinstance(pat, Cons):
-        return isinstance(node, Cons) and match_pattern(pat.t, node.t, binds) \
-            and match_pattern(pat.s, node.s, binds)
-    if isinstance(pat, Comp):
-        return isinstance(node, Comp) and match_pattern(pat.s1, node.s1, binds) \
-            and match_pattern(pat.s2, node.s2, binds)
-    if isinstance(pat, syntax.Var):
+    n = NODE_TYPES[type(pat)]
+    if type(node) is not type(pat):
+        return False
+    if n.variable:
         return pat == node
-    if isinstance(pat, syntax.App):
-        return (isinstance(node, syntax.App) and pat.symbol == node.symbol
-                and len(pat.args) == len(node.args)
-                and all(s.binders == u.binders and match_pattern(s.body, u.body, binds)
-                        for s, u in zip(pat.args, node.args)))
-    raise TypeError(f"bad pattern node: {pat!r}")
+    for p, v in zip(n.data(pat), n.data(node)):
+        if not _match_num(p, v, binds):
+            return False
+    pk, nk = n.kids(pat), n.kids(node)
+    if len(pk) != len(nk):
+        return False
+    for a, b in zip(pk, nk):
+        if n.slotted:
+            if a.binders != b.binders:
+                return False
+            a, b = a.body, b.body
+        if not match_pattern(a, b, binds):
+            return False
+    return True
 
 
 def build_pattern(pat, binds: dict):
     if isinstance(pat, MetaT):
         return binds[pat.name]
-    if isinstance(pat, Index):
-        return Index(_build_num(pat.i, binds), _build_num(pat.n, binds))
-    if isinstance(pat, Id):
-        return Id(_build_num(pat.n, binds))
-    if isinstance(pat, Shift):
-        return Shift(_build_num(pat.n, binds))
-    if isinstance(pat, FreeVar):
+    n = NODE_TYPES[type(pat)]
+    if n.variable:
         return pat
-    if isinstance(pat, FApp):
-        return FApp(pat.f, _build_num(pat.p, binds),
-                    tuple(build_pattern(a, binds) for a in pat.args))
-    if isinstance(pat, Closure):
-        return Closure(build_pattern(pat.t, binds), build_pattern(pat.s, binds))
-    if isinstance(pat, Cons):
-        return Cons(build_pattern(pat.t, binds), build_pattern(pat.s, binds))
-    if isinstance(pat, Comp):
-        return Comp(build_pattern(pat.s1, binds), build_pattern(pat.s2, binds))
-    if isinstance(pat, syntax.Var):
-        return pat
-    if isinstance(pat, syntax.App):
-        return syntax.App(pat.symbol,
-                          tuple(Slot(s.binders, build_pattern(s.body, binds)) for s in pat.args))
-    raise TypeError(f"bad pattern node: {pat!r}")
+    data = tuple([_build_num(v, binds) for v in n.data(pat)])
+    kids = n.kids(pat)
+    if n.slotted:
+        kids = tuple([Slot(s.binders, build_pattern(s.body, binds)) for s in kids])
+    else:
+        kids = tuple([build_pattern(c, binds) for c in kids])
+    return n.make(data, kids)
 
 
-def _num_fields(pat) -> tuple:
-    if isinstance(pat, Index):
-        return (pat.i, pat.n)
-    if isinstance(pat, (Id, Shift)):
-        return (pat.n,)
-    if isinstance(pat, FApp):
-        return (pat.p,)
-    return ()
-
-
-def _meta_names(pat, terms: set[str], nums: set[str]):
+def _meta_names(pat) -> set[str]:
+    """The metavariables of a pattern, named as its binds name them: ?t as
+    "t", the numeric ?n as "#n"."""
     if isinstance(pat, MetaT):
-        terms.add(pat.name)
-        return
-    for v in _num_fields(pat):
-        if isinstance(v, MetaN):
-            nums.add(v.name)
-    for c in _children(pat):
-        _meta_names(c, terms, nums)
+        return {pat.name}
+    n = NODE_TYPES[type(pat)]
+    names = {"#" + v.name for v in n.data(pat) if isinstance(v, MetaN)}
+    for c in n.children(pat):
+        names |= _meta_names(c)
+    return names
 
 
 def compile_rule(name: str, lhs, rhs, display: str = "") -> Rule:
     if isinstance(lhs, MetaT):
         raise ParseError(f"rule {name}: left side is a lone metavariable")
+    unbound = sorted(_meta_names(rhs) - _meta_names(lhs))
+    if unbound:
+        raise ParseError(f"rule {name!r}: the left side does not bind "
+                         f"{', '.join('?' + m.lstrip('#') for m in unbound)}")
 
     def apply(node, _sig, lhs=lhs, rhs=rhs):
         binds: dict = {}
@@ -977,17 +808,12 @@ def _check_rule_sorts(sig: Signature | None, name: str, lhs, rhs,
 
     if sig is None:
         sig = Signature({}, {})
-    terms: set[str] = set()
-    nums: set[str] = set()
-    _meta_names(lhs, terms, nums)
+    metas = sorted(_meta_names(lhs))  # the numeric ones, "#" first, draw first
     rng = random.Random(0xBD10)
     successes = 0
     for _ in range(tries):
-        binds: dict = {}
-        for nm in nums:
-            binds["#" + nm] = rng.randrange(0, 3)
-        for nm in terms:
-            binds[nm] = gen.random_lterm(rng, sig, gen.random_sort(rng, hi=2), 3)
+        binds = {m: rng.randrange(0, 3) if m.startswith("#")
+                 else gen.random_lterm(rng, sig, gen.random_sort(rng, hi=2), 3) for m in metas}
         try:
             inst_l = build_pattern(lhs, binds)
             sl = sort_of(sig, inst_l)
@@ -1016,10 +842,12 @@ def load_rules(text: str, sig: Signature | None = None, name: str = "user") -> R
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("syntax"):
-            layer = line.split()[1]
-            if layer not in ("term", "lterm"):
-                raise ParseError(f"unknown rule syntax {layer!r}", line=i + 1)
+        words = line.split()
+        if words[0] == "syntax":
+            if len(words) != 2 or words[1] not in ("term", "lterm"):
+                raise ParseError(f"expected `syntax term` or `syntax lterm`: {line!r}",
+                                 line=i + 1)
+            layer = words[1]
             body_start = i + 1
         break
     for lineno, raw in enumerate(lines[body_start:], start=body_start + 1):
@@ -1030,33 +858,33 @@ def load_rules(text: str, sig: Signature | None = None, name: str = "user") -> R
             raise ParseError(f"bad rule line: {raw!r}", line=lineno)
         rname, rest = line.split(":", 1)
         rname = rname.strip()
+        p = _TermPatternParser(rest) if layer == "term" else LParser(rest)
+        lhs = p.term()
+        p.expect("arrow")
+        rhs = p.term()
+        p.done()
+        rule = compile_rule(rname, lhs, rhs, display=rest.strip())
         if layer == "term":
-            p = _TermPatternParser(rest)
-            lhs = p.term()
-            p.expect("arrow")
-            rhs = p.term()
-            p.done()
             _check_term_pattern(rname, lhs)
             _check_term_pattern(rname, rhs)
         else:
-            p = LParser(rest)
-            lhs = p.term()
-            p.expect("arrow")
-            rhs = p.term()
-            p.done()
             _check_rule_sorts(sig, rname, lhs, rhs)
-        rules.append(compile_rule(rname, lhs, rhs, display=rest.strip()))
+        rules.append(rule)
     if not rules:
         raise ParseError("rule file declares no rules")
     return RewriteSystem(name, tuple(rules), layer, sig)
 
 
 def _check_term_pattern(name, pat):
-    if isinstance(pat, syntax.App):
-        for s in pat.args:
-            if s.binders:
+    if isinstance(pat, MetaT):
+        return
+    n = NODE_TYPES[type(pat)]
+    for c in n.kids(pat):
+        if n.slotted:
+            if c.binders:
                 raise ParseError(f"rule {name!r}: binders are not allowed in rewrite patterns")
-            _check_term_pattern(name, s.body)
+            c = c.body
+        _check_term_pattern(name, c)
 
 
 # ---------------------------------------------------------------------------

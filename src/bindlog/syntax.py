@@ -8,9 +8,9 @@ names with a body.
 
 The connective and quantifier nodes defined here are shared with the sorted
 explicit-substitution layer (bindlog.sigma): a proposition over that layer
-simply holds sorted terms in binder-free slots. The term-level operations in
-this module (grafting, substitution, nameless forms) apply to the named
-binding layer only; the sigma module has its own.
+simply holds sorted terms in binder-free slots. The walks here cover both
+layers through one node protocol (see NodeType), except `substitute` and
+`canonical_binders`: bindlog.sigma has its own substitution.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Mapping
 
 from .errors import CheckResult, ParseError
@@ -116,9 +117,106 @@ Prop = Atom | Imp | And | Or | Bottom | Forall | Exists
 SubstMap = Mapping[str, Term]
 
 
-def slot(body) -> Slot:
-    """Binder-free slot."""
-    return Slot((), body)
+# ---------------------------------------------------------------------------
+# The node protocol
+#
+# Every node class of both layers, this module's and bindlog.sigma's, is
+# described once by a NodeType, and the walks over terms and propositions
+# are written once against it. A node has non-child data and a tuple of
+# children. Binding lives in slots: the children of a slotted class (App,
+# Atom, and the quantifiers, whose one slot binds their variable) are Slots,
+# and a Slot's binders are the names bound in its body; no other class binds
+# anything. Variables (Var, FreeVar) are the leaves that walks replace,
+# rename and look up. Walks that ignore binding use the term view (the
+# fields children and rebuild), in which a slot's body stands for the slot.
+
+
+@dataclass(frozen=True, slots=True)
+class NodeType:
+    name: str  # the class name in lower case; tags nameless forms
+    data: Callable  # node -> its non-child fields, in constructor order
+    kids: Callable  # node -> its children: Slots for a slotted class
+    make: Callable  # (data, kids) -> a node of the class
+    children: Callable  # node -> its children in the term view
+    rebuild: Callable  # (node, children in the term view) -> node with the same data
+    slotted: bool = False
+    variable: bool = False
+
+
+class _NodeTypes(dict):
+    def __missing__(self, cls):
+        raise TypeError(f"not a term or proposition: a {cls.__name__}")
+
+
+# Indexed by type(x): the walks' one dispatch, a TypeError for a non-node.
+NODE_TYPES: dict[type, NodeType] = _NodeTypes()
+
+
+def _getter(names: tuple[str, ...]) -> Callable:
+    if not names:
+        return lambda x: ()
+    if len(names) == 1:
+        get = attrgetter(names[0])
+        return lambda x: (get(x),)
+    return attrgetter(*names)
+
+
+def register(cls, data: tuple[str, ...] = (), kids: tuple[str, ...] = (), *,
+             seq: bool = False, slotted: bool = False, variable: bool = False):
+    """Describe cls to the walks. `data` and `kids` name its fields; with
+    `seq` the one field in `kids` holds a tuple of children."""
+    get_data = _getter(data)
+    get_kids = attrgetter(*kids) if seq else _getter(kids)
+    make = (lambda d, k: cls(*d, k)) if seq else (lambda d, k: cls(*d, *k))
+    if slotted:
+        children = lambda x: tuple([s.body for s in get_kids(x)])
+        rebuild = lambda x, k: make(get_data(x), tuple(
+            map(Slot, [s.binders for s in get_kids(x)], k)))
+    elif len(kids) == 2 and not data:  # spelled out: cls(*k) builds markedly slower
+        children, rebuild = get_kids, lambda x, k: cls(k[0], k[1])
+    elif seq:
+        children, rebuild = get_kids, lambda x, k: cls(*get_data(x), k)
+    else:
+        children, rebuild = get_kids, lambda x, k: cls(*get_data(x), *k)
+    NODE_TYPES[cls] = NodeType(cls.__name__.lower(), get_data, get_kids, make, children,
+                               rebuild, slotted, variable)
+
+
+def _register_quantifier(cls):
+    """cls(var, body): one slot, binding var in body."""
+    NODE_TYPES[cls] = NodeType(
+        cls.__name__.lower(), _getter(()), lambda x: (Slot((x.var,), x.body),),
+        lambda d, k: cls(k[0].binders[0], k[0].body), lambda x: (x.body,),
+        lambda x, k: cls(x.var, k[0]), slotted=True)
+
+
+register(Var, ("name",), variable=True)
+register(App, ("symbol",), ("args",), seq=True, slotted=True)
+register(Atom, ("pred",), ("args",), seq=True, slotted=True)
+for _cls in (Imp, And, Or):
+    register(_cls, kids=("a", "b"))
+register(Bottom)
+_register_quantifier(Forall)
+_register_quantifier(Exists)
+
+_CONNECTIVES = frozenset((Imp, And, Or, Bottom, Forall, Exists))
+
+
+def map_atoms(f, a):
+    """Proposition a with every atom A replaced by f(A), left to right."""
+    if type(a) is Atom:
+        return f(a)
+    if type(a) not in _CONNECTIVES:
+        raise TypeError(f"not a proposition: {a!r}")
+    n = NODE_TYPES[type(a)]
+    return n.rebuild(a, tuple([map_atoms(f, c) for c in n.children(a)]))
+
+
+def atoms(a) -> list:
+    """The atoms of proposition a, left to right."""
+    found: list = []
+    map_atoms(lambda atom: found.append(atom) or atom, a)
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -126,42 +224,38 @@ def slot(body) -> Slot:
 
 def free_vars(x) -> frozenset[str]:
     """Variables with at least one occurrence not under a binder of that name."""
-    if isinstance(x, Var):
+    n = NODE_TYPES[type(x)]
+    if n.variable:
         return frozenset((x.name,))
-    if isinstance(x, (App, Atom)):
-        acc: set[str] = set()
-        for s in x.args:
-            acc |= free_vars(s.body) - set(s.binders)
-        return frozenset(acc)
-    if isinstance(x, (Imp, And, Or)):
-        return free_vars(x.a) | free_vars(x.b)
-    if isinstance(x, Bottom):
-        return frozenset()
-    if isinstance(x, (Forall, Exists)):
-        return free_vars(x.body) - {x.var}
-    raise TypeError(f"not a binding-layer term or proposition: {x!r}")
+    acc: set[str] = set()
+    for c in n.kids(x):
+        if n.slotted:
+            acc |= free_vars(c.body).difference(c.binders)
+        else:
+            acc |= free_vars(c)
+    return frozenset(acc)
 
 
 def all_names(x) -> frozenset[str]:
     """Every variable name occurring in x, free or bound, binders included."""
-    if isinstance(x, Var):
+    n = NODE_TYPES[type(x)]
+    if n.variable:
         return frozenset((x.name,))
-    if isinstance(x, (App, Atom)):
-        acc: set[str] = set()
-        for s in x.args:
-            acc |= set(s.binders) | all_names(s.body)
-        return frozenset(acc)
-    if isinstance(x, (Imp, And, Or)):
-        return all_names(x.a) | all_names(x.b)
-    if isinstance(x, Bottom):
-        return frozenset()
-    if isinstance(x, (Forall, Exists)):
-        return all_names(x.body) | {x.var}
-    raise TypeError(f"not a binding-layer term or proposition: {x!r}")
+    acc: set[str] = set()
+    for c in n.kids(x):
+        if n.slotted:
+            acc.update(c.binders)
+            c = c.body
+        acc |= all_names(c)
+    return frozenset(acc)
 
 
 # ---------------------------------------------------------------------------
 # Grafting: textual replacement, captures permitted
+
+def _unbind(theta: SubstMap, names) -> SubstMap:
+    return {v: t for v, t in theta.items() if v not in names} if names else theta
+
 
 def graft(theta: SubstMap, x):
     """Replace free occurrences of the mapped variables, without renaming.
@@ -171,22 +265,15 @@ def graft(theta: SubstMap, x):
     """
     if not theta:
         return x
-    if isinstance(x, Var):
+    n = NODE_TYPES[type(x)]
+    if n.variable:
         return theta.get(x.name, x)
-    if isinstance(x, (App, Atom)):
-        args = []
-        for s in x.args:
-            inner = {v: t for v, t in theta.items() if v not in s.binders}
-            args.append(Slot(s.binders, graft(inner, s.body)))
-        return type(x)(x.symbol if isinstance(x, App) else x.pred, tuple(args))
-    if isinstance(x, (Imp, And, Or)):
-        return type(x)(graft(theta, x.a), graft(theta, x.b))
-    if isinstance(x, Bottom):
+    kids = n.kids(x)
+    if not kids:
         return x
-    if isinstance(x, (Forall, Exists)):
-        inner = {v: t for v, t in theta.items() if v != x.var}
-        return type(x)(x.var, graft(inner, x.body))
-    raise TypeError(f"not a binding-layer term or proposition: {x!r}")
+    if n.slotted:
+        return n.rebuild(x, tuple([graft(_unbind(theta, s.binders), s.body) for s in kids]))
+    return n.rebuild(x, tuple([graft(theta, c) for c in kids]))
 
 
 # ---------------------------------------------------------------------------
@@ -198,38 +285,49 @@ def to_debruijn(x):
     variables keep their names. Injective up to alpha-equivalence."""
 
     def go(x, ctx: tuple[str, ...]):
-        if isinstance(x, Var):
+        n = NODE_TYPES[type(x)]
+        if n.variable:
             if x.name in ctx:
                 return ("b", ctx.index(x.name) + 1)
             return ("f", x.name)
-        if isinstance(x, App):
-            return ("app", x.symbol, _go_slots(x.args, ctx))
-        if isinstance(x, Atom):
-            return ("atom", x.pred, _go_slots(x.args, ctx))
-        if isinstance(x, Imp):
-            return ("imp", go(x.a, ctx), go(x.b, ctx))
-        if isinstance(x, And):
-            return ("and", go(x.a, ctx), go(x.b, ctx))
-        if isinstance(x, Or):
-            return ("or", go(x.a, ctx), go(x.b, ctx))
-        if isinstance(x, Bottom):
-            return ("bot",)
-        if isinstance(x, Forall):
-            return ("all", go(x.body, (x.var,) + ctx))
-        if isinstance(x, Exists):
-            return ("ex", go(x.body, (x.var,) + ctx))
-        raise TypeError(f"not a binding-layer term or proposition: {x!r}")
-
-    def _go_slots(slots, ctx):
-        return tuple(
-            (len(s.binders), go(s.body, tuple(reversed(s.binders)) + ctx)) for s in slots
-        )
+        if n.slotted:
+            return (n.name, *n.data(x), tuple([(len(s.binders), go(s.body, s.binders[::-1] + ctx))
+                                               for s in n.kids(x)]))
+        return (n.name, *n.data(x), *[go(c, ctx) for c in n.kids(x)])
 
     return go(x, ())
 
 
+def _at_levels(env: dict, names, depth: int) -> dict:
+    return {**env, **dict(zip(names, itertools.count(depth)))} if names else env
+
+
 def alpha_eq(x, y) -> bool:
-    return to_debruijn(x) == to_debruijn(y)
+    """Equality up to the names of bound variables. Nodes of different
+    classes are never equal, so neither are the two layers' variables."""
+
+    def go(a, b, env_a: dict, env_b: dict, depth: int) -> bool:
+        if type(a) is not type(b):
+            return False
+        n = NODE_TYPES[type(a)]
+        if n.variable:
+            # a bound variable is known by the depth of its binder
+            la, lb = env_a.get(a.name), env_b.get(b.name)
+            return la == lb and (la is not None or a.name == b.name)
+        ka, kb = n.kids(a), n.kids(b)
+        if len(ka) != len(kb) or n.data(a) != n.data(b):
+            return False
+        for c, d in zip(ka, kb):
+            if not n.slotted:
+                if not go(c, d, env_a, env_b, depth):
+                    return False
+            elif len(c.binders) != len(d.binders) or not go(
+                    c.body, d.body, _at_levels(env_a, c.binders, depth),
+                    _at_levels(env_b, d.binders, depth), depth + len(c.binders)):
+                return False
+        return True
+
+    return go(x, y, {}, {}, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +345,25 @@ def _fresh_namer(taken: set[str]) -> Callable[[str], str]:
     return fresh
 
 
+def _rename(x, theta: SubstMap, env: dict[str, str], new_name: Callable[[str], str]):
+    """Replace the free variables of x mapped by theta and give every binder
+    b the name new_name(b), in preorder; env maps the binders in scope."""
+    n = NODE_TYPES[type(x)]
+    if n.variable:
+        if x.name in env:
+            return n.make((env[x.name],), ())
+        return theta.get(x.name, x)
+    kids = n.kids(x)
+    if n.slotted:
+        new = []
+        for s in kids:
+            ys = tuple([new_name(b) for b in s.binders])
+            new.append(Slot(ys, _rename(s.body, theta, {**env, **dict(zip(s.binders, ys))},
+                                        new_name)))
+        return n.make(n.data(x), tuple(new))
+    return n.rebuild(x, tuple([_rename(c, theta, env, new_name) for c in kids]))
+
+
 def substitute(theta: SubstMap, x, fresh: Callable[[str], str] | None = None):
     """Capture-avoiding substitution.
 
@@ -260,28 +377,7 @@ def substitute(theta: SubstMap, x, fresh: Callable[[str], str] | None = None):
         for t in theta.values():
             taken |= all_names(t)
         fresh = _fresh_namer(taken)
-
-    def go(x):
-        if isinstance(x, Var):
-            return theta.get(x.name, x)
-        if isinstance(x, (App, Atom)):
-            args = []
-            for s in x.args:
-                ys = tuple(fresh(b) for b in s.binders)
-                renamed = graft({b: Var(y) for b, y in zip(s.binders, ys)}, s.body)
-                args.append(Slot(ys, go(renamed)))
-            head = x.symbol if isinstance(x, App) else x.pred
-            return type(x)(head, tuple(args))
-        if isinstance(x, (Imp, And, Or)):
-            return type(x)(go(x.a), go(x.b))
-        if isinstance(x, Bottom):
-            return x
-        if isinstance(x, (Forall, Exists)):
-            y = fresh(x.var)
-            return type(x)(y, go(graft({x.var: Var(y)}, x.body)))
-        raise TypeError(f"not a binding-layer term or proposition: {x!r}")
-
-    return canonical_binders(go(x))
+    return canonical_binders(_rename(x, theta, {}, fresh))
 
 
 def canonical_binders(x):
@@ -290,33 +386,13 @@ def canonical_binders(x):
     free = free_vars(x)
     counter = itertools.count(1)
 
-    def next_name() -> str:
+    def next_name(_old: str) -> str:
         while True:
             cand = f"x{next(counter)}"
             if cand not in free:
                 return cand
 
-    def go(x, env: dict[str, str]):
-        if isinstance(x, Var):
-            return Var(env.get(x.name, x.name))
-        if isinstance(x, (App, Atom)):
-            args = []
-            for s in x.args:
-                ys = tuple(next_name() for _ in s.binders)
-                inner = {**env, **dict(zip(s.binders, ys))}
-                args.append(Slot(ys, go(s.body, inner)))
-            head = x.symbol if isinstance(x, App) else x.pred
-            return type(x)(head, tuple(args))
-        if isinstance(x, (Imp, And, Or)):
-            return type(x)(go(x.a, env), go(x.b, env))
-        if isinstance(x, Bottom):
-            return x
-        if isinstance(x, (Forall, Exists)):
-            y = next_name()
-            return type(x)(y, go(x.body, {**env, x.var: y}))
-        raise TypeError(f"not a binding-layer term or proposition: {x!r}")
-
-    return go(x, {})
+    return _rename(x, {}, {}, next_name)
 
 
 # ---------------------------------------------------------------------------
@@ -350,20 +426,15 @@ def well_formed(sig: Signature, x) -> CheckResult:
         return CheckResult.passed()
 
     def go(x, path) -> CheckResult:
-        if isinstance(x, Var):
-            return CheckResult.passed()
-        if isinstance(x, App):
+        if type(x) is App:
             return check_app(x.symbol, sig.functions, "function", x, path)
-        if isinstance(x, Atom):
+        if type(x) is Atom:
             return check_app(x.pred, sig.predicates, "predicate", x, path)
-        if isinstance(x, (Imp, And, Or)):
-            r = go(x.a, path + (0,))
-            return r if not r.ok else go(x.b, path + (1,))
-        if isinstance(x, Bottom):
-            return CheckResult.passed()
-        if isinstance(x, (Forall, Exists)):
-            return go(x.body, path + (0,))
-        raise TypeError(f"not a binding-layer term or proposition: {x!r}")
+        for i, c in enumerate(NODE_TYPES[type(x)].children(x)):
+            r = go(c, path + (i,))
+            if not r.ok:
+                return r
+        return CheckResult.passed()
 
     return go(x, ())
 

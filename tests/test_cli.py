@@ -2,6 +2,7 @@
 determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -129,6 +130,42 @@ def test_check_proof_layer_mismatch_is_an_input_error(capsys, tmp_path, corpus_s
     path.write_text(f"syntax {'term' if layer == 'lprop' else 'lprop'}\nrule axiom |- Q |- Q\n")
     code, out, _ = run(capsys, *argv)
     assert code == 0, out
+
+
+LAMBDA_SIG = Path(__file__).resolve().parent.parent / "samples" / "lambda.sig"
+
+
+@pytest.mark.parametrize("text, kind", [
+    ("rule axiom |- Zzz(x, y) |- Zzz(x, y)\n", "UnknownSymbol"),
+    ("rule all-left [t=f(y, y) at=1] |- Q, forall x. P(x) |- Q\n"
+     "  rule weak-left [at=1] |- Q, P(f(y, y)) |- Q\n"
+     "    rule axiom |- Q |- Q\n", "ArityMismatch"),
+], ids=["undeclared-predicate", "witness-arity"])
+def test_check_proof_ill_formed_over_the_signature_exits_1(capsys, tmp_path, text, kind):
+    path = tmp_path / "proof.prf"
+    path.write_text(text)
+    code, out, _ = run(capsys, "--sig", str(LAMBDA_SIG), "check-proof", str(path))
+    assert code == 1 and kind in out
+    dst = tmp_path / "translated.prf"
+    code, out, err = run(capsys, "--sig", str(LAMBDA_SIG), "translate-proof", str(path),
+                         "-o", str(dst))
+    assert code == 1 and kind in err and not dst.exists()
+
+
+@pytest.mark.parametrize("rules, term", [
+    ("r: +(?x, 0()) -> ?y\n", "+(0(), 0())"),
+    ("syntax lterm\nr: ?t[?s] -> ?u\n", "x[id_0]"),
+    ("syntax\nplus0: +(0(), ?y) -> ?y\n", "+(0(), 0())"),
+], ids=["term-unbound-metavariable", "lterm-unbound-metavariable", "bare-syntax-line"])
+def test_normalize_bad_rule_file_is_an_input_error(capsys, tmp_path, rules, term):
+    sig = tmp_path / "arith.sig"
+    sig.write_text(ARITH_SIG_TEXT)
+    path = tmp_path / "bad.rw"
+    path.write_text(rules)
+    code, out, err = run(capsys, "--sig", str(sig), "normalize", "--system", str(path), term)
+    assert code == 2 and out == ""
+    assert err.startswith("input error") and len(err.splitlines()) == 1
+    assert "'r'" in err or ("syntax" in err and "(line 1)" in err)
 
 
 def test_check_proof_modulo_arithmetic(capsys, tmp_path):
@@ -298,3 +335,14 @@ def test_table_model_via_cli(capsys, tmp_path):
     code, out, _ = run(capsys, "--sig", str(sig), "eval", "--model", str(mdl),
                        "--prop", "forall x. =(x, x)")
     assert code == 0 and "valid" in out
+
+
+def test_check_proof_modulo_tells_shadowed_quantifiers_apart(capsys, tmp_path):
+    # forall x. exists y. R2(x, y) is not forall x. exists x. R2(x, x), whose
+    # inner quantifier shadows the outer one
+    path = tmp_path / "shadow.prf"
+    path.write_text("syntax lprop\n"
+                    "rule axiom |- forall x. exists y. R2(x, y) |- forall x. exists x. R2(x, x)\n")
+    code, out, _ = run(capsys, "--sig", str(LAMBDA_SIG), "check-proof", "--modulo", "sigma",
+                       str(path))
+    assert code == 1 and "RuleMismatch" in out

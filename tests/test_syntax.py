@@ -1,18 +1,28 @@
 """The named binding layer: free variables, grafting, alpha, substitution,
 nameless forms, well-formedness, and the text grammar."""
 
+import itertools
 import random
+from typing import Callable
 
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
 from bindlog import gen, syntax
+from bindlog.errors import CheckResult
 from bindlog.syntax import (
+    And,
     App,
+    Atom,
+    Bottom,
+    Exists,
     Forall,
+    Imp,
+    Or,
     Signature,
     Slot,
+    SubstMap,
     Var,
     alpha_eq,
     free_vars,
@@ -351,3 +361,335 @@ def test_parse_errors():
         parse_term("f(x.")
     with pytest.raises(syntax.ParseError):
         parse_prop("forall . P")
+
+
+# ---------------------------------------------------------------------------
+# the protocol walks against the ladders they replaced
+#
+# The references below are this module's walks as they were before every
+# node class got a NodeType, one case per constructor, kept verbatim. The
+# inputs are seeded and draw binder lists with duplicates, quantifiers that
+# shadow, counter-suffixed names that collide with both fresh-name schemes,
+# undeclared symbols and wrong arities.
+
+# Free variables and name collection
+
+def _ref_free_vars(x) -> frozenset[str]:
+    """Variables with at least one occurrence not under a binder of that name."""
+    if isinstance(x, Var):
+        return frozenset((x.name,))
+    if isinstance(x, (App, Atom)):
+        acc: set[str] = set()
+        for s in x.args:
+            acc |= _ref_free_vars(s.body) - set(s.binders)
+        return frozenset(acc)
+    if isinstance(x, (Imp, And, Or)):
+        return _ref_free_vars(x.a) | _ref_free_vars(x.b)
+    if isinstance(x, Bottom):
+        return frozenset()
+    if isinstance(x, (Forall, Exists)):
+        return _ref_free_vars(x.body) - {x.var}
+    raise TypeError(f"not a binding-layer term or proposition: {x!r}")
+
+
+def _ref_all_names(x) -> frozenset[str]:
+    """Every variable name occurring in x, free or bound, binders included."""
+    if isinstance(x, Var):
+        return frozenset((x.name,))
+    if isinstance(x, (App, Atom)):
+        acc: set[str] = set()
+        for s in x.args:
+            acc |= set(s.binders) | _ref_all_names(s.body)
+        return frozenset(acc)
+    if isinstance(x, (Imp, And, Or)):
+        return _ref_all_names(x.a) | _ref_all_names(x.b)
+    if isinstance(x, Bottom):
+        return frozenset()
+    if isinstance(x, (Forall, Exists)):
+        return _ref_all_names(x.body) | {x.var}
+    raise TypeError(f"not a binding-layer term or proposition: {x!r}")
+
+
+def _ref_graft(theta: SubstMap, x):
+    """Replace free occurrences of the mapped variables, without renaming.
+
+    The map is restricted under every binder to the variables it does not
+    bind, so bound occurrences are never replaced; captures are allowed.
+    """
+    if not theta:
+        return x
+    if isinstance(x, Var):
+        return theta.get(x.name, x)
+    if isinstance(x, (App, Atom)):
+        args = []
+        for s in x.args:
+            inner = {v: t for v, t in theta.items() if v not in s.binders}
+            args.append(Slot(s.binders, _ref_graft(inner, s.body)))
+        return type(x)(x.symbol if isinstance(x, App) else x.pred, tuple(args))
+    if isinstance(x, (Imp, And, Or)):
+        return type(x)(_ref_graft(theta, x.a), _ref_graft(theta, x.b))
+    if isinstance(x, Bottom):
+        return x
+    if isinstance(x, (Forall, Exists)):
+        inner = {v: t for v, t in theta.items() if v != x.var}
+        return type(x)(x.var, _ref_graft(inner, x.body))
+    raise TypeError(f"not a binding-layer term or proposition: {x!r}")
+
+
+def _ref_to_debruijn(x):
+    """Canonical nameless form: bound occurrences become indices counting
+    binders outward (the rightmost binder of a slot is index 1), free
+    variables keep their names. Injective up to alpha-equivalence."""
+
+    def go(x, ctx: tuple[str, ...]):
+        if isinstance(x, Var):
+            if x.name in ctx:
+                return ("b", ctx.index(x.name) + 1)
+            return ("f", x.name)
+        if isinstance(x, App):
+            return ("app", x.symbol, _go_slots(x.args, ctx))
+        if isinstance(x, Atom):
+            return ("atom", x.pred, _go_slots(x.args, ctx))
+        if isinstance(x, Imp):
+            return ("imp", go(x.a, ctx), go(x.b, ctx))
+        if isinstance(x, And):
+            return ("and", go(x.a, ctx), go(x.b, ctx))
+        if isinstance(x, Or):
+            return ("or", go(x.a, ctx), go(x.b, ctx))
+        if isinstance(x, Bottom):
+            return ("bot",)
+        if isinstance(x, Forall):
+            return ("all", go(x.body, (x.var,) + ctx))
+        if isinstance(x, Exists):
+            return ("ex", go(x.body, (x.var,) + ctx))
+        raise TypeError(f"not a binding-layer term or proposition: {x!r}")
+
+    def _go_slots(slots, ctx):
+        return tuple(
+            (len(s.binders), go(s.body, tuple(reversed(s.binders)) + ctx)) for s in slots
+        )
+
+    return go(x, ())
+
+
+def _ref_fresh_namer(taken: set[str]) -> Callable[[str], str]:
+    def fresh(base: str) -> str:
+        for k in itertools.count(1):
+            cand = f"{base}{k}"
+            if cand not in taken:
+                taken.add(cand)
+                return cand
+        raise AssertionError
+
+    return fresh
+
+
+def _ref_substitute(theta: SubstMap, x, fresh: Callable[[str], str] | None = None):
+    """Capture-avoiding substitution.
+
+    Every binder is renamed to a name occurring neither free nor bound in the
+    argument nor in the map before the map is pushed under it. The result is
+    then put into a canonical bound-name form, so the choice of fresh-name
+    generator is unobservable.
+    """
+    if fresh is None:
+        taken = set(_ref_all_names(x)) | set(theta)
+        for t in theta.values():
+            taken |= _ref_all_names(t)
+        fresh = _ref_fresh_namer(taken)
+
+    def go(x):
+        if isinstance(x, Var):
+            return theta.get(x.name, x)
+        if isinstance(x, (App, Atom)):
+            args = []
+            for s in x.args:
+                ys = tuple(fresh(b) for b in s.binders)
+                renamed = _ref_graft({b: Var(y) for b, y in zip(s.binders, ys)}, s.body)
+                args.append(Slot(ys, go(renamed)))
+            head = x.symbol if isinstance(x, App) else x.pred
+            return type(x)(head, tuple(args))
+        if isinstance(x, (Imp, And, Or)):
+            return type(x)(go(x.a), go(x.b))
+        if isinstance(x, Bottom):
+            return x
+        if isinstance(x, (Forall, Exists)):
+            y = fresh(x.var)
+            return type(x)(y, go(_ref_graft({x.var: Var(y)}, x.body)))
+        raise TypeError(f"not a binding-layer term or proposition: {x!r}")
+
+    return _ref_canonical_binders(go(x))
+
+
+def _ref_canonical_binders(x):
+    """Rename every bound variable deterministically (x1, x2, ... in preorder,
+    skipping the free names of x). Output depends only on the alpha-class."""
+    free = _ref_free_vars(x)
+    counter = itertools.count(1)
+
+    def next_name() -> str:
+        while True:
+            cand = f"x{next(counter)}"
+            if cand not in free:
+                return cand
+
+    def go(x, env: dict[str, str]):
+        if isinstance(x, Var):
+            return Var(env.get(x.name, x.name))
+        if isinstance(x, (App, Atom)):
+            args = []
+            for s in x.args:
+                ys = tuple(next_name() for _ in s.binders)
+                inner = {**env, **dict(zip(s.binders, ys))}
+                args.append(Slot(ys, go(s.body, inner)))
+            head = x.symbol if isinstance(x, App) else x.pred
+            return type(x)(head, tuple(args))
+        if isinstance(x, (Imp, And, Or)):
+            return type(x)(go(x.a, env), go(x.b, env))
+        if isinstance(x, Bottom):
+            return x
+        if isinstance(x, (Forall, Exists)):
+            y = next_name()
+            return type(x)(y, go(x.body, {**env, x.var: y}))
+        raise TypeError(f"not a binding-layer term or proposition: {x!r}")
+
+    return go(x, {})
+
+
+def _ref_well_formed(sig: Signature, x) -> CheckResult:
+    """Check symbol declarations, arities, binder counts, and binder
+    distinctness. Error kinds: UnknownSymbol, ArityMismatch,
+    BinderCountMismatch, DuplicateBinder."""
+
+    def check_app(symbol, table, arity_kind, x, path):
+        if symbol not in table:
+            return CheckResult.failed("UnknownSymbol", path, f"{arity_kind} {symbol!r} not declared")
+        arity = table[symbol]
+        if len(x.args) != len(arity):
+            return CheckResult.failed(
+                "ArityMismatch", path,
+                f"{symbol!r} expects {len(arity)} arguments, got {len(x.args)}")
+        for i, (s, k) in enumerate(zip(x.args, arity)):
+            if len(s.binders) != k:
+                return CheckResult.failed(
+                    "BinderCountMismatch", path + (i,),
+                    f"argument {i} of {symbol!r} binds {k} variables, got {len(s.binders)}")
+            if len(set(s.binders)) != len(s.binders):
+                return CheckResult.failed(
+                    "DuplicateBinder", path + (i,),
+                    f"binder list {s.binders} of {symbol!r} has duplicates")
+            r = go(s.body, path + (i,))
+            if not r.ok:
+                return r
+        return CheckResult.passed()
+
+    def go(x, path) -> CheckResult:
+        if isinstance(x, Var):
+            return CheckResult.passed()
+        if isinstance(x, App):
+            return check_app(x.symbol, sig.functions, "function", x, path)
+        if isinstance(x, Atom):
+            return check_app(x.pred, sig.predicates, "predicate", x, path)
+        if isinstance(x, (Imp, And, Or)):
+            r = go(x.a, path + (0,))
+            return r if not r.ok else go(x.b, path + (1,))
+        if isinstance(x, Bottom):
+            return CheckResult.passed()
+        if isinstance(x, (Forall, Exists)):
+            return go(x.body, path + (0,))
+        raise TypeError(f"not a binding-layer term or proposition: {x!r}")
+
+    return go(x, ())
+
+
+_EQ_NAMES = ("x", "y", "z", "x1", "x2", "y1", "z1")
+EQ_SIG = Signature({**SIG.functions, "μ": (2,)}, SIG.predicates)
+_EQ_FUNCTIONS = ("f", "g", "Λ", "δ", "c", "μ", "h")  # h is not declared
+_EQ_PREDICATES = ("=", "P", "Q", "R")  # R is not declared
+
+
+def _eq_slots(rng, arity, depth):
+    n = len(arity) if arity is not None and rng.random() < 0.8 else rng.randint(0, 3)
+    slots = []
+    for i in range(n):
+        k = arity[i] if arity is not None and i < len(arity) and rng.random() < 0.7 \
+            else rng.randint(0, 2)
+        binders = tuple(rng.choice(_EQ_NAMES) for _ in range(k))  # duplicates allowed
+        slots.append(Slot(binders, _eq_term(rng, depth - 1)))
+    return tuple(slots)
+
+
+def _eq_term(rng, depth):
+    if depth <= 0 or rng.random() < 0.3:
+        return Var(rng.choice(_EQ_NAMES))
+    sym = rng.choice(_EQ_FUNCTIONS)
+    return App(sym, _eq_slots(rng, EQ_SIG.functions.get(sym), depth))
+
+
+def _eq_prop(rng, depth):
+    pick = rng.random()
+    if depth <= 0 or pick < 0.3:
+        pred = rng.choice(_EQ_PREDICATES)
+        return syntax.Atom(pred, _eq_slots(rng, EQ_SIG.predicates.get(pred), 3))
+    if pick < 0.4:
+        return syntax.Bottom()
+    if pick < 0.7:
+        return rng.choice((Forall, syntax.Exists))(rng.choice(_EQ_NAMES), _eq_prop(rng, depth - 1))
+    cls = rng.choice((syntax.Imp, syntax.And, syntax.Or))
+    return cls(_eq_prop(rng, depth - 1), _eq_prop(rng, depth - 1))
+
+
+def _eq_inputs(seed, count=1000):
+    """count propositions and count // 2 terms."""
+    rng = random.Random(seed)
+    return [_eq_prop(rng, rng.randint(0, 4)) for _ in range(count)] + \
+        [_eq_term(rng, rng.randint(0, 4)) for _ in range(count // 2)]
+
+
+def _eq_map(rng):
+    return {rng.choice(_EQ_NAMES): _eq_term(rng, rng.randint(0, 2))
+            for _ in range(rng.randint(0, 3))}
+
+
+def test_free_vars_and_all_names_match_reference():
+    for x in _eq_inputs(0xA1):
+        assert free_vars(x) == _ref_free_vars(x), x
+        assert syntax.all_names(x) == _ref_all_names(x), x
+
+
+def test_graft_substitute_canonical_match_reference():
+    rng = random.Random(0xA2)
+    for x in _eq_inputs(0xA3):
+        theta = _eq_map(rng)
+        assert graft(theta, x) == _ref_graft(theta, x), x
+        assert substitute(theta, x) == _ref_substitute(theta, x), x
+        assert syntax.canonical_binders(x) == _ref_canonical_binders(x), x
+
+
+def test_nameless_forms_and_alpha_match_reference():
+    rng = random.Random(0xA4)
+    inputs = _eq_inputs(0xA5)
+    for x in inputs:
+        # a renamed copy, and an unrelated input of the same kind
+        for y in (_ref_substitute({}, x), rng.choice(inputs), _eq_prop(rng, 1)):
+            want = _ref_to_debruijn(x) == _ref_to_debruijn(y)
+            assert (to_debruijn(x) == to_debruijn(y)) == want, (x, y)
+            assert alpha_eq(x, y) == want, (x, y)
+
+
+def test_well_formed_matches_reference():
+    verdicts = set()
+    for x in _eq_inputs(0xA6):
+        got = well_formed(EQ_SIG, x)
+        assert got == _ref_well_formed(EQ_SIG, x), x
+        verdicts.add(got.kind)
+    assert verdicts >= {None, "UnknownSymbol", "ArityMismatch", "BinderCountMismatch",
+                        "DuplicateBinder"}
+
+
+def test_walks_reject_what_is_not_a_node():
+    for walk in (free_vars, syntax.all_names, to_debruijn, syntax.canonical_binders):
+        with pytest.raises(TypeError):
+            walk(App("f", (Slot((), 42),)))
+    with pytest.raises(TypeError):
+        syntax.map_atoms(lambda a: a, Var("x"))
