@@ -12,31 +12,20 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import models, precook, proofs, sigma, syntax
 from .errors import BindLogError, ParseError
 
 
-@dataclass
-class RunConfig:
-    sig_path: str | None = None
-    step_budget: int = sigma.DEFAULT_BUDGET
-    probe_budget: int = 289
-    samples: int = 1000
-    seed: int = 0
-    as_json: bool = False
-
-
-def _load_signature(cfg: RunConfig) -> syntax.Signature:
-    if cfg.sig_path is None:
+def _load_signature(args) -> syntax.Signature:
+    if args.sig is None:
         return syntax.Signature({}, {})
-    return syntax.parse_signature(Path(cfg.sig_path).read_text())
+    return syntax.parse_signature(Path(args.sig).read_text())
 
 
-def _emit(cfg: RunConfig, lines: list[str], payload: dict):
-    if cfg.as_json:
+def _emit(args, lines: list[str], payload: dict):
+    if args.json:
         print(json.dumps(payload, sort_keys=True, ensure_ascii=False))
     else:
         for line in lines:
@@ -47,8 +36,8 @@ def _emit(cfg: RunConfig, lines: list[str], payload: dict):
 # Commands
 
 
-def cmd_parse(args, cfg: RunConfig) -> int:
-    sig = _load_signature(cfg)
+def cmd_parse(args) -> int:
+    sig = _load_signature(args)
     if args.term is not None:
         t = syntax.parse_term(args.term, sig)
         check = syntax.well_formed(sig, t)
@@ -58,18 +47,18 @@ def cmd_parse(args, cfg: RunConfig) -> int:
         check = syntax.well_formed(sig, p)
         text = syntax.print_prop(p)
     lines = [text] if check.ok else [text, f"ill-formed: {check}"]
-    _emit(cfg, lines, {"parsed": text, "well_formed": check.ok,
-                       "error": None if check.ok else str(check)})
+    _emit(args, lines, {"parsed": text, "well_formed": check.ok,
+                        "error": None if check.ok else str(check)})
     return 0 if check.ok else 1
 
 
-def _congruence_from_arg(modulo: str | None, sig, cfg: RunConfig):
+def _congruence_from_arg(modulo: str | None, sig, budget: int):
     if modulo is None:
         return None
     if modulo == "sigma":
-        return proofs.Congruence(sigma.sigma_system(sig), budget=cfg.step_budget)
+        return proofs.Congruence(sigma.sigma_system(sig), budget=budget)
     rs = sigma.load_rules(Path(modulo).read_text(), sig=sig, name=Path(modulo).stem)
-    return proofs.Congruence(rs, budget=cfg.step_budget)
+    return proofs.Congruence(rs, budget=budget)
 
 
 def _load_proof(path: str, sig, cong: proofs.Congruence | None) -> proofs.ProofTree:
@@ -86,9 +75,9 @@ def _load_proof(path: str, sig, cong: proofs.Congruence | None) -> proofs.ProofT
     return proofs.parse_proof_file(text, sig)
 
 
-def cmd_check_proof(args, cfg: RunConfig) -> int:
-    sig = _load_signature(cfg)
-    cong = _congruence_from_arg(args.modulo, sig, cfg)
+def cmd_check_proof(args) -> int:
+    sig = _load_signature(args)
+    cong = _congruence_from_arg(args.modulo, sig, args.step_budget)
     proof = _load_proof(args.proof, sig, cong)
     if cong is None:
         result = proofs.check_binding_proof(sig, proof)
@@ -97,13 +86,13 @@ def cmd_check_proof(args, cfg: RunConfig) -> int:
         result = proofs.check_modulo_proof(sig, cong, proof)
         kind = f"modulo {args.modulo}"
     lines = [f"proof check ({kind}): {result}"]
-    _emit(cfg, lines, {"check": kind, "ok": result.ok,
-                       "error": None if result.ok else str(result)})
+    _emit(args, lines, {"check": kind, "ok": result.ok,
+                        "error": None if result.ok else str(result)})
     return 0 if result.ok else 1
 
 
-def cmd_normalize(args, cfg: RunConfig) -> int:
-    sig = _load_signature(cfg)
+def cmd_normalize(args) -> int:
+    sig = _load_signature(args)
     if args.system == "sigma":
         rs = sigma.sigma_system(sig)
     else:
@@ -111,30 +100,30 @@ def cmd_normalize(args, cfg: RunConfig) -> int:
                               name=Path(args.system).stem)
     if rs.layer == "lterm":
         t = sigma.parse_lterm(args.input)
-        nf, steps = sigma.normalize_steps(rs, t, budget=cfg.step_budget)
+        nf, steps = sigma.normalize_steps(rs, t, budget=args.step_budget)
         out = sigma.print_lterm(nf)
     else:
         t = syntax.parse_term(args.input, sig)
-        nf, steps = sigma.normalize_steps(rs, t, budget=cfg.step_budget)
+        nf, steps = sigma.normalize_steps(rs, t, budget=args.step_budget)
         out = syntax.print_term(nf)
-    _emit(cfg, [out], {"normal_form": out, "steps": steps})
+    _emit(args, [out], {"normal_form": out, "steps": steps})
     return 0
 
 
-def cmd_precook(args, cfg: RunConfig) -> int:
-    sig = _load_signature(cfg)
+def cmd_precook(args) -> int:
+    sig = _load_signature(args)
     p = syntax.parse_prop(args.prop, sig)
     check = syntax.well_formed(sig, p)
     if not check.ok:
         print(f"ill-formed proposition: {check}", file=sys.stderr)
         return 2
     out = sigma.print_lprop(precook.precook_prop(sig, p))
-    _emit(cfg, [out], {"translated": out})
+    _emit(args, [out], {"translated": out})
     return 0
 
 
-def cmd_translate_proof(args, cfg: RunConfig) -> int:
-    sig = _load_signature(cfg)
+def cmd_translate_proof(args) -> int:
+    sig = _load_signature(args)
     proof = _load_proof(args.proof, sig, None)
     result = proofs.check_binding_proof(sig, proof)
     if not result.ok:
@@ -144,17 +133,17 @@ def cmd_translate_proof(args, cfg: RunConfig) -> int:
     text = proofs.print_proof_file(translated, layer="lprop")
     if args.output:
         Path(args.output).write_text(text)
-        _emit(cfg, [f"wrote {args.output}"], {"output": args.output})
+        _emit(args, [f"wrote {args.output}"], {"output": args.output})
     else:
         print(text, end="")
     return 0
 
 
-def _model_from_name(name: str, cfg: RunConfig, sig=None):
+def _model_from_name(name: str, probe_budget: int, sig=None):
     if name == "ext":
         return models.ext_counter_model()
     if name == "delta":
-        return models.delta_model(cfg.probe_budget)
+        return models.delta_model(probe_budget)
     if name.startswith("fullfn:"):
         text = name.split(":", 1)[1]
         size = int(text) if text.isascii() and text.isdigit() else 0
@@ -169,9 +158,9 @@ def _model_from_name(name: str, cfg: RunConfig, sig=None):
     raise ParseError(f"unknown model {name!r}")
 
 
-def cmd_eval(args, cfg: RunConfig) -> int:
-    sig = _load_signature(cfg) if cfg.sig_path else None
-    m = _model_from_name(args.model, cfg, sig)
+def cmd_eval(args) -> int:
+    sig = _load_signature(args) if args.sig else None
+    m = _model_from_name(args.model, args.probe_budget, sig)
     if isinstance(m, models.IFS):
         print("a bare function-space structure has no symbol denotations; "
               "use verify-model, or eval with ext/delta/a table model", file=sys.stderr)
@@ -192,8 +181,8 @@ def cmd_eval(args, cfg: RunConfig) -> int:
             witness = {x: models.fmt_element(v) for x, v in w.items()}
             status += " (witness: " + ", ".join(f"{x} = {v}" for x, v in witness.items()) + ")"
     lines = [f"{syntax.print_prop(p)}: {status}"]
-    _emit(cfg, lines, {"prop": syntax.print_prop(p), "value": value, "exact": exact,
-                       "witness": witness})
+    _emit(args, lines, {"prop": syntax.print_prop(p), "value": value, "exact": exact,
+                        "witness": witness})
     return 0 if value == 1 else 1
 
 
@@ -207,36 +196,36 @@ def _parse_bounds(text: str) -> tuple[int, int, int]:
     return bounds
 
 
-def cmd_verify_model(args, cfg: RunConfig) -> int:
+def cmd_verify_model(args) -> int:
     n, p, q = _parse_bounds(args.bounds)
-    sig = _load_signature(cfg) if cfg.sig_path else None
-    m = _model_from_name(args.model, cfg, sig)
+    sig = _load_signature(args) if args.sig else None
+    m = _model_from_name(args.model, args.probe_budget, sig)
     ifs = m if isinstance(m, models.IFS) else m.ifs
     mode = args.mode
-    rep = models.check_ifs(ifs, n, p, q, mode=mode, samples=cfg.samples // 10 or 10,
-                           seed=cfg.seed)
+    rep = models.check_ifs(ifs, n, p, q, mode=mode, samples=args.samples // 10 or 10,
+                           seed=args.seed)
     lines = [f"structure laws: {rep.summary()}"]
     payload = {"structure": {"checked": rep.checked, "violations": rep.violations}}
     ok = rep.ok
     if isinstance(m, models.BindingModel):
         for f in m.sig.functions:
             crep = models.check_coherence(m, f, p, q, mode=mode,
-                                          samples=cfg.samples // 20 or 5, seed=cfg.seed)
+                                          samples=args.samples // 20 or 5, seed=args.seed)
             lines.append(f"coherence of {f}: {crep.summary()}")
             payload[f"coherence {f}"] = {"checked": crep.checked,
                                          "violations": crep.violations}
             ok = ok and crep.ok
-    _emit(cfg, lines, payload)
+    _emit(args, lines, payload)
     return 0 if ok else 1
 
 
-def cmd_demo(args, cfg: RunConfig) -> int:
+def cmd_demo(args) -> int:
     if args.which == "extensionality":
-        return _demo_extensionality(cfg)
-    return _demo_disjoint_sum(cfg)
+        return _demo_extensionality(args)
+    return _demo_disjoint_sum(args)
 
 
-def _demo_extensionality(cfg: RunConfig) -> int:
+def _demo_extensionality(args) -> int:
     m = models.ext_counter_model()
     lines = []
     payload: dict = {"demo": "extensionality"}
@@ -263,13 +252,13 @@ def _demo_extensionality(cfg: RunConfig) -> int:
         "lam_x": models.fmt_element(v_x),
         "scheme_valid": v_scheme == 1,
     })
-    _emit(cfg, lines, payload)
+    _emit(args, lines, payload)
     demonstrated = all_axioms_valid and v_scheme == 0 and v_fx != v_x
     return 0 if demonstrated else 1
 
 
-def _demo_disjoint_sum(cfg: RunConfig) -> int:
-    m = models.delta_model(cfg.probe_budget)
+def _demo_disjoint_sum(args) -> int:
+    m = models.delta_model(args.probe_budget)
     case_split = syntax.parse_term("δ(a(), x. a(), y. a())", m.sig)
     const = syntax.parse_term("a()", m.sig)
     v_case = models.eval_term(m, case_split)
@@ -288,7 +277,7 @@ def _demo_disjoint_sum(cfg: RunConfig) -> int:
         "equation_valid": v_eq == 1,
         "exact": exact,
     }
-    _emit(cfg, lines, payload)
+    _emit(args, lines, payload)
     demonstrated = v_case == 0 and v_const == 1 and v_eq == 0 and exact
     return 0 if demonstrated else 1
 
@@ -356,17 +345,9 @@ def main(argv=None) -> int:
     if args.step_budget <= 0 or args.probe_budget <= 0 or args.samples <= 0:
         print("input error: budgets and sample counts must be positive", file=sys.stderr)
         return 2
-    seed = int(os.environ.get("BINDLOG_SEED", args.seed))
-    cfg = RunConfig(
-        sig_path=args.sig,
-        step_budget=args.step_budget,
-        probe_budget=args.probe_budget,
-        samples=args.samples,
-        seed=seed,
-        as_json=args.json,
-    )
+    args.seed = int(os.environ.get("BINDLOG_SEED", args.seed))
     try:
-        return args.fn(args, cfg)
+        return args.fn(args)
     except (ParseError, FileNotFoundError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2

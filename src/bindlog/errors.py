@@ -11,6 +11,7 @@ class BindLogError(Exception):
 
 class ParseError(BindLogError):
     def __init__(self, message: str, pos: int | None = None, line: int | None = None):
+        self.message = message  # without the location, so a reader can relocate it
         self.pos = pos
         self.line = line
         where = ""

@@ -854,9 +854,9 @@ def load_model(text: str, sig: Signature, name: str = "table-model") -> BindingM
     boxes: dict[tuple, str] = {}
     funs: dict[tuple, str] = {}
     preds: dict[tuple, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line or line.startswith(("model", "levels")):
+    for lineno, line in syntax.file_lines(text)[1]:
+        line = line.strip()
+        if line.startswith(("model", "levels")):
             continue
         try:
             head, _, tail = line.partition(" ")
@@ -884,7 +884,7 @@ def load_model(text: str, sig: Signature, name: str = "table-model") -> BindingM
             else:
                 raise ValueError(f"unknown entry {head!r}")
         except (ValueError, KeyError) as e:
-            raise ParseError(f"bad model line: {raw!r} ({e})", line=lineno) from None
+            raise ParseError(f"bad model line: {line!r} ({e})", line=lineno) from None
 
     def box(a, bs, p):
         key = (a, tuple(bs), p)

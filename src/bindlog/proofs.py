@@ -366,126 +366,44 @@ def _first_rejection(proof: ProofTree, check_node) -> CheckResult:
 #
 #   rule <name> [x=<var> A=<prop> t=<term> at=<index>] |- <left> |- <right>
 # with child proofs indented two spaces. An optional first line
-# `syntax lprop` switches the proposition syntax to the sorted layer.
+# `syntax lprop` switches the proposition syntax to the sorted layer, whose
+# parser then reads the text after the rule name (see Parser.params).
 
 _RULE_BY_NAME = {r.value: r for r in Rule}
-_KEY_RE = re.compile(r"(at|x|A|t)=")
-
-
-def _parse_params(s: str, lineno: int) -> dict[str, str]:
-    spans = []
-    depth = 0
-    key = None
-    val_start = 0
-    i = 0
-    while i < len(s):
-        c = s[i]
-        if depth == 0 and (i == 0 or s[i - 1].isspace()):
-            m = _KEY_RE.match(s, i)
-            if m:
-                if key is not None:
-                    spans.append((key, val_start, i))
-                key = m.group(1)
-                val_start = m.end()
-                i = m.end()
-                continue
-        if c in "([":
-            depth += 1
-        elif c in ")]":
-            depth -= 1
-        i += 1
-    if key is not None:
-        spans.append((key, val_start, len(s)))
-    out = {}
-    for k, a, b in spans:
-        if k in out:
-            raise ParseError(f"duplicate parameter {k!r}", line=lineno)
-        out[k] = s[a:b].strip()
-    return out
-
-
-def _proof_lines(text: str):
-    """The proof syntax a file declares ("term" unless its first line says
-    `syntax lprop`) and its other non-blank lines, comments cut, with
-    their line numbers."""
-    lines = [(lineno, raw.split("#", 1)[0].rstrip())
-             for lineno, raw in enumerate(text.splitlines(), start=1)]
-    lines = [(lineno, line) for lineno, line in lines if line.strip()]
-    if lines and lines[0][1].strip().startswith("syntax"):
-        lineno, header = lines.pop(0)
-        words = header.split()
-        if len(words) != 2 or words[0] != "syntax" or words[1] not in ("term", "lprop"):
-            raise ParseError(f"expected `syntax term` or `syntax lprop`: {header.strip()!r}",
-                             line=lineno)
-        return words[1], lines
-    return "term", lines
+_LAYERS = ("term", "lprop")
 
 
 def proof_file_layer(text: str) -> str:
     """"lprop" for a proof file written over the sorted layer, else "term"."""
-    return _proof_lines(text)[0]
+    return syntax.file_lines(text, _LAYERS)[0]
 
 
 def parse_proof_file(text: str, sig: Signature | None = None) -> ProofTree:
-    layer, lines = _proof_lines(text)
+    layer, lines = syntax.file_lines(text, _LAYERS)
     entries: list[tuple[int, str, int]] = []
-    for lineno, stripped in lines:
-        indent = len(stripped) - len(stripped.lstrip())
+    for lineno, line in lines:
+        indent = len(line) - len(line.lstrip())
         if indent % 2 != 0:
             raise ParseError("indentation must be two spaces per level", line=lineno)
-        entries.append((indent // 2, stripped.strip(), lineno))
+        entries.append((indent // 2, line.strip(), lineno))
     if not entries:
         raise ParseError("empty proof file")
-
-    def make_parser(txt: str):
-        if layer == "lprop":
-            return sigma.LParser(txt)
-        return syntax.Parser(txt, sig)
 
     def parse_line(content: str, lineno: int) -> tuple[Sequent, RuleApp]:
         m = re.match(r"rule\s+(\S+)\s*(.*)$", content)
         if not m:
             raise ParseError(f"expected `rule <name> ...`: {content!r}", line=lineno)
-        rname, rest = m.group(1), m.group(2).strip()
+        rname, rest = m.group(1), m.group(2)
         if rname not in _RULE_BY_NAME:
             raise ParseError(f"unknown rule {rname!r}", line=lineno)
-        params: dict[str, str] = {}
-        if rest.startswith("["):
-            depth = 0
-            for j, c in enumerate(rest):
-                if c == "[":
-                    depth += 1
-                elif c == "]":
-                    depth -= 1
-                    if depth == 0:
-                        break
-            else:
-                raise ParseError("unterminated parameter block", line=lineno)
-            params = _parse_params(rest[1:j], lineno)
-            rest = rest[j + 1:].strip()
-        if not rest.startswith("|-"):
-            raise ParseError("expected `|-` before the sequent", line=lineno)
-        seq_parser = make_parser(rest[2:])
-        left, right = seq_parser.sequent()
-        seq_parser.done()
-        principal = None
-        if "at" in params:
-            try:
-                principal = int(params["at"])
-            except ValueError:
-                raise ParseError(f"at= takes an integer, not {params['at']!r}",
-                                 line=lineno) from None
-        x = params.get("x")
-        a = t = None
-        if "A" in params:
-            pp = make_parser(params["A"])
-            a = pp.prop()
-            pp.done()
-        if "t" in params:
-            tp = make_parser(params["t"])
-            t = tp.term()
-            tp.done()
-        return Sequent(left, right), RuleApp(_RULE_BY_NAME[rname], principal, x, a, t)
+        with syntax.at_line(lineno):
+            p = sigma.LParser(rest) if layer == "lprop" else syntax.Parser(rest, sig)
+            params = p.params()
+            p.expect("turnstile")
+            left, right = p.sequent()
+            p.done()
+        return Sequent(left, right), RuleApp(_RULE_BY_NAME[rname], params.get("at"),
+                                              params.get("x"), params.get("A"), params.get("t"))
 
     def build(idx: int, depth: int) -> tuple[ProofTree, int]:
         d, content, lineno = entries[idx]
@@ -508,29 +426,15 @@ def parse_proof_file(text: str, sig: Signature | None = None) -> ProofTree:
 
 
 def print_proof_file(p: ProofTree, layer: str = "term") -> str:
-    lines = []
-    if layer == "lprop":
-        lines.append("syntax lprop")
-    pprop = sigma.print_lprop if layer == "lprop" else syntax.print_prop
-    pterm = sigma.print_lterm if layer == "lprop" else syntax.print_term
-
-    def seq_str(s: Sequent) -> str:
-        return (", ".join(pprop(a) for a in s.left) + " |- "
-                + ", ".join(pprop(b) for b in s.right)).strip()
+    lines = ["syntax lprop"] if layer == "lprop" else []
 
     def go(node: ProofTree, depth: int):
         app = node.rule
-        params = []
-        if app.x is not None:
-            params.append(f"x={app.x}")
-        if app.a is not None:
-            params.append(f"A={pprop(app.a)}")
-        if app.t is not None:
-            params.append(f"t={pterm(app.t)}")
-        if app.principal is not None:
-            params.append(f"at={app.principal}")
+        params = [f"{key}={value}" for key, value in  # nodes print by show
+                  (("x", app.x), ("A", app.a), ("t", app.t), ("at", app.principal))
+                  if value is not None]
         block = f" [{' '.join(params)}]" if params else ""
-        lines.append("  " * depth + f"rule {app.rule.value}{block} |- {seq_str(node.conclusion)}")
+        lines.append("  " * depth + f"rule {app.rule.value}{block} |- {node.conclusion}")
         for q in node.premises:
             go(q, depth + 1)
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import random
-import re
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -834,41 +833,25 @@ def _check_rule_sorts(sig: Signature | None, name: str, lhs, rhs,
 def load_rules(text: str, sig: Signature | None = None, name: str = "user") -> RewriteSystem:
     """Parse a rewrite-rule file: optional `syntax term|lterm` header, then
     lines `name: lhs -> rhs` with metavariables ?t, ?s and numeric ?n."""
-    layer = "term"
+    layer, lines = syntax.file_lines(text, ("term", "lterm"))
     rules: list[Rule] = []
-    lines = [l for l in text.splitlines()]
-    body_start = 0
-    for i, raw in enumerate(lines):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        words = line.split()
-        if words[0] == "syntax":
-            if len(words) != 2 or words[1] not in ("term", "lterm"):
-                raise ParseError(f"expected `syntax term` or `syntax lterm`: {line!r}",
-                                 line=i + 1)
-            layer = words[1]
-            body_start = i + 1
-        break
-    for lineno, raw in enumerate(lines[body_start:], start=body_start + 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in lines:
         if ":" not in line:
-            raise ParseError(f"bad rule line: {raw!r}", line=lineno)
+            raise ParseError(f"bad rule line: {line.strip()!r}", line=lineno)
         rname, rest = line.split(":", 1)
         rname = rname.strip()
-        p = _TermPatternParser(rest) if layer == "term" else LParser(rest)
-        lhs = p.term()
-        p.expect("arrow")
-        rhs = p.term()
-        p.done()
-        rule = compile_rule(rname, lhs, rhs, display=rest.strip())
-        if layer == "term":
-            _check_term_pattern(rname, lhs)
-            _check_term_pattern(rname, rhs)
-        else:
-            _check_rule_sorts(sig, rname, lhs, rhs)
+        with syntax.at_line(lineno):
+            p = _TermPatternParser(rest) if layer == "term" else LParser(rest)
+            lhs = p.term()
+            p.expect("arrow")
+            rhs = p.term()
+            p.done()
+            rule = compile_rule(rname, lhs, rhs, display=rest.strip())
+            if layer == "term":
+                _check_term_pattern(rname, lhs)
+                _check_term_pattern(rname, rhs)
+            else:
+                _check_rule_sorts(sig, rname, lhs, rhs)
         rules.append(rule)
     if not rules:
         raise ParseError("rule file declares no rules")
@@ -892,27 +875,25 @@ def _check_term_pattern(name, pat):
 #
 # indices `3_5`, closures `t[s]`, `id_4`, cons `t . s`, `up_2`,
 # composition `s o s'`, symbol families `f_2(...)`; `o` is reserved.
+# Propositions and sequents use the grammar of bindlog.syntax.
 
-_LTOKEN_RE = re.compile(
-    r"""(?P<ws>\s+|\#[^\n]*)
-      | (?P<imp>=>)
-      | (?P<and>/\\)
-      | (?P<or>\\/)
-      | (?P<turnstile>\|-)
-      | (?P<arrow>->)
-      | (?P<index>(\d+|\?\w+(\+\d+)?)_(\d+|\?\w+(\+\d+)?)(?!\w))
-      | (?P<id>id_(\d+|\?\w+(\+\d+)?)(?!\w))
-      | (?P<up>up_(\d+|\?\w+(\+\d+)?)(?!\w))
-      | (?P<fam>[^\W\d]\w*'*_(\d+|\?\w+(\+\d+)?)(?=\())
-      | (?P<meta>\?\w+)
-      | (?P<comp>o(?!\w))
-      | (?P<ident>[^\W\d]\w*'*)
-      | (?P<lbrack>\[) | (?P<rbrack>\]) | (?P<lpar>\() | (?P<rpar>\))
-      | (?P<comma>,) | (?P<dot>\.)
-      | (?P<sym>[=+*×<>])
-    """,
-    re.VERBOSE | re.UNICODE,
+_SUB = r"(?:\d+|\?\w+(?:\+\d+)?)"  # a number or a numeric metavariable ?n, ?n+1
+
+_LTOKEN_RE = syntax.token_re(
+    ("index", rf"{_SUB}_{_SUB}(?!\w)"),
+    ("id", rf"id_{_SUB}(?!\w)"),
+    ("up", rf"up_{_SUB}(?!\w)"),
+    ("fam", rf"[^\W\d]\w*'*_{_SUB}(?=\()"),
+    ("comp", r"o(?!\w)"),
+    ("ident", r"[^\W\d]\w*'*"),
+    ("num", r"\d+"),
 )
+
+# precedence: cons 1, composition 2, closures and atoms tightest
+syntax.OPERATORS.update({
+    Cons: syntax.Operator("dot", ".", 1, 1),
+    Comp: syntax.Operator("comp", "o", 2, 2),
+})
 
 
 def _parse_sub(txt: str):
@@ -930,30 +911,16 @@ class LParser(syntax.Parser):
     token_re = _LTOKEN_RE
 
     def term(self):
-        return self._cons()
+        return self.infix((Cons, Comp), self._postfix)
 
     def term_slot(self) -> Slot:
-        return Slot((), self._cons())
+        return Slot((), self.term())
 
-    def _cons(self):
-        left = self._comp()
-        if self.peek()[0] == "dot":
-            self.next()
-            return Cons(left, self._cons())
-        return left
-
-    def _comp(self):
-        left = self._postfix()
-        if self.peek()[0] == "comp":
-            self.next()
-            return Comp(left, self._comp())
-        return left
-
-    def _postfix(self):
+    def _postfix(self, _level: int):
         t = self._atom()
         while self.peek()[0] == "lbrack":
             self.next()
-            s = self._cons()
+            s = self.term()
             self.expect("rbrack")
             t = Closure(t, s)
         return t
@@ -972,10 +939,10 @@ class LParser(syntax.Parser):
             self.expect("lpar")
             args = []
             if self.peek()[0] != "rpar":
-                args.append(self._cons())
+                args.append(self.term())
                 while self.peek()[0] == "comma":
                     self.next()
-                    args.append(self._cons())
+                    args.append(self.term())
             self.expect("rpar")
             return FApp(fname, _parse_sub(p_txt), tuple(args))
         if kind == "meta":
@@ -983,7 +950,7 @@ class LParser(syntax.Parser):
         if kind == "name":
             return FreeVar(val)
         if kind == "lpar":
-            t = self._cons()
+            t = self.term()
             self.expect("rpar")
             return t
         raise ParseError(f"expected a sorted term, found {val!r}", pos=pos)
@@ -1003,41 +970,16 @@ def parse_lprop(text: str):
     return a
 
 
-# precedence: postfix/atoms 3, composition 2, cons 1
-def _pl(t, level: int) -> str:
-    if isinstance(t, Index):
-        return f"{t.i}_{t.n}"
-    if isinstance(t, FreeVar):
-        return t.name
-    if isinstance(t, Id):
-        return f"id_{t.n}"
-    if isinstance(t, Shift):
-        return f"up_{t.n}"
-    if isinstance(t, FApp):
-        return f"{t.f}_{t.p}({', '.join(_pl(a, 0) for a in t.args)})"
-    if isinstance(t, Closure):
-        return f"{_pl(t.t, 3)}[{_pl(t.s, 0)}]"
-    if isinstance(t, Comp):
-        s = f"{_pl(t.s1, 3)} o {_pl(t.s2, 2)}"
-        return f"({s})" if level > 2 else s
-    if isinstance(t, Cons):
-        s = f"{_pl(t.t, 2)} . {_pl(t.s, 1)}"
-        return f"({s})" if level > 1 else s
-    if isinstance(t, MetaT):
-        return f"?{t.name}"
-    raise TypeError(f"not a sorted term: {t!r}")
-
-
-def print_lterm(t) -> str:
-    return _pl(t, 0)
-
-
-def print_lprop(a) -> str:
-    return syntax.print_prop(a)
-
+syntax.SHOW.update({
+    Index: lambda x: f"{x.i}_{x.n}",
+    FreeVar: lambda x: x.name,
+    Id: lambda x: f"id_{x.n}",
+    Shift: lambda x: f"up_{x.n}",
+    FApp: lambda x: f"{x.f}_{x.p}({', '.join(map(syntax.show, x.args))})",
+    Closure: lambda x: f"{syntax.show(x.t, syntax.TIGHTEST)}[{syntax.show(x.s)}]",
+    MetaT: lambda x: f"?{x.name}",
+})
+print_lterm = print_lprop = syntax.show
 
 for _cls in (Index, FreeVar, FApp, Closure, Id, Cons, Shift, Comp):
-    _cls.__str__ = lambda self: print_lterm(self)  # type: ignore[assignment]
-
-# Lets the shared proposition printer render atoms over this layer.
-syntax._ext_term_printer = print_lterm
+    _cls.__str__ = syntax.show  # type: ignore[assignment]

@@ -10,11 +10,15 @@ The connective and quantifier nodes defined here are shared with the sorted
 explicit-substitution layer (bindlog.sigma): a proposition over that layer
 simply holds sorted terms in binder-free slots. The walks here cover both
 layers through one node protocol (see NodeType), except `substitute` and
-`canonical_binders`: bindlog.sigma has its own substitution.
+`canonical_binders`: bindlog.sigma has its own substitution. So do the
+text grammar (one token list, one operator table, one printer `show`) and
+the reader of line-oriented files (`file_lines`).
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -445,28 +449,56 @@ def well_formed(sig: Signature, x) -> CheckResult:
 # terms:         x | f(x y. t, u)        binder list before '.', none omits it
 # propositions:  P(...) | A => B | A /\ B | A \/ B | false
 #                | forall x. A | exists x. A
-# precedence, weakest first: quantifiers, =>, \/, /\ ; parentheses override.
 # Zero-argument function symbols print as c() so parsing needs no signature.
+#
+# Both layers share this grammar: the tokens below, the operator table and
+# the parser of propositions and sequents. bindlog.sigma adds its own tokens,
+# its operators and an operand grammar for sorted terms.
 
-_TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+|\#[^\n]*)
-      | (?P<imp>=>)
-      | (?P<and>/\\)
-      | (?P<or>\\/)
-      | (?P<turnstile>\|-)
-      | (?P<arrow>->)
-      | (?P<lpar>\()
-      | (?P<rpar>\))
-      | (?P<comma>,)
-      | (?P<dot>\.)
-      | (?P<meta>\?\w+)
-      | (?P<ident>[^\W\d]\w*'*|\d+)
-      | (?P<sym>[=+*×<>])
-    """,
-    re.VERBOSE | re.UNICODE,
-)
+_HEAD_TOKENS = (("ws", r"\s+|#[^\n]*"), ("imp", "=>"), ("and", r"/\\"), ("or", r"\\/"),
+                ("turnstile", r"\|-"), ("arrow", "->"), ("lpar", r"\("), ("rpar", r"\)"),
+                ("comma", ","), ("dot", r"\."), ("lbrack", r"\["), ("rbrack", r"\]"))
+_TAIL_TOKENS = (("meta", r"\?\w+"), ("sym", "[=+*×<>]"))  # after the layer's ?n_k indices
 
-_KEYWORDS = {"forall", "exists", "false"}
+
+def token_re(*layer_tokens: tuple[str, str]) -> re.Pattern:
+    """The token regex of a layer: the shared tokens with the layer's own
+    (kind, pattern) pairs in between, each kind a named group."""
+    return re.compile("|".join(f"(?P<{kind}>{pattern})" for kind, pattern
+                               in (*_HEAD_TOKENS, *layer_tokens, *_TAIL_TOKENS)))
+
+
+_TOKEN_RE = token_re(("ident", r"[^\W\d]\w*'*|\d+"))
+
+QUANTIFIERS = {"forall": Forall, "exists": Exists}
+_KEYWORDS = {*QUANTIFIERS, "false"}
+
+
+@dataclass(frozen=True, slots=True)
+class Operator:
+    """A right-associative infix operator. Its left operand sits at
+    level + 1, its right one at `right`; a higher level binds tighter."""
+
+    kind: str  # its token
+    text: str
+    level: int
+    right: int
+
+
+# Levels, weakest first: quantifiers 0, => 1, \/ 2, /\ 3; leaves and
+# applications bind tightest. bindlog.sigma adds cons and composition.
+OPERATORS: dict[type, Operator] = {
+    Imp: Operator("imp", "=>", 1, 0),  # a quantifier may stand on its right
+    Or: Operator("or", "\\/", 2, 2),
+    And: Operator("and", "/\\", 3, 3),
+}
+TIGHTEST = 4  # above every operator: show parenthesizes all but leaves and applications
+
+
+@functools.cache
+def _by_token(classes: tuple[type, ...]) -> dict[str, tuple[type, int, int]]:
+    """token kind -> (class, level, right level) of the operators of classes"""
+    return {OPERATORS[c].kind: (c, OPERATORS[c].level, OPERATORS[c].right) for c in classes}
 
 
 def tokenize(text: str, token_re: re.Pattern = _TOKEN_RE) -> list[tuple[str, str, int]]:
@@ -525,6 +557,17 @@ class Parser:
         if t[0] != "eof":
             raise ParseError(f"trailing input starting at {t[1]!r}", pos=t[2])
 
+    def infix(self, classes: tuple[type, ...], operand: Callable, level: int = 0):
+        """The longest expression over the operators of `classes` in which
+        every operator has at least `level`; operand(level) reads the rest."""
+        ops = _by_token(classes)
+        left = operand(level)
+        while (op := ops.get(self.peek()[0])) is not None and op[1] >= level:
+            cls, _, right = op
+            self.pos += 1
+            left = cls(left, self.infix(classes, operand, right))
+        return left
+
     # terms -----------------------------------------------------------------
 
     def term(self):
@@ -563,35 +606,16 @@ class Parser:
     # propositions ------------------------------------------------------------
 
     def prop(self):
+        return self.infix((Imp, Or, And), self._prop_operand)
+
+    def _prop_operand(self, level: int):
         kind, val, pos = self.peek()
-        if kind == "kw" and val in ("forall", "exists"):
+        if kind == "kw" and val in QUANTIFIERS and level == 0:
             self.next()
             var = self.expect("name")[1]
             self.expect("dot")
-            body = self.prop()
-            return (Forall if val == "forall" else Exists)(var, body)
-        return self.imp()
-
-    def imp(self):
-        left = self.disj()
-        if self.peek()[0] == "imp":
-            self.next()
-            return Imp(left, self.prop())
-        return left
-
-    def disj(self):
-        left = self.conj()
-        if self.peek()[0] == "or":
-            self.next()
-            return Or(left, self.disj())
-        return left
-
-    def conj(self):
-        left = self.prim()
-        if self.peek()[0] == "and":
-            self.next()
-            return And(left, self.conj())
-        return left
+            return QUANTIFIERS[val](var, self.prop())
+        return self.prim()
 
     def prim(self):
         kind, val, pos = self.peek()
@@ -613,7 +637,7 @@ class Parser:
             return Atom(val, ())
         raise ParseError(f"expected a proposition, found {val!r}", pos=pos)
 
-    # sequents ----------------------------------------------------------------
+    # sequents and proof lines --------------------------------------------------
 
     def sequent(self):
         left = self.prop_list(stop="turnstile")
@@ -629,6 +653,36 @@ class Parser:
             self.next()
             props.append(self.prop())
         return tuple(props)
+
+    def params(self) -> dict:
+        """An optional parameter block `[key=value ...]`: x= a name, A= a
+        proposition, t= a term, at= a non-negative integer; each key once."""
+        params: dict = {}
+        if self.peek()[0] != "lbrack":
+            return params
+        self.next()
+        while self.peek()[0] != "rbrack":
+            kind, key, pos = self.next()
+            if kind != "name" or key not in ("x", "A", "t", "at"):
+                raise ParseError(f"expected x=, A=, t=, at= or ']', found {key!r}", pos=pos)
+            if key in params:
+                raise ParseError(f"duplicate parameter {key!r}", pos=pos)
+            kind, val, pos = self.next()
+            if val != "=":
+                raise ParseError(f"expected '=' after {key}, found {val!r}", pos=pos)
+            if key == "A":
+                params[key] = self.prop()
+            elif key == "t":
+                params[key] = self.term()
+            else:
+                kind, val, pos = self.next()
+                if key == "x" and kind != "name":
+                    raise ParseError(f"x= takes a name, not {val!r}", pos=pos)
+                if key == "at" and not (val.isascii() and val.isdigit()):
+                    raise ParseError(f"at= takes a non-negative integer, not {val!r}", pos=pos)
+                params[key] = val if key == "x" else int(val)
+        self.next()
+        return params
 
 
 def parse_term(text: str, sig: Signature | None = None) -> Term:
@@ -646,64 +700,81 @@ def parse_prop(text: str, sig: Signature | None = None) -> Prop:
 
 
 # ---------------------------------------------------------------------------
-# Printing
-
-_ext_term_printer: Callable[[object], str] | None = None  # installed by bindlog.sigma
+# Printing: one printer for the nodes of both layers
 
 
-def _print_body(t) -> str:
-    if isinstance(t, (Var, App)):
-        return print_term(t)
-    if _ext_term_printer is not None:
-        return _ext_term_printer(t)
-    return str(t)
+def _args(slots) -> str:
+    return ", ".join([f"{' '.join(s.binders)}. {show(s.body)}" if s.binders else show(s.body)
+                      for s in slots])
 
 
-def _print_slot(s: Slot) -> str:
-    if s.binders:
-        return f"{' '.join(s.binders)}. {_print_body(s.body)}"
-    return _print_body(s.body)
+# How show prints each leaf and application class; bindlog.sigma adds its own.
+SHOW: dict[type, Callable[[object], str]] = {
+    Var: lambda x: x.name,
+    App: lambda x: f"{x.symbol}({_args(x.args)})",
+    Atom: lambda x: f"{x.pred}({_args(x.args)})" if x.args else x.pred,
+    Bottom: lambda x: "false",
+}
 
 
-def print_term(t: Term) -> str:
-    if isinstance(t, Var):
-        return t.name
-    return f"{t.symbol}({', '.join(_print_slot(s) for s in t.args)})"
-
-
-# precedence levels: prop body 0, => 1, \/ 2, /\ 3, primary 4
-def _print_prop(p, level: int) -> str:
-    if isinstance(p, (Forall, Exists)):
-        kw = "forall" if isinstance(p, Forall) else "exists"
-        s = f"{kw} {p.var}. {_print_prop(p.body, 0)}"
+def show(x, level: int = 0) -> str:
+    """The text of a node of either layer, as the parser of its layer reads
+    it; parenthesized when its operator's level (a quantifier's is 0) is
+    below `level`."""
+    cls = type(x)
+    printer = SHOW.get(cls)
+    if printer is not None:
+        return printer(x)
+    op = OPERATORS.get(cls)
+    if op is not None:
+        a, b = NODE_TYPES[cls].kids(x)
+        s = f"{show(a, op.level + 1)} {op.text} {show(b, op.right)}"
+        return f"({s})" if level > op.level else s
+    if cls is Forall or cls is Exists:
+        s = f"{NODE_TYPES[cls].name} {x.var}. {show(x.body)}"
         return f"({s})" if level > 0 else s
-    if isinstance(p, Imp):
-        s = f"{_print_prop(p.a, 2)} => {_print_prop(p.b, 0)}"
-        return f"({s})" if level > 1 else s
-    if isinstance(p, Or):
-        s = f"{_print_prop(p.a, 3)} \\/ {_print_prop(p.b, 2)}"
-        return f"({s})" if level > 2 else s
-    if isinstance(p, And):
-        s = f"{_print_prop(p.a, 4)} /\\ {_print_prop(p.b, 3)}"
-        return f"({s})" if level > 3 else s
-    if isinstance(p, Bottom):
-        return "false"
-    if isinstance(p, Atom):
-        if p.args:
-            return f"{p.pred}({', '.join(_print_slot(s) for s in p.args)})"
-        return p.pred
-    raise TypeError(f"not a proposition: {p!r}")
+    raise TypeError(f"cannot print {x!r}")
 
 
-def print_prop(p: Prop) -> str:
-    return _print_prop(p, 0)
+print_term = print_prop = show
 
 
 def print_sequent(left, right) -> str:
-    return f"{', '.join(print_prop(a) for a in left)} |- {', '.join(print_prop(b) for b in right)}".strip()
+    return f"{', '.join(map(show, left))} |- {', '.join(map(show, right))}".strip()
 
 
 # ---------------------------------------------------------------------------
+# Line-oriented files: signatures, rule files, proof files and model tables
+
+
+def file_lines(text: str, layers: tuple[str, ...] = ()) -> tuple[str | None, list]:
+    """The lines of a file that hold something once their `#` comments are
+    cut, as (line number, line) pairs, right-stripped with indentation kept.
+    With `layers`, the file's layer comes first: the one a first line
+    `syntax <layer>` names, which must be one of `layers` and is not among
+    the lines, else layers[0]. Without, the layer is None."""
+    lines = [(lineno, line) for lineno, raw in enumerate(text.splitlines(), start=1)
+             if (line := raw.split("#", 1)[0].rstrip())]
+    words = lines[0][1].split() if layers and lines else ()
+    if not words or words[0] != "syntax":
+        return (layers[0] if layers else None), lines
+    if len(words) != 2 or words[1] not in layers:
+        wanted = " or ".join(f"`syntax {layer}`" for layer in layers)
+        raise ParseError(f"expected {wanted}: {lines[0][1].strip()!r}", line=lines[0][0])
+    return words[1], lines[1:]
+
+
+@contextlib.contextmanager
+def at_line(lineno: int):
+    """Re-raise a ParseError that names no line as one naming line lineno."""
+    try:
+        yield
+    except ParseError as e:
+        if e.line is not None:
+            raise
+        raise ParseError(e.message, line=lineno) from None
+
+
 # Signature files: lines `fun f : <k1,...,kn>` / `pred P : <k1,...,kn>`
 
 _SIG_LINE_RE = re.compile(r"^(fun|pred)\s+(\S+)\s*:\s*<([\d,\s]*)>\s*$")
@@ -712,13 +783,10 @@ _SIG_LINE_RE = re.compile(r"^(fun|pred)\s+(\S+)\s*:\s*<([\d,\s]*)>\s*$")
 def parse_signature(text: str) -> Signature:
     functions: dict[str, BindingArity] = {}
     predicates: dict[str, BindingArity] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        m = _SIG_LINE_RE.match(line)
+    for lineno, line in file_lines(text)[1]:
+        m = _SIG_LINE_RE.match(line.strip())
         if m is None:
-            raise ParseError(f"bad signature line: {raw!r}", line=lineno)
+            raise ParseError(f"bad signature line: {line.strip()!r}", line=lineno)
         kind, name, arity_txt = m.groups()
         arity = tuple(int(k) for k in arity_txt.replace(" ", "").split(",") if k != "")
         table = functions if kind == "fun" else predicates
@@ -734,7 +802,5 @@ def print_signature(sig: Signature) -> str:
     return "\n".join(lines) + "\n"
 
 
-Var.__str__ = lambda self: print_term(self)  # type: ignore[assignment]
-App.__str__ = lambda self: print_term(self)  # type: ignore[assignment]
-for _cls in (Atom, Imp, And, Or, Bottom, Forall, Exists):
-    _cls.__str__ = lambda self: _print_prop(self, 0)  # type: ignore[assignment]
+for _cls in NODE_TYPES:
+    _cls.__str__ = show  # type: ignore[assignment]

@@ -100,13 +100,41 @@ def test_check_proof_malformed_exits_2(capsys, tmp_path, corpus_sig_file):
 @pytest.mark.parametrize("text", [
     "rule weak-left [at=x] |- Q |- Q\n  rule axiom |- Q |- Q\n",
     "syntax\nrule axiom |- Q |- Q\n",
-], ids=["at-not-an-integer", "bare-syntax-line"])
+    "rule weak-left [x=y junk=3] |- Q, P(x) |- Q\n  rule axiom |- Q |- Q\n",
+    "rule weak-left [at=1 at=1] |- Q, P(x) |- Q\n  rule axiom |- Q |- Q\n",
+    "rule weak-left [at0] |- Q, P(x) |- Q\n  rule axiom |- Q |- Q\n",
+    "rule weak-left [at 1] |- Q, P(x) |- Q\n  rule axiom |- Q |- Q\n",
+    "rule weak-left [x=f(y)] |- Q, P(x) |- Q\n  rule axiom |- Q |- Q\n",
+    "rule weak-left [at=-1] |- Q, P(x) |- Q\n  rule axiom |- Q |- Q\n",
+    "rule weak-left [at=1.5] |- Q, P(x) |- Q\n  rule axiom |- Q |- Q\n",
+], ids=["at-not-an-integer", "bare-syntax-line", "unknown-key", "duplicate-key",
+        "key-without-equals", "missing-equals", "x-not-a-name", "at-negative",
+        "at-not-a-whole-number"])
 def test_check_proof_bad_file_is_an_input_error(capsys, tmp_path, corpus_sig_file, text):
     path = tmp_path / "bad.prf"
     path.write_text(text)
     code, out, err = run(capsys, "--sig", corpus_sig_file, "check-proof", str(path))
     assert code == 2 and out == ""
     assert err.startswith("input error") and "(line 1)" in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command, text", [
+    ("check-proof", "rule weak-left [at=1] |- Q, P(x) |- Q\n  rule axiom |- Q, P( |- Q\n"),
+    ("check-proof", "rule weak-left [at=1] |- Q, P(x) |- Q\n  rule axiom [A=P(] |- Q |- Q\n"),
+    ("check-proof", "rule weak-left [at=1] |- Q, P(x) |- Q\n  rule axiom [t=f(] |- Q |- Q\n"),
+    ("normalize", "plus0: +(0(), ?y) -> ?y\nplusS: +(S(?x), ?y -> S(+(?x, ?y))\n"),
+], ids=["proof-sequent", "A-value", "t-value", "rule-pattern"])
+def test_parse_error_inside_a_file_names_its_line(capsys, tmp_path, command, text):
+    sig = tmp_path / "file.sig"
+    sig.write_text(syntax.print_signature(CORPUS_SIG) if command == "check-proof"
+                   else ARITH_SIG_TEXT)
+    path = tmp_path / "file.txt"
+    path.write_text(text)
+    argv = [str(path)] if command == "check-proof" else ["--system", str(path), "+(0(), 0())"]
+    code, out, err = run(capsys, "--sig", str(sig), command, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("input error") and err.rstrip().endswith("(line 2)")
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("layer, modulo", [
