@@ -856,11 +856,12 @@ def load_model(text: str, sig: Signature, name: str = "table-model") -> BindingM
     preds: dict[tuple, int] = {}
     for lineno, line in syntax.file_lines(text)[1]:
         line = line.strip()
-        if line.startswith(("model", "levels")):
-            continue
         try:
             head, _, tail = line.partition(" ")
-            if head == "carrier":
+            if head in ("model", "levels"):
+                if not tail.strip() or head == "levels" and int(tail) < 0:
+                    raise ValueError("expected `model <name>` or `levels <n>`, n >= 0")
+            elif head == "carrier":
                 n_txt, _, elems = tail.partition(":")
                 carriers[int(n_txt)] = tuple(elems.split())
             elif head == "proj":

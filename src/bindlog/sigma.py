@@ -19,6 +19,7 @@ confluence/termination probe harnesses.
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 from dataclasses import dataclass, field
 from typing import Callable
@@ -273,7 +274,6 @@ class Rule:
     # this layer, a head symbol on named terms. Nodes with another head are
     # never offered to the rule.
     head: object
-    display: str = ""
 
 
 def _head_key(x):
@@ -462,6 +462,26 @@ def has_redex(rs: RewriteSystem, x) -> bool:
 # The substitution-propagation system
 
 
+# The rules of Abadi, Cardelli, Curien & Lévy ("Explicit substitutions",
+# 1991) that are plain patterns, in the syntax of rule files. sigma_system
+# puts them between IndexExpand and FPush, which stay code: their right
+# sides are computed from the index, and from the arity and the sort of the
+# substitution.
+SIGMA_RULES = """\
+syntax lterm
+VarCons:   1_?n[?t . ?s] -> ?t
+Id:        ?t[id_?n] -> ?t
+Clos:      ?t[?s][?u] -> ?t[?s o ?u]
+IdL:       id_?n o ?s -> ?s
+ShiftCons: up_?n o (?t . ?s) -> ?s
+AssEnv:    (?s1 o ?s2) o ?s3 -> ?s1 o (?s2 o ?s3)
+MapEnv:    (?t . ?s) o ?u -> ?t[?u] . (?s o ?u)
+IdR:       ?s o id_?n -> ?s
+VarShift:  1_?n+1 . up_?n -> id_?n+1
+SCons:     1_?m[?s] . (up_?k o ?s) -> ?s
+"""
+
+
 def sigma_system(sig: Signature) -> RewriteSystem:
     """The rewrite system that pushes closures through indices, cons, shift,
     composition, and the indexed symbol families of the signature. Sort
@@ -471,61 +491,6 @@ def sigma_system(sig: Signature) -> RewriteSystem:
     def index_expand(t, _sig):
         if isinstance(t, Index) and t.i >= 2:
             return index_normal_form(t.i, t.n)
-        return None
-
-    def var_cons(t, _sig):
-        if isinstance(t, Closure) and isinstance(t.t, Index) and t.t.i == 1 \
-                and isinstance(t.s, Cons):
-            return t.s.t
-        return None
-
-    def clos_id(t, _sig):
-        if isinstance(t, Closure) and isinstance(t.s, Id):
-            return t.t
-        return None
-
-    def clos_clos(t, _sig):
-        if isinstance(t, Closure) and isinstance(t.t, Closure):
-            return Closure(t.t.t, Comp(t.t.s, t.s))
-        return None
-
-    def id_left(t, _sig):
-        if isinstance(t, Comp) and isinstance(t.s1, Id):
-            return t.s2
-        return None
-
-    def shift_cons(t, _sig):
-        if isinstance(t, Comp) and isinstance(t.s1, Shift) and isinstance(t.s2, Cons):
-            return t.s2.s
-        return None
-
-    def assoc(t, _sig):
-        if isinstance(t, Comp) and isinstance(t.s1, Comp):
-            return Comp(t.s1.s1, Comp(t.s1.s2, t.s2))
-        return None
-
-    def map_env(t, _sig):
-        if isinstance(t, Comp) and isinstance(t.s1, Cons):
-            return Cons(Closure(t.s1.t, t.s2), Comp(t.s1.s, t.s2))
-        return None
-
-    def id_right(t, _sig):
-        if isinstance(t, Comp) and isinstance(t.s2, Id):
-            return t.s1
-        return None
-
-    def var_shift(t, _sig):
-        if isinstance(t, Cons) and isinstance(t.t, Index) and t.t.i == 1 \
-                and isinstance(t.s, Shift) and t.t.n == t.s.n + 1:
-            return Id(t.s.n + 1)
-        return None
-
-    def s_cons(t, _sig):
-        if isinstance(t, Cons) and isinstance(t.t, Closure) \
-                and isinstance(t.t.t, Index) and t.t.t.i == 1 \
-                and isinstance(t.s, Comp) and isinstance(t.s.s1, Shift) \
-                and t.s.s2 == t.t.s:
-            return t.t.s
         return None
 
     def f_push(t, sig):
@@ -550,20 +515,8 @@ def sigma_system(sig: Signature) -> RewriteSystem:
             new_args.append(Closure(a, sub))
         return FApp(fa.f, q, tuple(new_args))
 
-    rules = (
-        Rule("IndexExpand", index_expand, Index, "n+1 -> 1[up^n]"),
-        Rule("VarCons", var_cons, Closure, "1[t . s] -> t"),
-        Rule("Id", clos_id, Closure, "t[id] -> t"),
-        Rule("Clos", clos_clos, Closure, "(t[s])[s'] -> t[s o s']"),
-        Rule("IdL", id_left, Comp, "id o s -> s"),
-        Rule("ShiftCons", shift_cons, Comp, "up o (t . s) -> s"),
-        Rule("AssEnv", assoc, Comp, "(s1 o s2) o s3 -> s1 o (s2 o s3)"),
-        Rule("MapEnv", map_env, Comp, "(t . s) o s' -> t[s'] . (s o s')"),
-        Rule("IdR", id_right, Comp, "s o id -> s"),
-        Rule("VarShift", var_shift, Cons, "1 . up -> id"),
-        Rule("SCons", s_cons, Cons, "1[s] . (up o s) -> s"),
-        Rule("FPush", f_push, Closure, "f_p(t1,...,tn)[s] -> f_q(t1[...], ...)"),
-    )
+    rules = (Rule("IndexExpand", index_expand, Index), *_SIGMA_PATTERN_RULES,
+             Rule("FPush", f_push, Closure))
     return RewriteSystem("sigma", rules, "lterm", sig)
 
 
@@ -698,68 +651,105 @@ class MetaN:
     offset: int = 0
 
 
-def _match_num(pat, val, binds) -> bool:
-    if not isinstance(pat, MetaN):
-        return pat == val
-    want = val - pat.offset
-    if want < 0:
-        return False
-    key = "#" + pat.name
-    if key in binds:
-        return binds[key] == want
-    binds[key] = want
-    return True
-
-
-def _build_num(pat, binds):
-    if not isinstance(pat, MetaN):
-        return pat
-    return binds["#" + pat.name] + pat.offset
-
-
-# Patterns are nodes of either layer with MetaT leaves and MetaN in place of
+# Patterns are terms of either layer with MetaT leaves and MetaN in place of
 # numeric data; slot binders must match exactly.
 
+
+@functools.cache
+def _generated(lhs, rhs, rule: bool = False) -> Callable:
+    """The function compiled from a left and a right side, either may be None
+    (a compiled matcher, as in Sekar, Ramakrishnan & Voronkov, "Term
+    indexing", 2001).
+
+    It tests its node against lhs through the field names syntax.register
+    records, binding metavariables left to right into `binds` (a numeric ?n
+    under "#n"), and returns None at the first failed test, else the
+    instance of rhs (True when there is none). A rule's function is its
+    `apply`, of (node, sig), and binds into a fresh dict; otherwise it takes
+    (node, binds) and binds into the caller's dict. Classes and values taken
+    from the patterns reach the source only as its globals, so no rule file
+    text is ever spliced into it."""
+    env: dict = {}
+    lines = ["def _f(x, _sig):", " binds = {}"] if rule else ["def _f(x, binds):"]
+    bound: set = set()
+    names = (f"x{i}" for i in itertools.count(1))
+
+    def const(v) -> str:
+        name = f"_k{len(env)}"
+        env[name] = v
+        return name
+
+    def offset(op: str, v: MetaN) -> str:
+        return f"{op} {const(v.offset)}" if v.offset else ""
+
+    def fail_if(cond: str):
+        lines.append(f" if {cond}: return None")
+
+    def bind(key: str, val: str):
+        k = const(key)
+        if key in bound:
+            fail_if(f"binds[{k}] != {val}")
+        elif rule:
+            lines.append(f" binds[{k}] = {val}")
+        else:
+            fail_if(f"binds.setdefault({k}, {val}) != {val}")
+        bound.add(key)
+
+    def match(pat, x: str):
+        if type(pat) is MetaT:
+            return bind(pat.name, x)
+        n = NODE_TYPES[type(pat)]
+        fail_if(f"type({x}) is not {const(type(pat))}")
+        for field_name, v in zip(n.data_fields, n.data(pat)):
+            if type(v) is not MetaN:
+                fail_if(f"{x}.{field_name} != {const(v)}")
+                continue
+            y = next(names)
+            lines.append(f" {y} = {x}.{field_name}" + offset(" -", v))
+            fail_if(f"{y} < 0")
+            bind("#" + v.name, y)
+        kids = n.kids(pat)
+        if n.seq:
+            y = next(names)
+            lines.append(f" {y} = {x}.{n.kid_fields[0]}")
+            fail_if(f"len({y}) != {len(kids)}")
+            at = [f"{y}[{i}]" for i in range(len(kids))]
+        else:
+            at = [f"{x}.{field_name}" for field_name in n.kid_fields]
+        for c, y in zip(kids, at, strict=True):  # quantifiers have no kid fields
+            if n.slotted:
+                fail_if(f"{y}.binders != {const(c.binders)}")
+                c, y = c.body, f"{y}.body"
+            if type(c) is not MetaT:
+                z = next(names)
+                lines.append(f" {z} = {y}")
+                y = z
+            match(c, y)
+
+    def build(pat) -> str:
+        if type(pat) is MetaT:
+            return f"binds[{const(pat.name)}]"
+        n = NODE_TYPES[type(pat)]
+        args = [f"binds[{const('#' + v.name)}]" + offset(" +", v) if type(v) is MetaN
+                else const(v) for v in n.data(pat)]
+        kids = [f"{const(Slot)}({const(c.binders)}, {build(c.body)})" if n.slotted
+                else build(c) for c in n.kids(pat)]
+        args += [f"({''.join(k + ', ' for k in kids)})"] if n.seq else kids
+        return f"{const(type(pat))}({', '.join(args)})"
+
+    if lhs is not None:
+        match(lhs, "x")
+    lines.append(f" return {'True' if rhs is None else build(rhs)}")
+    exec("\n".join(lines), env)
+    return env["_f"]
+
+
 def match_pattern(pat, node, binds: dict) -> bool:
-    if isinstance(pat, MetaT):
-        if pat.name in binds:
-            return binds[pat.name] == node
-        binds[pat.name] = node
-        return True
-    n = NODE_TYPES[type(pat)]
-    if type(node) is not type(pat):
-        return False
-    if n.variable:
-        return pat == node
-    for p, v in zip(n.data(pat), n.data(node)):
-        if not _match_num(p, v, binds):
-            return False
-    pk, nk = n.kids(pat), n.kids(node)
-    if len(pk) != len(nk):
-        return False
-    for a, b in zip(pk, nk):
-        if n.slotted:
-            if a.binders != b.binders:
-                return False
-            a, b = a.body, b.body
-        if not match_pattern(a, b, binds):
-            return False
-    return True
+    return _generated(pat, None)(node, binds) is not None
 
 
 def build_pattern(pat, binds: dict):
-    if isinstance(pat, MetaT):
-        return binds[pat.name]
-    n = NODE_TYPES[type(pat)]
-    if n.variable:
-        return pat
-    data = tuple([_build_num(v, binds) for v in n.data(pat)])
-    kids = n.kids(pat)
-    if n.slotted:
-        kids = tuple([Slot(s.binders, build_pattern(s.body, binds)) for s in kids])
-    else:
-        kids = tuple([build_pattern(c, binds) for c in kids])
-    return n.make(data, kids)
+    return _generated(None, pat)(None, binds)
 
 
 def _meta_names(pat) -> set[str]:
@@ -774,21 +764,14 @@ def _meta_names(pat) -> set[str]:
     return names
 
 
-def compile_rule(name: str, lhs, rhs, display: str = "") -> Rule:
+def compile_rule(name: str, lhs, rhs) -> Rule:
     if isinstance(lhs, MetaT):
         raise ParseError(f"rule {name}: left side is a lone metavariable")
     unbound = sorted(_meta_names(rhs) - _meta_names(lhs))
     if unbound:
         raise ParseError(f"rule {name!r}: the left side does not bind "
                          f"{', '.join('?' + m.lstrip('#') for m in unbound)}")
-
-    def apply(node, _sig, lhs=lhs, rhs=rhs):
-        binds: dict = {}
-        if match_pattern(lhs, node, binds):
-            return build_pattern(rhs, binds)
-        return None
-
-    return Rule(name, apply, _head_key(lhs), display)
+    return Rule(name, _generated(lhs, rhs, rule=True), _head_key(lhs))
 
 
 class _TermPatternParser(syntax.Parser):
@@ -798,64 +781,71 @@ class _TermPatternParser(syntax.Parser):
         return super().term()
 
 
-def _check_rule_sorts(sig: Signature | None, name: str, lhs, rhs,
-                      tries: int = 400, need: int = 3):
-    """Sampled load-time check that a sorted-layer rule preserves sorts:
-    random instantiations of the metavariables that sort-check on the left
-    must give the same sort on the right."""
+def _check_rule_sorts(sig: Signature | None, name: str, lhs, rhs):
+    """Load-time check that a sorted-layer rule preserves sorts: every
+    instantiation by small leaves (one of each sort with n, p <= 2 for a
+    term metavariable, 0 to 2 for a numeric one) whose left side sort-checks
+    must give the right side the same sort, and there must be one."""
     from . import gen
 
     if sig is None:
         sig = Signature({}, {})
-    metas = sorted(_meta_names(lhs))  # the numeric ones, "#" first, draw first
-    rng = random.Random(0xBD10)
-    successes = 0
-    for _ in range(tries):
-        binds = {m: rng.randrange(0, 3) if m.startswith("#")
-                 else gen.random_lterm(rng, sig, gen.random_sort(rng, hi=2), 3) for m in metas}
+    leaves = [gen.leaf_of_sort(s) for s in
+              [TermSort(n) for n in range(3)]
+              + [SubstSort(n, p) for n in range(3) for p in range(3)]]
+    metas = sorted(_meta_names(lhs))
+    checked = False
+    for values in itertools.product(*[range(3) if m.startswith("#") else leaves
+                                      for m in metas]):
+        binds = dict(zip(metas, values))
         try:
-            inst_l = build_pattern(lhs, binds)
-            sl = sort_of(sig, inst_l)
+            sl = sort_of(sig, build_pattern(lhs, binds))
         except BindLogError:
             continue
         try:
-            inst_r = build_pattern(rhs, binds)
-            sr = sort_of(sig, inst_r)
+            sr = sort_of(sig, build_pattern(rhs, binds))
         except BindLogError as e:
             raise ParseError(f"rule {name!r} breaks sorting on the right: {e}") from None
         if sl != sr:
             raise ParseError(f"rule {name!r} does not preserve sorts: {sl} -> {sr}")
-        successes += 1
-    if successes < need:
+        checked = True
+    if not checked:
         raise ParseError(f"rule {name!r}: found no sort-consistent instantiation to check")
 
 
-def load_rules(text: str, sig: Signature | None = None, name: str = "user") -> RewriteSystem:
-    """Parse a rewrite-rule file: optional `syntax term|lterm` header, then
-    lines `name: lhs -> rhs` with metavariables ?t, ?s and numeric ?n."""
+def _read_rules(text: str) -> tuple[str, list]:
+    """The layer of a rule file and its rules, as (line number, rule, left
+    side, right side)."""
     layer, lines = syntax.file_lines(text, ("term", "lterm"))
-    rules: list[Rule] = []
+    rules = []
     for lineno, line in lines:
         if ":" not in line:
             raise ParseError(f"bad rule line: {line.strip()!r}", line=lineno)
         rname, rest = line.split(":", 1)
-        rname = rname.strip()
         with syntax.at_line(lineno):
             p = _TermPatternParser(rest) if layer == "term" else LParser(rest)
             lhs = p.term()
             p.expect("arrow")
             rhs = p.term()
             p.done()
-            rule = compile_rule(rname, lhs, rhs, display=rest.strip())
+            rule = compile_rule(rname.strip(), lhs, rhs)
             if layer == "term":
-                _check_term_pattern(rname, lhs)
-                _check_term_pattern(rname, rhs)
-            else:
-                _check_rule_sorts(sig, rname, lhs, rhs)
-        rules.append(rule)
+                _check_term_pattern(rule.name, lhs)
+                _check_term_pattern(rule.name, rhs)
+        rules.append((lineno, rule, lhs, rhs))
     if not rules:
         raise ParseError("rule file declares no rules")
-    return RewriteSystem(name, tuple(rules), layer, sig)
+    return layer, rules
+
+
+def load_rules(text: str, sig: Signature | None = None, name: str = "user") -> RewriteSystem:
+    """Parse a rewrite-rule file: optional `syntax term|lterm` header, then
+    lines `name: lhs -> rhs` with metavariables ?t, ?s and numeric ?n."""
+    layer, rules = _read_rules(text)
+    for lineno, rule, lhs, rhs in rules if layer == "lterm" else ():
+        with syntax.at_line(lineno):
+            _check_rule_sorts(sig, rule.name, lhs, rhs)
+    return RewriteSystem(name, tuple(r[1] for r in rules), layer, sig)
 
 
 def _check_term_pattern(name, pat):
@@ -983,3 +973,6 @@ print_lterm = print_lprop = syntax.show
 
 for _cls in (Index, FreeVar, FApp, Closure, Id, Cons, Shift, Comp):
     _cls.__str__ = syntax.show  # type: ignore[assignment]
+
+# read without load_rules' sort check, which tests run on this text instead
+_SIGMA_PATTERN_RULES = tuple(r[1] for r in _read_rules(SIGMA_RULES)[1])

@@ -145,6 +145,10 @@ class NodeType:
     rebuild: Callable  # (node, children in the term view) -> node with the same data
     slotted: bool = False
     variable: bool = False
+    # the field names register was given, which generated code reads
+    data_fields: tuple[str, ...] = ()
+    kid_fields: tuple[str, ...] = ()
+    seq: bool = False
 
 
 class _NodeTypes(dict):
@@ -183,7 +187,7 @@ def register(cls, data: tuple[str, ...] = (), kids: tuple[str, ...] = (), *,
     else:
         children, rebuild = get_kids, lambda x, k: cls(*get_data(x), *k)
     NODE_TYPES[cls] = NodeType(cls.__name__.lower(), get_data, get_kids, make, children,
-                               rebuild, slotted, variable)
+                               rebuild, slotted, variable, data, kids, seq)
 
 
 def _register_quantifier(cls):

@@ -8,7 +8,7 @@ import random
 import pytest
 
 from bindlog import gen, models, precook, syntax
-from bindlog.errors import InfiniteDomainExhaustionRequested, UnboundVariable
+from bindlog.errors import InfiniteDomainExhaustionRequested, ParseError, UnboundVariable
 from bindlog.models import (
     EXT_AXIOMS,
     Computable,
@@ -591,6 +591,16 @@ def test_model_dump_load_roundtrip():
     # loaded elements are their printed tags
     assert eval_term(m2, ET("Λ(x. x)")) == "k0"
     assert eval_term(m2, ET("Λ(x. f(x))")) == "l0"
+
+
+@pytest.mark.parametrize("bad", ["modelling nonsense here", "levelsxx = 3", "levels x",
+                                 "levels -1", "model"])
+def test_model_table_rejects_malformed_header_lines(bad):
+    text = dump_model(EXT, 1)
+    assert load_model(text, EXT.sig).ifs.carrier(1)
+    with pytest.raises(ParseError) as e:
+        load_model(f"{bad}\n{text}", EXT.sig)
+    assert e.value.line == 1
 
 
 def test_model_table_reports_missing_entries():
