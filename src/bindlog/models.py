@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
@@ -74,26 +75,69 @@ class BindingModel:
 
 
 # ---------------------------------------------------------------------------
-# Denotation
+# Denotation, compiled once into closures over one env dict (Feeley & Lapalme,
+# "Using closures for code generation", 1987) that holds phi and one slot per
+# quantifier. A subterm that reads nothing from env is evaluated once; errors
+# are raised when their node is reached, as by a recursive interpreter.
+
+
+def _raiser(exc):
+    def run(*_):
+        raise exc
+    return run
+
+
+def _once(fn):
+    """fn, run until it first returns; later calls give that value."""
+    cell = []
+    return lambda env: cell[0] if cell else cell.append(fn(env)) or cell[0]
+
+
+# env -> the tuple of the closures' values, unrolled for the common arities
+_TUPLE_OF = {
+    1: lambda f: lambda env: (f(env),),
+    2: lambda f, g: lambda env: (f(env), g(env)),
+    3: lambda f, g, h: lambda env: (f(env), g(env), h(env)),
+}
+
+
+def _compile_args(m: BindingModel, slots, ctx: tuple, scope: dict) -> tuple[Callable, bool]:
+    """(env -> the tuple of the slot bodies' denotations, whether it reads
+    env); where some body reads env, the others are evaluated once."""
+    parts = [_compile_term(m, s.body, tuple(reversed(s.binders)) + ctx, scope) for s in slots]
+    reads = any(r for _, r in parts)
+    fns = [f if r or not reads else _once(f) for f, r in parts]
+    unrolled = _TUPLE_OF.get(len(fns))
+    return (unrolled(*fns) if unrolled else lambda env: tuple([f(env) for f in fns])), reads
+
+
+def _compile_term(m: BindingModel, t, ctx: tuple, scope: dict) -> tuple[Callable, bool]:
+    """(env -> the denotation of t at level len(ctx), whether it reads env);
+    scope maps quantified names to their env slots."""
+    n = len(ctx)
+    if isinstance(t, Var):
+        name, box = t.name, m.ifs.box
+        if name in ctx:
+            i, proj = ctx.index(name) + 1, m.ifs.proj
+            return (lambda env: proj(i, n)), False
+        key = scope.get(name, name)
+
+        def free(env):
+            if key not in env:
+                raise UnboundVariable(name)
+            return box(env[key], (), n)
+        return free, True
+    if isinstance(t, App):
+        args, reads = _compile_args(m, t.args, ctx, scope)
+        fh = m.fhat.get(t.symbol) or _raiser(KeyError(t.symbol))
+        return (lambda env: fh(n, args(env))), reads
+    return _raiser(TypeError(f"not a named term: {t!r}")), False
 
 
 def eval_term(m: BindingModel, t, ctx: tuple[str, ...] = (), phi: Mapping | None = None):
     """Denotation of a term in a context of bound variables (innermost
     first); an element of the carrier at level len(ctx)."""
-    phi = phi or {}
-    if isinstance(t, Var):
-        if t.name in ctx:
-            return m.ifs.proj(ctx.index(t.name) + 1, len(ctx))
-        if t.name not in phi:
-            raise UnboundVariable(t.name)
-        return m.ifs.box(phi[t.name], (), len(ctx))
-    if isinstance(t, App):
-        args = tuple(
-            eval_term(m, s.body, tuple(reversed(s.binders)) + tuple(ctx), phi)
-            for s in t.args
-        )
-        return m.fhat[t.symbol](len(ctx), args)
-    raise TypeError(f"not a named term: {t!r}")
+    return _compile_term(m, t, tuple(ctx), {})[0](dict(phi or {}))
 
 
 def _closed_term_values(m: BindingModel, a) -> list:
@@ -121,53 +165,56 @@ def _quantifier_domain(m: BindingModel, prop) -> tuple[tuple, bool]:
     return tuple(m.ifs.m0_samples) + tuple(extra), False
 
 
+# Imp, And, Or: (a, b, v) where the value is v when the sides are a and b,
+# exact when both are; otherwise 1 - v, exact when a side that fixes it is.
+_JUNCTIONS = {Imp: (1, 0, 0), And: (1, 1, 1), Or: (0, 0, 0)}
+
+
+def _compile_prop(m: BindingModel, a, domain: tuple, exhaustive: bool, scope: dict) -> Callable:
+    """env -> (truth value, exact) of a, quantifiers ranging over domain."""
+    if isinstance(a, Atom):
+        args, reads = _compile_args(m, a.args, (), scope)
+        ph = m.phat.get(a.pred) or _raiser(KeyError(a.pred))
+        atom = lambda env: (ph(args(env)), True)  # noqa: E731
+        return atom if reads else _once(atom)
+    if isinstance(a, Bottom):
+        return lambda env: (0, True)
+    if type(a) in _JUNCTIONS:
+        x, y, v = _JUNCTIONS[type(a)]
+        left, right = (_compile_prop(m, b, domain, exhaustive, scope) for b in (a.a, a.b))
+
+        def junction(env):
+            va, ea = left(env)
+            vb, eb = right(env)
+            if va == x and vb == y:
+                return v, ea and eb
+            return 1 - v, (va == 1 - x and ea) or (vb == 1 - y and eb)
+        return junction
+    if isinstance(a, (Forall, Exists)):
+        key = id(a)  # quantifier_witness reads the slot back by this key
+        body = _compile_prop(m, a.body, domain, exhaustive, {**scope, a.var: key})
+        stop, rest = (0, 1) if isinstance(a, Forall) else (1, 0)
+
+        def quantifier(env):
+            all_exact = True
+            for elem in domain:
+                env[key] = elem
+                val, e = body(env)
+                all_exact = all_exact and e
+                if val == stop:
+                    return stop, e
+            env.pop(key, None)  # no element decided the sweep
+            return rest, exhaustive and all_exact
+        return quantifier
+    return _raiser(TypeError(f"not a proposition: {a!r}"))
+
+
 def eval_prop_report(m: BindingModel, a, phi: Mapping | None = None) -> tuple[int, bool]:
     """(truth value, exact). The value is exact unless it rests on a sampled
     quantifier sweep over a non-enumerable domain; a counterexample found in
     the samples still refutes exactly."""
-    phi = dict(phi or {})
-    domain, exhaustive = _quantifier_domain(m, a)
-
-    def go(a, phi) -> tuple[int, bool]:
-        if isinstance(a, Atom):
-            vals = tuple(
-                eval_term(m, s.body, tuple(reversed(s.binders)), phi) for s in a.args
-            )
-            return m.phat[a.pred](vals), True
-        if isinstance(a, Bottom):
-            return 0, True
-        if isinstance(a, Imp):
-            va, ea = go(a.a, phi)
-            vb, eb = go(a.b, phi)
-            if va == 1 and vb == 0:
-                return 0, ea and eb
-            return 1, (va == 0 and ea) or (vb == 1 and eb)
-        if isinstance(a, And):
-            va, ea = go(a.a, phi)
-            vb, eb = go(a.b, phi)
-            if va == 1 and vb == 1:
-                return 1, ea and eb
-            return 0, (va == 0 and ea) or (vb == 0 and eb)
-        if isinstance(a, Or):
-            va, ea = go(a.a, phi)
-            vb, eb = go(a.b, phi)
-            if va == 0 and vb == 0:
-                return 0, ea and eb
-            return 1, (va == 1 and ea) or (vb == 1 and eb)
-        if isinstance(a, (Forall, Exists)):
-            want_all = isinstance(a, Forall)
-            all_exact = True
-            for elem in domain:
-                v, e = go(a.body, {**phi, a.var: elem})
-                all_exact = all_exact and e
-                if want_all and v == 0:
-                    return 0, e
-                if not want_all and v == 1:
-                    return 1, e
-            return (1 if want_all else 0), exhaustive and all_exact
-        raise TypeError(f"not a proposition: {a!r}")
-
-    return go(a, phi)
+    env = dict(phi or {})
+    return _compile_prop(m, a, *_quantifier_domain(m, a), {})(env)
 
 
 def eval_prop(m: BindingModel, a, phi: Mapping | None = None,
@@ -182,24 +229,17 @@ def eval_prop(m: BindingModel, a, phi: Mapping | None = None,
 def quantifier_witness(m: BindingModel, a, phi: Mapping | None = None) -> dict | None:
     """Best-effort witness assignment for the outermost quantifier prefix:
     the values refuting a universal chain, or satisfying an existential one.
-    None when the prefix verdict needs no witness (or none was found)."""
-    phi = dict(phi or {})
-    domain, _ = _quantifier_domain(m, a)
+    None when the prefix verdict needs no witness (or none was found).
+    A quantifier whose sweep stops at a deciding element leaves it in its
+    env slot, and the last sweep of an inner one ran under that element."""
+    env = dict(phi or {})
+    domain, exhaustive = _quantifier_domain(m, a)
+    if isinstance(a, (Forall, Exists)):
+        _compile_prop(m, a, domain, exhaustive, {})(env)
     witness: dict = {}
-    node = a
-    while isinstance(node, (Forall, Exists)):
-        want = 0 if isinstance(node, Forall) else 1
-        found = None
-        for elem in domain:
-            v, _ = eval_prop_report(m, node.body, {**phi, node.var: elem})
-            if v == want:
-                found = elem
-                break
-        if found is None:
-            return witness or None
-        witness[node.var] = found
-        phi[node.var] = found
-        node = node.body
+    while isinstance(a, (Forall, Exists)) and id(a) in env:
+        witness[a.var] = env[id(a)]
+        a = a.body
     return witness or None
 
 
@@ -523,7 +563,11 @@ def delta_model(probe_budget: int = 289) -> BindingModel:
             return Computable(p, lambda *xs, a=a: a)
         if p == 0:
             return a.fn(*bs)
-        return Computable(p, lambda *xs, a=a, bs=bs: a.fn(*[b.fn(*xs) for b in bs]))
+        fa, fbs = a.fn, tuple(b.fn for b in bs)
+        if len(fbs) == 1:
+            (fb,) = fbs
+            return Computable(p, lambda *xs: fa(fb(*xs)))
+        return Computable(p, lambda *xs: fa(*[fb(*xs) for fb in fbs]))
 
     probes: dict[int, list[tuple]] = {}
 
@@ -547,28 +591,26 @@ def delta_model(probe_budget: int = 289) -> BindingModel:
     def sample(n: int, rng: random.Random):
         if n == 0:
             return rng.randrange(0, 512)
-        coeffs = [rng.randrange(0, 4) for _ in range(n)]
+        cs = tuple([rng.randrange(0, 4) for _ in range(n)])
         c0 = rng.randrange(0, 8)
-        return Computable(n, lambda *xs, cs=tuple(coeffs), c0=c0:
-                          c0 + sum(c * x for c, x in zip(cs, xs)))
+        return Computable(n, lambda *xs: sum(map(operator.mul, cs, xs), c0))
 
     def lift0(base: Callable[[int], int]):
         def fh(p: int, args: tuple):
             (d,) = args
             if p == 0:
                 return base(d)
-            return Computable(p, lambda *xs, d=d: base(d.fn(*xs)))
+            fd = d.fn
+            return Computable(p, lambda *xs: base(fd(*xs)))
         return fh
 
     def delta_hat(p: int, args: tuple):
         d, f, g = args
         if p == 0:
             return _delta_base(d, f.fn, g.fn)
-        return Computable(p, lambda *xs, d=d, f=f, g=g: _delta_base(
-            d.fn(*xs),
-            lambda y: f.fn(y, *xs),
-            lambda y: g.fn(y, *xs),
-        ))
+        fd, ff, fg = d.fn, f.fn, g.fn
+        return Computable(p, lambda *xs: _delta_base(
+            fd(*xs), lambda y: ff(y, *xs), lambda y: fg(y, *xs)))
 
     def const_one(p: int, args: tuple):
         if p == 0:

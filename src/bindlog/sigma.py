@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -665,12 +666,14 @@ def _generated(lhs, rhs, rule: bool = False) -> Callable:
     records, binding metavariables left to right into `binds` (a numeric ?n
     under "#n"), and returns None at the first failed test, else the
     instance of rhs (True when there is none). A rule's function is its
-    `apply`, of (node, sig), and binds into a fresh dict; otherwise it takes
-    (node, binds) and binds into the caller's dict. Classes and values taken
+    `apply`, of (node, sig), and binds into a fresh dict only what rhs reads
+    or lhs repeats; otherwise it takes (node, binds) and binds everything
+    into the caller's dict. Classes and values taken
     from the patterns reach the source only as its globals, so no rule file
     text is ever spliced into it."""
     env: dict = {}
     lines = ["def _f(x, _sig):", " binds = {}"] if rule else ["def _f(x, binds):"]
+    kept = rule and {k for k, c in _meta_names(lhs).items() if c > 1} | _meta_names(rhs).keys()
     bound: set = set()
     names = (f"x{i}" for i in itertools.count(1))
 
@@ -689,10 +692,10 @@ def _generated(lhs, rhs, rule: bool = False) -> Callable:
         k = const(key)
         if key in bound:
             fail_if(f"binds[{k}] != {val}")
-        elif rule:
-            lines.append(f" binds[{k}] = {val}")
-        else:
+        elif not rule:
             fail_if(f"binds.setdefault({k}, {val}) != {val}")
+        elif key in kept:
+            lines.append(f" binds[{k}] = {val}")
         bound.add(key)
 
     def match(pat, x: str):
@@ -752,22 +755,22 @@ def build_pattern(pat, binds: dict):
     return _generated(None, pat)(None, binds)
 
 
-def _meta_names(pat) -> set[str]:
-    """The metavariables of a pattern, named as its binds name them: ?t as
-    "t", the numeric ?n as "#n"."""
+def _meta_names(pat) -> Counter:
+    """The metavariables of a pattern, named as its binds name them (?t as
+    "t", the numeric ?n as "#n"), with their numbers of occurrences."""
     if isinstance(pat, MetaT):
-        return {pat.name}
+        return Counter([pat.name])
     n = NODE_TYPES[type(pat)]
-    names = {"#" + v.name for v in n.data(pat) if isinstance(v, MetaN)}
+    names = Counter("#" + v.name for v in n.data(pat) if isinstance(v, MetaN))
     for c in n.children(pat):
-        names |= _meta_names(c)
+        names += _meta_names(c)
     return names
 
 
 def compile_rule(name: str, lhs, rhs) -> Rule:
     if isinstance(lhs, MetaT):
         raise ParseError(f"rule {name}: left side is a lone metavariable")
-    unbound = sorted(_meta_names(rhs) - _meta_names(lhs))
+    unbound = sorted(_meta_names(rhs).keys() - _meta_names(lhs).keys())
     if unbound:
         raise ParseError(f"rule {name!r}: the left side does not bind "
                          f"{', '.join('?' + m.lstrip('#') for m in unbound)}")

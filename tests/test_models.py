@@ -29,7 +29,20 @@ from bindlog.models import (
     sigma_model_from_binding,
     validate_sigma_rules,
 )
-from bindlog.syntax import parse_prop, parse_term
+from bindlog.syntax import (
+    And,
+    App,
+    Atom,
+    Bottom,
+    Exists,
+    Forall,
+    Imp,
+    Or,
+    Slot,
+    Var,
+    parse_prop,
+    parse_term,
+)
 
 EXT = ext_counter_model()
 DELTA = delta_model()
@@ -609,3 +622,285 @@ def test_model_table_reports_missing_entries():
     with pytest.raises(models.BindLogError):
         # needs level-2 boxes that a level-1 dump does not contain
         eval_term(m2, ET("Λ(x. Λ(y. x))"))
+
+
+# ---------------------------------------------------------------------------
+# The compiled evaluator against the recursive interpreters it replaced,
+# kept here verbatim as the reference.
+
+
+def _ref_eval_term(m, t, ctx=(), phi=None):
+    phi = phi or {}
+    if isinstance(t, Var):
+        if t.name in ctx:
+            return m.ifs.proj(ctx.index(t.name) + 1, len(ctx))
+        if t.name not in phi:
+            raise UnboundVariable(t.name)
+        return m.ifs.box(phi[t.name], (), len(ctx))
+    if isinstance(t, App):
+        args = tuple(
+            _ref_eval_term(m, s.body, tuple(reversed(s.binders)) + tuple(ctx), phi)
+            for s in t.args
+        )
+        return m.fhat[t.symbol](len(ctx), args)
+    raise TypeError(f"not a named term: {t!r}")
+
+
+def _ref_closed_term_values(m, a):
+    vals = []
+
+    def visit_term(t):
+        if not syntax.free_vars(t):
+            v = _ref_eval_term(m, t, (), {})
+            if v not in vals:
+                vals.append(v)
+        for c in syntax.NODE_TYPES[type(t)].children(t):
+            visit_term(c)
+
+    for atom in syntax.atoms(a):
+        for s in atom.args:
+            visit_term(s.body)
+    return vals
+
+
+def _ref_quantifier_domain(m, prop):
+    dom = m.ifs.carrier(0)
+    if dom is not None:
+        return tuple(dom), True
+    extra = [v for v in _ref_closed_term_values(m, prop) if v not in m.ifs.m0_samples]
+    return tuple(m.ifs.m0_samples) + tuple(extra), False
+
+
+def _ref_eval_prop_report(m, a, phi=None):
+    phi = dict(phi or {})
+    domain, exhaustive = _ref_quantifier_domain(m, a)
+
+    def go(a, phi):
+        if isinstance(a, Atom):
+            vals = tuple(
+                _ref_eval_term(m, s.body, tuple(reversed(s.binders)), phi) for s in a.args
+            )
+            return m.phat[a.pred](vals), True
+        if isinstance(a, Bottom):
+            return 0, True
+        if isinstance(a, Imp):
+            va, ea = go(a.a, phi)
+            vb, eb = go(a.b, phi)
+            if va == 1 and vb == 0:
+                return 0, ea and eb
+            return 1, (va == 0 and ea) or (vb == 1 and eb)
+        if isinstance(a, And):
+            va, ea = go(a.a, phi)
+            vb, eb = go(a.b, phi)
+            if va == 1 and vb == 1:
+                return 1, ea and eb
+            return 0, (va == 0 and ea) or (vb == 0 and eb)
+        if isinstance(a, Or):
+            va, ea = go(a.a, phi)
+            vb, eb = go(a.b, phi)
+            if va == 0 and vb == 0:
+                return 0, ea and eb
+            return 1, (va == 1 and ea) or (vb == 1 and eb)
+        if isinstance(a, (Forall, Exists)):
+            want_all = isinstance(a, Forall)
+            all_exact = True
+            for elem in domain:
+                v, e = go(a.body, {**phi, a.var: elem})
+                all_exact = all_exact and e
+                if want_all and v == 0:
+                    return 0, e
+                if not want_all and v == 1:
+                    return 1, e
+            return (1 if want_all else 0), exhaustive and all_exact
+        raise TypeError(f"not a proposition: {a!r}")
+
+    return go(a, phi)
+
+
+def _ref_quantifier_witness(m, a, phi=None):
+    phi = dict(phi or {})
+    domain, _ = _ref_quantifier_domain(m, a)
+    witness = {}
+    node = a
+    while isinstance(node, (Forall, Exists)):
+        want = 0 if isinstance(node, Forall) else 1
+        found = None
+        for elem in domain:
+            v, _ = _ref_eval_prop_report(m, node.body, {**phi, node.var: elem})
+            if v == want:
+                found = elem
+                break
+        if found is None:
+            return witness or None
+        witness[node.var] = found
+        phi[node.var] = found
+        node = node.body
+    return witness or None
+
+
+def _outcome(fn, *args):
+    """The result of fn(*args), or the type and arguments of what it raised."""
+    try:
+        return "value", fn(*args)
+    except Exception as e:  # noqa: BLE001 - the exception is what is compared
+        return "raised", type(e), e.args
+
+
+def _small_delta(domain_size: int, probe_budget: int = 6, **fhat):
+    """The delta model with a short sampled quantifier domain (and a short
+    probe list), so nested quantifiers stay cheap; fhat entries override."""
+    m = delta_model(probe_budget=probe_budget)
+    ifs = dataclasses.replace(m.ifs, m0_samples=tuple(range(domain_size)))
+    return dataclasses.replace(m, ifs=ifs, fhat={**m.fhat, **fhat})
+
+
+# free variables: quantified names (x, y, z, w1), names phi may give (u, v)
+# and one no assignment or quantifier ever binds (t)
+_EQ_FREE = ("x", "y", "z", "w1", "u", "v", "t")
+_EQ_MODELS = {
+    "ext": (EXT, lambda rng: rng.choice(EXT.ifs.carrier(0))),
+    "delta": (_small_delta(7), lambda rng: rng.randrange(0, 12)),
+    "table": (load_model(dump_model(EXT, 2), EXT.sig),
+              lambda rng: rng.choice(("k0", "l0"))),
+}
+
+
+def _binders(t) -> set:
+    return set().union(*(set(s.binders) | _binders(s.body) for s in t.args)) \
+        if isinstance(t, App) else set()
+
+
+def _shadowing(a, names=frozenset()) -> bool:
+    """Whether a quantifier of a rebinds a quantified name, or a slot binder
+    shadows one."""
+    if isinstance(a, (Forall, Exists)):
+        return a.var in names or _shadowing(a.body, names | {a.var})
+    if isinstance(a, Atom):
+        return any(names & (set(s.binders) | _binders(s.body)) for s in a.args)
+    return isinstance(a, (Imp, And, Or)) and (_shadowing(a.a, names) or _shadowing(a.b, names))
+
+
+@pytest.mark.parametrize("model", sorted(_EQ_MODELS))
+def test_compiled_evaluation_matches_reference(model):
+    m, draw = _EQ_MODELS[model]
+    rng = random.Random(f"compiled-eval:{model}")
+    seen = {"raised": 0, "inexact": 0, "witness": 0, "shadowing": 0, "phi": 0}
+    for i in range(1500):
+        free = _EQ_FREE if i % 10 == 0 else _EQ_FREE[:-1]
+        a = gen.random_prop(rng, m.sig, rng.randint(1, 9), free=free)
+        if i % 5 == 0:
+            v = rng.choice(_EQ_FREE[:4])
+            a = rng.choice((Forall, Exists))(v, rng.choice((Forall, Exists))(v, a))
+        phi = {x: draw(rng) for x in _EQ_FREE[:6] if rng.random() < 0.8}
+        got = _outcome(eval_prop_report, m, a, phi)
+        assert got == _outcome(_ref_eval_prop_report, m, a, phi), (syntax.print_prop(a), phi)
+        w = _outcome(models.quantifier_witness, m, a, phi)
+        assert w == _outcome(_ref_quantifier_witness, m, a, phi), (syntax.print_prop(a), phi)
+        seen["raised"] += got[0] == "raised"
+        seen["inexact"] += got[0] == "value" and not got[1][1]
+        seen["witness"] += w[0] == "value" and w[1] is not None
+        seen["shadowing"] += _shadowing(a)
+        seen["phi"] += got[0] == "value" and bool(phi.keys() & syntax.free_vars(a))
+    assert seen["raised"] and seen["witness"] and seen["shadowing"] and seen["phi"], seen
+    assert bool(seen["inexact"]) == (model == "delta"), seen
+
+
+@pytest.mark.parametrize("model", sorted(_EQ_MODELS))
+def test_compiled_terms_match_reference(model):
+    m, draw = _EQ_MODELS[model]
+    rng = random.Random(f"compiled-term:{model}")
+    for _ in range(1000):
+        ctx = tuple(rng.sample(("x", "y", "z"), rng.randint(0, 2)))
+        t = gen.random_term(rng, m.sig, rng.randint(1, 10), free=_EQ_FREE, scope=ctx)
+        phi = {x: draw(rng) for x in rng.sample(_EQ_FREE[:6], rng.randint(0, 6))}
+        got = _outcome(eval_term, m, t, ctx, phi)
+        want = _outcome(_ref_eval_term, m, t, ctx, phi)
+        if got[0] == want[0] == "value":
+            assert m.ifs.elem_eq(got[1], want[1], len(ctx)), syntax.print_term(t)
+        else:
+            assert got == want, (syntax.print_term(t), ctx, phi)
+
+
+def test_compiled_evaluation_raises_where_the_reference_does():
+    bad = Atom("=", (Slot((), Var("t")), Slot((), Var("t"))))
+    for m in (EXT, _EQ_MODELS["delta"][0]):
+        for a in (Imp(bad, 42), Imp(Bottom(), 42), And(42, bad),
+                  Forall("x", Or(EP("=(x, x)"), "junk")),
+                  Atom("=", (Slot((), Var("t")), Slot((), App("g", ())))),
+                  Atom("=", (Slot((), App("g", ())), Slot((), Var("t"))))):
+            got = _outcome(eval_prop_report, m, a)
+            assert got[0] == "raised" and got == _outcome(_ref_eval_prop_report, m, a)
+        assert _outcome(eval_term, m, 7) == _outcome(_ref_eval_term, m, 7)
+
+
+def test_closed_subterms_are_evaluated_once():
+    calls = []
+
+    def counted_j(p, args):
+        calls.append(p)
+        return DELTA.fhat["j"](p, args)
+
+    # no sampled q satisfies the body, so the sweep visits every element
+    prop = "exists q. =(δ(i(q), x. j(x), y. i(y)), i(q))"
+    counts = []
+    for size in (5, 50):
+        m = _small_delta(size, j=counted_j)
+        calls.clear()
+        assert eval_prop_report(m, parse_prop(prop, m.sig)) == (0, False)
+        counts.append(len(calls))
+        calls.clear()
+        assert _ref_eval_prop_report(m, parse_prop(prop, m.sig)) == (0, False)
+        assert len(calls) == size  # the interpreter evaluates the slot per element
+    assert counts == [1, 1]
+
+
+# The delta model's sampler and composition as they were before their
+# elements read their functions once.
+
+def _ref_sample(n, rng):
+    if n == 0:
+        return rng.randrange(0, 512)
+    coeffs = [rng.randrange(0, 4) for _ in range(n)]
+    c0 = rng.randrange(0, 8)
+    return Computable(n, lambda *xs, cs=tuple(coeffs), c0=c0:
+                      c0 + sum(c * x for c, x in zip(cs, xs)))
+
+
+def _ref_box(a, bs, p):
+    if not bs:
+        if p == 0:
+            return a
+        return Computable(p, lambda *xs, a=a: a)
+    if p == 0:
+        return a.fn(*bs)
+    return Computable(p, lambda *xs, a=a, bs=bs: a.fn(*[b.fn(*xs) for b in bs]))
+
+
+def _probe_points(n):
+    rng = random.Random(n)
+    return list(itertools.product(range(17), repeat=n)) if n <= 2 else \
+        [tuple(rng.randrange(17) for _ in range(n)) for _ in range(300)]
+
+
+def _same_values(x, y, n) -> bool:
+    if n == 0:
+        return x == y
+    return all(x.fn(*pt) == y.fn(*pt) for pt in _probe_points(n))
+
+
+def test_delta_sampler_and_box_match_reference():
+    ifs = DELTA.ifs
+    for seed in range(20):
+        new_rng, ref_rng = random.Random(seed), random.Random(seed)
+        for n in range(4):
+            for _ in range(3):
+                assert _same_values(ifs.sample(n, new_rng), _ref_sample(n, ref_rng), n)
+        assert new_rng.getstate() == ref_rng.getstate()
+        for k, p in itertools.product(range(4), repeat=2):
+            a_new, a_ref = ifs.sample(k, new_rng), _ref_sample(k, ref_rng)
+            bs_new = tuple(ifs.sample(p, new_rng) for _ in range(k))
+            bs_ref = tuple(_ref_sample(p, ref_rng) for _ in range(k))
+            assert _same_values(ifs.box(a_new, bs_new, p), _ref_box(a_ref, bs_ref, p), p)
+            # composing with the other side's elements gives the same values too
+            assert _same_values(ifs.box(a_ref, bs_ref, p), _ref_box(a_new, bs_new, p), p)
+        assert new_rng.getstate() == ref_rng.getstate()

@@ -2,6 +2,7 @@
 normalization strategies, probe harnesses, rule files, and the grammar."""
 
 import dataclasses
+import dis
 import random
 from pathlib import Path
 
@@ -370,6 +371,26 @@ def test_rule_file_rejects_binders_in_patterns():
     sig = Signature({"λ": (1,)}, {})
     with pytest.raises(ParseError):
         sigma.load_rules("bad: λ(x. ?t) -> ?t\n", sig=sig)
+
+
+def _dict_stores(fn) -> int:
+    return sum(i.opname == "STORE_SUBSCR" for i in dis.get_instructions(fn))
+
+
+def test_rules_store_only_the_metavariables_they_read():
+    # a rule keeps a metavariable only when its right side reads it or its
+    # left side repeats it (the non-linear test)
+    stores = {r.name: _dict_stores(r.apply) for r in RS.rules[1:-1]}
+    assert stores == {"VarCons": 1, "Id": 1, "Clos": 3, "IdL": 1, "ShiftCons": 1,
+                      "AssEnv": 3, "MapEnv": 3, "IdR": 1, "VarShift": 1, "SCons": 1}
+    sig = Signature({"f'": (0, 0), "a": (), "b": ()}, {})
+    rs = sigma.load_rules("r1: f'(?x, ?x) -> a()\nr2: f'(b(), ?y) -> b()\n", sig=sig)
+    assert [_dict_stores(r.apply) for r in rs.rules] == [1, 0]
+    from bindlog.syntax import parse_term
+    assert normalize(rs, parse_term("f'(f'(a(), a()), f'(b(), b()))", sig)) == \
+        parse_term("a()", sig)
+    assert normalize(rs, parse_term("f'(a(), f'(a(), b()))", sig)) == \
+        parse_term("f'(a(), f'(a(), b()))", sig)
 
 
 # ---------------------------------------------------------------------------
