@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
+import operator
 import random
 from collections import Counter
 from dataclasses import dataclass, field
@@ -275,6 +277,9 @@ class Rule:
     # this layer, a head symbol on named terms. Nodes with another head are
     # never offered to the rule.
     head: object
+    # How many levels of a node the rule can tell apart: a rewrite this many
+    # levels below a node, or deeper, cannot change the rule's verdict there.
+    reach: float = math.inf
 
 
 def _head_key(x):
@@ -294,6 +299,12 @@ class RewriteSystem:
         for r in self.rules:
             index[r.head] = index.get(r.head, ()) + (r,)
         return index
+
+    @functools.cached_property
+    def _reach(self) -> tuple[dict[object, float], float]:
+        """The largest reach of the rules at each head, and of finite ones."""
+        return ({h: max(r.reach for r in rules) for h, rules in self._by_head.items()},
+                max((r.reach for r in self.rules if r.reach < math.inf), default=0))
 
     def rules_at(self, x) -> tuple[Rule, ...]:
         """The rules that can fire at x's head, in declaration order."""
@@ -332,7 +343,8 @@ class _Budget:
 
     Marks are keyed by object identity; the table keeps each marked node
     alive so its id cannot be reused. A normal node rewrites to itself in
-    zero steps under either strategy, so skipping it changes no result."""
+    zero steps under either strategy, so skipping it changes no result.
+    Outermost marks each subtree its search leaves without a step."""
 
     __slots__ = ("left", "limit", "steps", "normal")
 
@@ -379,34 +391,59 @@ def _nf_innermost(rs, x, budget, check_sorts):
     return x
 
 
-def _step_outermost(rs, x, normal):
-    """One leftmost-outermost step; returns (new_term, redex, replacement),
-    or None after marking x normal."""
-    if id(x) in normal:
-        return None
-    r = _head_rewrite(rs, x)
-    if r is not None:
-        return r, x, r
-    node = NODE_TYPES[type(x)]
-    kids = node.children(x)
-    for i, c in enumerate(kids):
-        sub = _step_outermost(rs, c, normal)
-        if sub is not None:
-            new_c, redex, repl = sub
-            return node.rebuild(x, kids[:i] + (new_c,) + kids[i + 1:]), redex, repl
-    normal[id(x)] = x
-    return None
-
-
 def _nf_outermost(rs, x, budget, check_sorts):
+    """Leftmost-outermost normal form, by a pre-order search with a stack of
+    frames from the root down to the focus x: [node, kids, index of the kid
+    searched, reach, depth of the topmost frame of infinite reach at or
+    above it, else its own depth + 1]. A frame's rules found no redex when
+    last offered and cannot see a rewrite their reach or more levels below,
+    so after a step only frames within reach are offered again, top down:
+    the steps and errors are those of a search restarted from the root."""
+    normal, (reach, near) = budget.normal, rs._reach
+    stack: list = []
+    r = None
     while True:
-        sub = _step_outermost(rs, x, budget.normal)
-        if sub is None:
+        if r is None and id(x) not in normal:
+            r = _head_rewrite(rs, x)
+            if r is None:
+                kids = _children(x)
+                if kids:
+                    d, k = len(stack), reach.get(_head_key(x), 0)
+                    up = stack[-1][4] if stack else 0
+                    stack.append([x, list(kids), 0, k, up if up < d else d + (k < math.inf)])
+                    x = kids[0]
+                    continue
+                normal[id(x)] = x
+        if r is not None:
+            budget.spend()
+            if check_sorts:
+                _check_step_sorts(rs.sig, x, r)
+            x, r, d = r, None, len(stack)
+            top = stack[-1][4] if stack else 0  # the topmost frame within reach
+            top = next((j for j in range(max(0, d - near), top) if stack[j][3] > d - j), top)
+            y = x
+            for f in reversed(stack[top:]):
+                f[1][f[2]] = y
+                y = f[0] = _rebuild(f[0], tuple(f[1]))
+            for j in range(top, d):
+                if stack[j][3] > d - j and (r := _head_rewrite(rs, stack[j][0])) is not None:
+                    x = stack[j][0]
+                    del stack[j:]
+                    break
+            continue
+        while stack:  # x is finished: go on at the next kid of a frame
+            f = stack[-1]
+            f[1][f[2]] = x
+            f[2] += 1
+            if f[2] < len(f[1]):
+                x = f[1][f[2]]
+                break
+            stack.pop()
+            kids = tuple(f[1])
+            x = _rebuild(f[0], kids) if any(map(operator.is_not, kids, _children(f[0]))) else f[0]
+            normal[id(x)] = x
+        else:
             return x
-        x, redex, repl = sub
-        budget.spend()
-        if check_sorts:
-            _check_step_sorts(rs.sig, redex, repl)
 
 
 def _norm_any(rs, x, budget, strategy, check_sorts):
@@ -456,7 +493,12 @@ def all_one_step(rs: RewriteSystem, x) -> list[tuple[tuple[int, ...], str, objec
 
 
 def has_redex(rs: RewriteSystem, x) -> bool:
-    return _head_rewrite(rs, x) is not None or any(has_redex(rs, c) for c in _children(x))
+    todo = [x]  # pre-order, leftmost first
+    while todo:
+        if _head_rewrite(rs, x := todo.pop()) is not None:
+            return True
+        todo += reversed(_children(x))
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -516,8 +558,11 @@ def sigma_system(sig: Signature) -> RewriteSystem:
             new_args.append(Closure(a, sub))
         return FApp(fa.f, q, tuple(new_args))
 
+    # FPush reads the closure, the FApp under it and the sort of the
+    # substitution s. A step inside a well-sorted s keeps its sort, and an
+    # ill-sorted s raises at the first offer: FPush reaches only 2 levels.
     rules = (Rule("IndexExpand", index_expand, Index), *_SIGMA_PATTERN_RULES,
-             Rule("FPush", f_push, Closure))
+             Rule("FPush", f_push, Closure, reach=2))
     return RewriteSystem("sigma", rules, "lterm", sig)
 
 
@@ -774,7 +819,15 @@ def compile_rule(name: str, lhs, rhs) -> Rule:
     if unbound:
         raise ParseError(f"rule {name!r}: the left side does not bind "
                          f"{', '.join('?' + m.lstrip('#') for m in unbound)}")
-    return Rule(name, _generated(lhs, rhs, rule=True), _head_key(lhs))
+    # reach: the levels of the left side above its metavariables, unless a
+    # repeated term metavariable compares whole subterms, at any depth
+    linear = all(c == 1 for m, c in _meta_names(lhs).items() if m[0] != "#")
+    return Rule(name, _generated(lhs, rhs, rule=True), _head_key(lhs),
+                _depth(lhs) if linear else math.inf)
+
+
+def _depth(pat) -> int:
+    return 0 if type(pat) is MetaT else 1 + max(map(_depth, _children(pat)), default=0)
 
 
 class _TermPatternParser(syntax.Parser):

@@ -600,6 +600,140 @@ def test_rule_applications_stay_bounded(strategy, d):
     assert count[0] <= 100_000
 
 
+@pytest.mark.parametrize("d", (64, 128))
+def test_outermost_step_cost_does_not_grow_with_depth(d):
+    # A search restarted from the root after every step made 93.6 rule
+    # applications per step at d=64 and 185 at d=128; offering again only
+    # the frames within reach of a step makes about 6 at every depth.
+    rs, count = _counting(DEPTH_RS)
+    _, steps = normalize_steps(rs, _depth_term(d), strategy="outermost")
+    assert count[0] <= 8 * steps
+
+
+# ---------------------------------------------------------------------------
+# the outermost normalizer against the recursive one it replaced
+#
+# The references are the outermost normalizer as it was before it kept a
+# stack of frames: one recursive search from the root per step, offering
+# every ancestor of the last redex its rules again. They are kept verbatim
+# but for module prefixes. The normalizer must give the same normal form and
+# step count, or raise the same exception at the same point, on every input.
+
+
+def _ref_step_outermost(rs, x, normal):
+    """One leftmost-outermost step; returns (new_term, redex, replacement),
+    or None after marking x normal."""
+    if id(x) in normal:
+        return None
+    r = sigma._head_rewrite(rs, x)
+    if r is not None:
+        return r, x, r
+    node = syntax.NODE_TYPES[type(x)]
+    kids = node.children(x)
+    for i, c in enumerate(kids):
+        sub = _ref_step_outermost(rs, c, normal)
+        if sub is not None:
+            new_c, redex, repl = sub
+            return node.rebuild(x, kids[:i] + (new_c,) + kids[i + 1:]), redex, repl
+    normal[id(x)] = x
+    return None
+
+
+def _ref_nf_outermost(rs, x, budget, check_sorts):
+    while True:
+        sub = _ref_step_outermost(rs, x, budget.normal)
+        if sub is None:
+            return x
+        x, redex, repl = sub
+        budget.spend()
+        if check_sorts:
+            sigma._check_step_sorts(rs.sig, redex, repl)
+
+
+def _outcome(nf, rs, t, budget, check_sorts):
+    """(normal form, steps) under the normalizer nf, or the type and args of
+    what it raised."""
+    b = sigma._Budget(budget)
+    try:
+        return nf(rs, t, b, check_sorts), b.steps
+    except Exception as e:
+        return type(e), e.args
+
+
+def _assert_outermost_as_reference(rs, t, check_sorts, seen):
+    """Both normalizers agree on t, and again with one step less than it takes;
+    counts the raising and budget cases in `seen`."""
+    want = _outcome(_ref_nf_outermost, rs, t, sigma.DEFAULT_BUDGET, check_sorts)
+    assert _outcome(sigma._nf_outermost, rs, t, sigma.DEFAULT_BUDGET, check_sorts) == want, \
+        (str(t), check_sorts)
+    if isinstance(want[0], type):
+        seen["raising"] += 1
+    elif want[1]:
+        seen["budget"] += 1
+        edge = _outcome(_ref_nf_outermost, rs, t, want[1] - 1, check_sorts)
+        assert edge[0] is StepBudgetExceeded
+        assert _outcome(sigma._nf_outermost, rs, t, want[1] - 1, check_sorts) == edge, \
+            (str(t), check_sorts)
+
+
+def _positions(t, path=()):
+    yield path
+    for i, c in enumerate(sigma._children(t)):
+        yield from _positions(c, path + (i,))
+
+
+def _replace_at(t, path, new):
+    if not path:
+        return new
+    kids = list(sigma._children(t))
+    kids[path[0]] = _replace_at(kids[path[0]], path[1:], new)
+    return sigma._rebuild(t, tuple(kids))
+
+
+# n1 repeats a metavariable, so its reach is infinite; d3 reaches 3 levels
+USER_LTERM_RULES = """\
+syntax lterm
+n1: (?s o ?s) o ?u -> ?s o (?s o ?u)
+d3: ?t[(?u . ?s) o ?v] -> ?t[?u[?v] . (?s o ?v)]
+"""
+
+
+def test_outermost_matches_reference_normalizer():
+    user = sigma.load_rules(USER_LTERM_RULES, sig=SIG)
+    assert [r.reach for r in user.rules] == [float("inf"), 3]
+    extended = RewriteSystem("sigma+user", user.rules + RS.rules, "lterm", SIG)
+    rng = random.Random(0x0E7E)
+    seen = {"raising": 0, "budget": 0}
+    for k in range(3000):
+        t = gen.random_lterm(rng, SIG, gen.random_sort(rng), rng.randint(3, 60))
+        if k % 3 == 0:  # ill-sorted: sort_of, and with it FPush, raises
+            leaf = gen.leaf_of_sort(gen.random_sort(rng), rng=rng)
+            t = _replace_at(t, rng.choice(list(_positions(t))), leaf)
+        # each system meets each setting of the sort check on every 4th term
+        rs, check_sorts = (RS, extended)[k % 2], k % 4 >= 2
+        _assert_outermost_as_reference(rs, t, check_sorts, seen)
+    rs, terms = _arith_products()
+    for t in terms:
+        _assert_outermost_as_reference(rs, t, False, seen)
+    assert seen["raising"] >= 250 and seen["budget"] >= 1500, seen
+
+
+def test_outermost_and_has_redex_take_deep_input():
+    # 10,000 levels are far past the interpreter's recursion limit
+    deep = L("1_1[a_0() . id_0]")
+    for _ in range(10_000):
+        deep = FApp("f", 0, (deep,))
+    nf, steps = normalize_steps(DEPTH_RS, deep, strategy="outermost")
+    assert steps == 1
+    t = nf
+    for _ in range(10_000):  # compared by an iterative walk, as == recurses
+        assert type(t) is FApp and (t.f, t.p, len(t.args)) == ("f", 0, 1)
+        t = t.args[0]
+    assert t == FApp("a", 0, ())
+    assert not sigma.is_F_term(DEPTH_SIG, deep, DEPTH_RS)
+    assert sigma.is_F_term(DEPTH_SIG, nf, DEPTH_RS)
+
+
 # ---------------------------------------------------------------------------
 # the protocol walks against the ladders they replaced
 #
