@@ -23,6 +23,7 @@ import itertools
 import math
 import operator
 import random
+import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable
@@ -43,16 +44,57 @@ DEFAULT_BUDGET = 10**6
 # Sorts and terms
 
 
-@dataclass(frozen=True)
-class TermSort:
+class _Interned:
+    __slots__ = ("__weakref__", "_sort")  # _sort: (signature, sort), see sort_of
+
+    def __reduce__(self):  # copy, deepcopy and pickle go through the table
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+
+
+def _hash_consed(key: str):
+    """Make the class a slotted frozen dataclass whose constructor returns
+    the one live instance with the same `key`, an expression naming the
+    data by value and the children by identity (Filliâtre & Conchon,
+    "Type-safe modular hash-consing", 2006). Equality and hashing stay
+    structural, so no result depends on interning; but equal instances are
+    identical, and == between them is O(1). The table holds weak references
+    without callbacks: a live instance keeps alive the children whose ids
+    make its key, so a dead entry is harmless until the purge that runs when
+    the table has doubled. The constructor runs per node built, so it is
+    generated per class, as rule matchers are."""
+
+    def wrap(cls):
+        cls = dataclass(frozen=True, slots=True, init=False)(cls)
+        fields, table = cls.__match_args__, {}
+        env = {"table": table, "new": object.__new__, "ref": weakref.ref, "purge": _purge,
+               **{f"set_{f}": getattr(cls, f).__set__ for f in fields}}
+        exec(f"def __new__(cls, {', '.join(fields)}):\n key = {key}\n r = table.get(key)\n"
+             " if r is not None and (x := r()) is not None: return x\n x = new(cls)\n"
+             + "".join(f" set_{f}(x, {f})\n" for f in fields) + " table[key] = ref(x)\n"
+             " if len(table) >= cls._purge_at: purge(cls)\n return x", env)
+        cls.__new__, cls._table, cls._purge_at = staticmethod(env["__new__"]), table, 1024
+        return cls
+
+    return wrap
+
+
+def _purge(cls):
+    live = {k: r for k, r in cls._table.items() if r() is not None}
+    cls._table.clear()
+    cls._table.update(live)
+    cls._purge_at = max(2 * len(live), 1024)
+
+
+@_hash_consed("n")
+class TermSort(_Interned):
     n: int
 
     def __str__(self):
         return str(self.n)
 
 
-@dataclass(frozen=True)
-class SubstSort:
+@_hash_consed("(n, p)")
+class SubstSort(_Interned):
     """<n,p>: maps p variables to terms of sort n."""
 
     n: int
@@ -65,23 +107,23 @@ class SubstSort:
 Sort = TermSort | SubstSort
 
 
-@dataclass(frozen=True)
-class Index:
+@_hash_consed("(i, n)")
+class Index(_Interned):
     """The constant i_n of sort n, 1 <= i <= n."""
 
     i: int
     n: int
 
 
-@dataclass(frozen=True)
-class FreeVar:
+@_hash_consed("name")
+class FreeVar(_Interned):
     """A named variable; always of sort 0."""
 
     name: str
 
 
-@dataclass(frozen=True)
-class FApp:
+@_hash_consed("(f, p, *map(id, args))")
+class FApp(_Interned):
     """f_p(args): member p of the family of the binding symbol f."""
 
     f: str
@@ -89,36 +131,36 @@ class FApp:
     args: tuple
 
 
-@dataclass(frozen=True)
-class Closure:
+@_hash_consed("id(t) << 64 | id(s)")
+class Closure(_Interned):
     """t[s]."""
 
     t: object
     s: object
 
 
-@dataclass(frozen=True)
-class Id:
+@_hash_consed("n")
+class Id(_Interned):
     n: int
 
 
-@dataclass(frozen=True)
-class Cons:
+@_hash_consed("id(t) << 64 | id(s)")
+class Cons(_Interned):
     """t . s"""
 
     t: object
     s: object
 
 
-@dataclass(frozen=True)
-class Shift:
+@_hash_consed("n")
+class Shift(_Interned):
     """up_n, of sort <n+1,n>."""
 
     n: int
 
 
-@dataclass(frozen=True)
-class Comp:
+@_hash_consed("id(s1) << 64 | id(s2)")
+class Comp(_Interned):
     """s1 o s2"""
 
     s1: object
@@ -159,53 +201,86 @@ def index_normal_form(i: int, n: int):
 
 
 def sort_of(sig: Signature, t, path: tuple[int, ...] = ()) -> Sort:
-    """The unique sort of a term of this layer; raises on ill-sorted input."""
-    if isinstance(t, Index):
-        if not (1 <= t.i <= t.n):
-            raise IndexOutOfRange(path, t.i, t.n)
-        return TermSort(t.n)
-    if isinstance(t, FreeVar):
+    """The unique sort of a term of this layer; raises on ill-sorted input.
+
+    A post-order walk with an explicit stack that stops at nodes whose sort
+    under sig is cached, and caches the sort of every node it finishes.
+    Errors are not cached, so each call raises its own, with the caller's
+    path. The checks run in the order of the recursive definition, so the
+    first error found is the one it gives."""
+    stack: list = []  # frames (node, the sorts of its children so far)
+
+    def where():  # the path of the node at hand, built only for an error
+        return path + tuple(len(sorts) for _, sorts in stack)
+
+    while True:
+        cached = getattr(t, "_sort", None)
+        if cached is not None and cached[0] is sig:
+            s = cached[1]
+        else:
+            if type(t) is FApp:
+                if t.f not in sig.functions:
+                    raise SortMismatch(where(), "a declared function symbol", repr(t.f))
+                if len(arity := sig.functions[t.f]) != len(t.args):
+                    raise SortMismatch(where(), f"{len(arity)} arguments for {t.f!r}",
+                                       str(len(t.args)))
+            if type(t) in (FApp, Closure, Cons, Comp) and (kids := _children(t)):
+                stack.append((t, []))
+                t = kids[0]
+                continue
+            s = _node_sort(t, (), where)
+            _set_sort(t, (sig, s))
+        while stack:  # hand s to the frame above
+            x, sorts = stack[-1]
+            if type(x) is FApp and s != (want := TermSort(sig.functions[x.f][len(sorts)] + x.p)):
+                raise SortMismatch(where(), str(want), str(s))
+            sorts.append(s)
+            if len(sorts) < len(kids := _children(x)):
+                t = kids[len(sorts)]
+                break
+            stack.pop()
+            s = _node_sort(x, sorts, where)
+            _set_sort(x, (sig, s))
+        else:
+            return s
+
+
+_set_sort = _Interned._sort.__set__  # past the frozen dataclasses' __setattr__
+
+
+def _node_sort(x, sorts, where) -> Sort:
+    """The sort of x from the sorts of its children; an FApp's arguments
+    are checked already. where() is the path of x."""
+    if type(x) is Index:
+        if not (1 <= x.i <= x.n):
+            raise IndexOutOfRange(where(), x.i, x.n)
+        return TermSort(x.n)
+    if type(x) is FreeVar:
         return TermSort(0)
-    if isinstance(t, Id):
-        return SubstSort(t.n, t.n)
-    if isinstance(t, Shift):
-        return SubstSort(t.n + 1, t.n)
-    if isinstance(t, FApp):
-        if t.f not in sig.functions:
-            raise SortMismatch(path, "a declared function symbol", repr(t.f))
-        arity = sig.functions[t.f]
-        if len(arity) != len(t.args):
-            raise SortMismatch(path, f"{len(arity)} arguments for {t.f!r}", str(len(t.args)))
-        for i, (a, k) in enumerate(zip(t.args, arity)):
-            sa = sort_of(sig, a, path + (i,))
-            if sa != TermSort(k + t.p):
-                raise SortMismatch(path + (i,), str(TermSort(k + t.p)), str(sa))
-        return TermSort(t.p)
-    if isinstance(t, Closure):
-        st = sort_of(sig, t.t, path + (0,))
-        ss = sort_of(sig, t.s, path + (1,))
-        if not isinstance(st, TermSort):
-            raise SortMismatch(path + (0,), "a term sort", str(st))
-        if not isinstance(ss, SubstSort) or ss.p != st.n:
-            raise SortMismatch(path + (1,), f"<n,{st.n}>", str(ss))
-        return TermSort(ss.n)
-    if isinstance(t, Cons):
-        st = sort_of(sig, t.t, path + (0,))
-        ss = sort_of(sig, t.s, path + (1,))
-        if not isinstance(st, TermSort):
-            raise SortMismatch(path + (0,), "a term sort", str(st))
-        if not isinstance(ss, SubstSort) or ss.n != st.n:
-            raise SortMismatch(path + (1,), f"<{st.n},p>", str(ss))
-        return SubstSort(ss.n, ss.p + 1)
-    if isinstance(t, Comp):
-        s1 = sort_of(sig, t.s1, path + (0,))
-        s2 = sort_of(sig, t.s2, path + (1,))
-        if not isinstance(s1, SubstSort):
-            raise SortMismatch(path + (0,), "a substitution sort", str(s1))
-        if not isinstance(s2, SubstSort) or s2.p != s1.n:
-            raise SortMismatch(path + (1,), f"<q,{s1.n}>", str(s2))
-        return SubstSort(s2.n, s1.p)
-    raise TypeError(f"not a sorted term: {t!r}")
+    if type(x) is Id:
+        return SubstSort(x.n, x.n)
+    if type(x) is Shift:
+        return SubstSort(x.n + 1, x.n)
+    if type(x) is FApp:
+        return TermSort(x.p)
+    if type(x) not in (Closure, Cons, Comp):
+        raise TypeError(f"not a sorted term: {x!r}")
+    a, b = sorts
+    if type(x) is Comp:
+        if not isinstance(a, SubstSort):
+            raise SortMismatch(where() + (0,), "a substitution sort", str(a))
+        if not isinstance(b, SubstSort) or b.p != a.n:
+            raise SortMismatch(where() + (1,), f"<q,{a.n}>", str(b))
+        return SubstSort(b.n, a.p)
+    if not isinstance(a, TermSort):
+        raise SortMismatch(where() + (0,), "a term sort", str(a))
+    if type(x) is Closure:
+        if not isinstance(b, SubstSort) or b.p != a.n:
+            raise SortMismatch(where() + (1,), f"<n,{a.n}>", str(b))
+        return TermSort(b.n)
+    if not isinstance(b, SubstSort) or b.n != a.n:
+        raise SortMismatch(where() + (1,), f"<{a.n},p>", str(b))
+    return SubstSort(b.n, b.p + 1)
 
 
 def lprop_sorts_ok(sig: Signature, a) -> bool:
@@ -339,12 +414,14 @@ def _head_rewrite(rs: RewriteSystem, x):
 
 
 class _Budget:
-    """Step budget of one normalize call, and the nodes it found normal.
-
-    Marks are keyed by object identity; the table keeps each marked node
-    alive so its id cannot be reused. A normal node rewrites to itself in
-    zero steps under either strategy, so skipping it changes no result.
-    Outermost marks each subtree its search leaves without a step."""
+    """Step budget of one normalize call, and its table of normalized nodes:
+    id -> (node, normal form, steps to it), which keeps each node alive so
+    its id cannot be reused. A normal node maps to itself in zero steps.
+    Outermost enters each subtree its search leaves without a step;
+    innermost, each node it normalizes without error. Innermost
+    normalization of a node is deterministic for the call's rules and sort
+    check, so meeting the node again it spends the recorded steps and takes
+    the recorded form: the steps and errors of normalizing it again."""
 
     __slots__ = ("left", "limit", "steps", "normal")
 
@@ -352,13 +429,13 @@ class _Budget:
         self.left = limit
         self.limit = limit
         self.steps = 0
-        self.normal: dict[int, object] = {}
+        self.normal: dict[int, tuple] = {}
 
-    def spend(self):
-        if self.left <= 0:
+    def spend(self, k: int = 1):
+        if self.left < k:
             raise StepBudgetExceeded(self.limit)
-        self.left -= 1
-        self.steps += 1
+        self.left -= k
+        self.steps += k
 
 
 def _check_step_sorts(sig, before, after):
@@ -371,24 +448,34 @@ def _check_step_sorts(sig, before, after):
 
 
 def _nf_innermost(rs, x, budget, check_sorts):
-    normal = budget.normal
-    while id(x) not in normal:
+    table = budget.normal
+    trail = []  # the nodes this call passes through, with the steps spent before each
+    while (done := table.get(id(x))) is None:
+        trail.append((x, budget.steps))
         node = NODE_TYPES[type(x)]
         kids = node.children(x)
         if kids:
             nfs = tuple(_nf_innermost(rs, c, budget, check_sorts) for c in kids)
-            # keep x itself when no child changed, so a mark on it still holds
+            # keep x itself when no child changed, so its entry still holds
             if any(n is not c for n, c in zip(nfs, kids)):
                 x = node.rebuild(x, nfs)
+                if (done := table.get(id(x))) is not None:
+                    break
+                trail.append((x, budget.steps))
         r = _head_rewrite(rs, x)
         if r is None:
-            normal[id(x)] = x
+            done = x, x, 0
             break
         budget.spend()
         if check_sorts:
             _check_step_sorts(rs.sig, x, r)
         x = r
-    return x
+    _, nf, steps = done
+    if steps:
+        budget.spend(steps)
+    for y, before in trail:
+        table[id(y)] = y, nf, budget.steps - before
+    return nf
 
 
 def _nf_outermost(rs, x, budget, check_sorts):
@@ -413,7 +500,7 @@ def _nf_outermost(rs, x, budget, check_sorts):
                     stack.append([x, list(kids), 0, k, up if up < d else d + (k < math.inf)])
                     x = kids[0]
                     continue
-                normal[id(x)] = x
+                normal[id(x)] = x, x, 0
         if r is not None:
             budget.spend()
             if check_sorts:
@@ -441,7 +528,7 @@ def _nf_outermost(rs, x, budget, check_sorts):
             stack.pop()
             kids = tuple(f[1])
             x = _rebuild(f[0], kids) if any(map(operator.is_not, kids, _children(f[0]))) else f[0]
-            normal[id(x)] = x
+            normal[id(x)] = x, x, 0
         else:
             return x
 

@@ -1,9 +1,14 @@
 """The sorted layer: sort checking, the substitution-propagation system,
 normalization strategies, probe harnesses, rule files, and the grammar."""
 
+import contextlib
+import copy
 import dataclasses
 import dis
+import gc
+import pickle
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -732,6 +737,312 @@ def test_outermost_and_has_redex_take_deep_input():
     assert t == FApp("a", 0, ())
     assert not sigma.is_F_term(DEPTH_SIG, deep, DEPTH_RS)
     assert sigma.is_F_term(DEPTH_SIG, nf, DEPTH_RS)
+
+
+# ---------------------------------------------------------------------------
+# the innermost memo and sort_of against the code they replaced
+#
+# The references are the innermost normalizer as it was before its budget
+# kept normal forms, run under a budget whose table holds only its own
+# marks of normal nodes, and the recursive sort_of, both kept verbatim but
+# for module prefixes and the reference's own name in its recursive call.
+# The memo must give the same normal form and step count, or raise the
+# same exception, on every input; sort_of the same sort or exception, with
+# its sorts cached or not.
+
+
+def _ref_nf_innermost(rs, x, budget, check_sorts):
+    normal = budget.normal
+    while id(x) not in normal:
+        node = syntax.NODE_TYPES[type(x)]
+        kids = node.children(x)
+        if kids:
+            nfs = tuple(_ref_nf_innermost(rs, c, budget, check_sorts) for c in kids)
+            # keep x itself when no child changed, so a mark on it still holds
+            if any(n is not c for n, c in zip(nfs, kids)):
+                x = node.rebuild(x, nfs)
+        r = sigma._head_rewrite(rs, x)
+        if r is None:
+            normal[id(x)] = x
+            break
+        budget.spend()
+        if check_sorts:
+            sigma._check_step_sorts(rs.sig, x, r)
+        x = r
+    return x
+
+
+def _ref_sort_of(sig: Signature, t, path: tuple[int, ...] = ()):
+    """The unique sort of a term of this layer; raises on ill-sorted input."""
+    if isinstance(t, Index):
+        if not (1 <= t.i <= t.n):
+            raise IndexOutOfRange(path, t.i, t.n)
+        return TermSort(t.n)
+    if isinstance(t, FreeVar):
+        return TermSort(0)
+    if isinstance(t, Id):
+        return SubstSort(t.n, t.n)
+    if isinstance(t, Shift):
+        return SubstSort(t.n + 1, t.n)
+    if isinstance(t, FApp):
+        if t.f not in sig.functions:
+            raise SortMismatch(path, "a declared function symbol", repr(t.f))
+        arity = sig.functions[t.f]
+        if len(arity) != len(t.args):
+            raise SortMismatch(path, f"{len(arity)} arguments for {t.f!r}", str(len(t.args)))
+        for i, (a, k) in enumerate(zip(t.args, arity)):
+            sa = _ref_sort_of(sig, a, path + (i,))
+            if sa != TermSort(k + t.p):
+                raise SortMismatch(path + (i,), str(TermSort(k + t.p)), str(sa))
+        return TermSort(t.p)
+    if isinstance(t, Closure):
+        st = _ref_sort_of(sig, t.t, path + (0,))
+        ss = _ref_sort_of(sig, t.s, path + (1,))
+        if not isinstance(st, TermSort):
+            raise SortMismatch(path + (0,), "a term sort", str(st))
+        if not isinstance(ss, SubstSort) or ss.p != st.n:
+            raise SortMismatch(path + (1,), f"<n,{st.n}>", str(ss))
+        return TermSort(ss.n)
+    if isinstance(t, Cons):
+        st = _ref_sort_of(sig, t.t, path + (0,))
+        ss = _ref_sort_of(sig, t.s, path + (1,))
+        if not isinstance(st, TermSort):
+            raise SortMismatch(path + (0,), "a term sort", str(st))
+        if not isinstance(ss, SubstSort) or ss.n != st.n:
+            raise SortMismatch(path + (1,), f"<{st.n},p>", str(ss))
+        return SubstSort(ss.n, ss.p + 1)
+    if isinstance(t, Comp):
+        s1 = _ref_sort_of(sig, t.s1, path + (0,))
+        s2 = _ref_sort_of(sig, t.s2, path + (1,))
+        if not isinstance(s1, SubstSort):
+            raise SortMismatch(path + (0,), "a substitution sort", str(s1))
+        if not isinstance(s2, SubstSort) or s2.p != s1.n:
+            raise SortMismatch(path + (1,), f"<q,{s1.n}>", str(s2))
+        return SubstSort(s2.n, s1.p)
+    raise TypeError(f"not a sorted term: {t!r}")
+
+
+class _CountingBudget(sigma._Budget):
+    """A budget that counts the recorded normalizations of more than one
+    step it replays, and those it has too few steps left for."""
+
+    __slots__ = ("replays", "cut")
+
+    def __init__(self, limit):
+        super().__init__(limit)
+        self.replays = self.cut = 0
+
+    def spend(self, k=1):
+        if k > 1:
+            self.replays += 1
+            self.cut += self.left < k
+        super().spend(k)
+
+
+def _memo_outcome(rs, t, budget, check_sorts, seen):
+    b = _CountingBudget(budget)
+    try:
+        out = sigma._nf_innermost(rs, t, b, check_sorts), b.steps
+    except Exception as e:
+        out = type(e), e.args
+    seen["replays"] += b.replays
+    seen["cut"] += b.cut
+    return out
+
+
+def _assert_innermost_as_reference(rs, t, check_sorts, seen):
+    """The memo and the reference agree on t, and again with one step less
+    than it takes; the memo runs first, on sorts not yet cached."""
+    got = _memo_outcome(rs, t, sigma.DEFAULT_BUDGET, check_sorts, seen)
+    want = _outcome(_ref_nf_innermost, rs, t, sigma.DEFAULT_BUDGET, check_sorts)
+    assert got == want, (str(t), check_sorts)
+    if isinstance(want[0], type):
+        seen["raising"] += 1
+    elif want[1]:
+        seen["budget"] += 1
+        got = _memo_outcome(rs, t, want[1] - 1, check_sorts, seen)
+        edge = _outcome(_ref_nf_innermost, rs, t, want[1] - 1, check_sorts)
+        assert edge[0] is StepBudgetExceeded
+        assert got == edge, (str(t), check_sorts)
+
+
+def test_innermost_memo_matches_reference_normalizer():
+    user = sigma.load_rules(USER_LTERM_RULES, sig=SIG)
+    extended = RewriteSystem("sigma+user", user.rules + RS.rules, "lterm", SIG)
+    rng = random.Random(0x3E30)
+    seen: Counter = Counter()
+    for k in range(3000):
+        t = gen.random_lterm(rng, SIG, gen.random_sort(rng), rng.randint(3, 60))
+        if k % 3 == 0:  # ill-sorted: sort_of, and with it FPush, raises
+            leaf = gen.leaf_of_sort(gen.random_sort(rng), rng=rng)
+            t = _replace_at(t, rng.choice(list(_positions(t))), leaf)
+        for rs in (RS, extended):
+            for check_sorts in (False, True):
+                _assert_innermost_as_reference(rs, t, check_sorts, seen)
+    rs, terms = _arith_products()
+    for t in terms:
+        _assert_innermost_as_reference(rs, t, False, seen)
+    assert seen["raising"] >= 1000 and seen["budget"] >= 7000, seen
+    assert seen["replays"] >= 5000 and seen["cut"] >= 300, seen
+
+
+def _sort_outcome(sort_fn, sig, t, path):
+    try:
+        return sort_fn(sig, t, path)
+    except Exception as e:
+        return type(e), e.args
+
+
+def test_sort_of_matches_recursive_reference():
+    # the same symbols with other arities, and c undeclared
+    other = Signature({"f": (1,), "g": (0,), "Λ": (0,), "δ": (0, 1, 1)}, {})
+    rng = random.Random(0x5027)
+    kinds: Counter = Counter()
+    for k in range(3000):
+        if k % 2:
+            t = _any_lterm(rng, rng.randint(0, 5))
+        else:
+            t = gen.random_lterm(rng, SIG, gen.random_sort(rng), rng.randint(3, 60))
+            if k % 3 == 0:
+                leaf = gen.leaf_of_sort(gen.random_sort(rng), rng=rng)
+                t = _replace_at(t, rng.choice(list(_positions(t))), leaf)
+        pos = rng.choice(list(_positions(t)))
+        if k % 10 == 5:  # not a term of this layer: a TypeError
+            t = _replace_at(t, pos, MetaT("m"))
+        sub = t
+        for p in pos:
+            sub = sigma._children(sub)[p]
+        # under SIG cold, then cached, then after other's sorts were cached
+        for sig in (SIG, SIG, other, SIG):
+            for x, path in ((t, ()), (sub, pos)):
+                want = _sort_outcome(_ref_sort_of, sig, x, path)
+                assert _sort_outcome(sort_of, sig, x, path) == want, (str(x), path)
+                kinds[want[0].__name__ if type(want) is tuple else "sort"] += 1
+    assert min(kinds.values()) >= 200 and len(kinds) == 4, kinds
+
+
+# ---------------------------------------------------------------------------
+# interning and the sort cache
+
+LTERM_CLASSES = (Index, FreeVar, FApp, Closure, Id, Cons, Shift, Comp)
+
+
+def _live_nodes():
+    return sum(r() is not None for cls in LTERM_CLASSES for r in cls._table.values())
+
+
+def _rebuilt(t):
+    """t built again node by node, bottom-up."""
+    n = syntax.NODE_TYPES[type(t)]
+    return n.make(n.data(t), tuple(map(_rebuilt, n.kids(t))))
+
+
+def test_one_live_node_per_structure():
+    rng = random.Random(0x1D)
+    for _ in range(2000):
+        t = gen.random_lterm(rng, SIG, gen.random_sort(rng), rng.randint(1, 60))
+        n = syntax.NODE_TYPES[type(t)]
+        assert parse_lterm(print_lterm(t)) is t
+        assert n.make(n.data(t), n.kids(t)) is t
+        assert _rebuilt(t) is t
+        assert copy.copy(t) is t
+        assert copy.deepcopy(t) is t
+        assert pickle.loads(pickle.dumps(t)) is t
+    assert TermSort(2) is TermSort(2) and SubstSort(1, 2) is copy.deepcopy(SubstSort(1, 2))
+
+
+def test_interning_keeps_no_dead_terms():
+    t = _depth_term(64)
+    gc.collect()
+    before = _live_nodes()
+    for check_sorts in (False, True):
+        nf = normalize(DEPTH_RS, t, strategy="innermost", check_sorts=check_sorts)
+        assert _live_nodes() > before
+        del nf
+        gc.collect()
+        assert _live_nodes() == before
+
+
+def test_sort_cache_is_per_signature():
+    t = Closure(FApp("f", 0, (FreeVar("x"),)), Id(0))
+    one, two, none = (Signature(f, {}) for f in ({"f": (0,)}, {"f": (1,)}, {}))
+    for _ in range(3):
+        for sig in (one, two, one, none, Signature({"f": (0,)}, {})):
+            assert _sort_outcome(sort_of, sig, t, ()) == _sort_outcome(_ref_sort_of, sig, t, ())
+    assert sort_of(one, t) is TermSort(0)
+    with pytest.raises(SortMismatch) as e:
+        sort_of(two, t)
+    assert e.value.path == (0, 0)
+    with pytest.raises(SortMismatch) as e:
+        sort_of(none, t)
+    assert e.value.path == (0,)
+
+
+def test_sort_errors_are_not_cached():
+    # the well-sorted parts are cached on the first call; the errors are not
+    for bad, path in ((Closure(Closure(FreeVar("x"), Shift(0)), Id(2)), (1,)),
+                      (Cons(FApp("f", 0, (Index(3, 2),)), Id(0)), (0, 0)),
+                      (Comp(Cons(FreeVar("x"), Id(0)), Closure(FreeVar("y"), Id(0))), (1,))):
+        for caller in ((), (), (4, 1), ()):
+            want = _sort_outcome(_ref_sort_of, SIG, bad, caller)
+            assert _sort_outcome(sort_of, SIG, bad, caller) == want
+            with pytest.raises(BindLogError) as e:
+                sort_of(SIG, bad, caller)
+            assert e.value.path == caller + path
+
+
+def _node_count(t):
+    return 1 + sum(map(_node_count, sigma._children(t)))
+
+
+@contextlib.contextmanager
+def _counting_builds():
+    """Counts the nodes the hash-consing constructors build anew, through
+    the allocator their generated code calls."""
+    built = [0]
+
+    def new(cls):
+        built[0] += 1
+        return object.__new__(cls)
+
+    envs = [cls.__new__.__globals__ for cls in LTERM_CLASSES]
+    for env in envs:
+        env["new"] = new
+    try:
+        yield built
+    finally:
+        for env in envs:
+            env["new"] = object.__new__
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_sort_checks_cost_the_nodes_built(strategy, monkeypatch):
+    # Before sorts were cached, checking a step walked the whole redex and
+    # its replacement: O(|term|) sort computations per step.
+    computed = [0]
+
+    def counted(*args, inner=sigma._node_sort):
+        computed[0] += 1
+        return inner(*args)
+
+    t = _depth_term(64)
+    monkeypatch.setattr(sigma, "_node_sort", counted)
+    with _counting_builds() as built:
+        normalize(DEPTH_RS, t, strategy=strategy, check_sorts=True)
+    assert 0 < computed[0] <= 4 * (_node_count(t) + built[0]), (computed, built)
+
+
+def test_sort_of_takes_deep_input():
+    # 10,000 levels are far past the interpreter's recursion limit
+    sig = Signature({"f": (0,), "a": ()}, {})
+    chain, cons, bad = FApp("a", 0, ()), Id(0), Index(2, 1)
+    for _ in range(10_000):
+        chain, cons, bad = FApp("f", 0, (chain,)), Cons(FreeVar("x"), cons), FApp("f", 0, (bad,))
+    assert sort_of(sig, chain) is TermSort(0)
+    assert sort_of(sig, cons) is SubstSort(0, 10_000)
+    with pytest.raises(IndexOutOfRange) as e:
+        sort_of(sig, bad)
+    assert e.value.path == (0,) * 10_000
 
 
 # ---------------------------------------------------------------------------
