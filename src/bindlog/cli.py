@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import models, precook, proofs, sigma, syntax
-from .errors import BindLogError, ParseError
+from .errors import BindLogError, InvalidSourceProof, ParseError
 
 
 def _load_signature(args) -> syntax.Signature:
@@ -98,14 +98,9 @@ def cmd_normalize(args) -> int:
     else:
         rs = sigma.load_rules(Path(args.system).read_text(), sig=sig,
                               name=Path(args.system).stem)
-    if rs.layer == "lterm":
-        t = sigma.parse_lterm(args.input)
-        nf, steps = sigma.normalize_steps(rs, t, budget=args.step_budget)
-        out = sigma.print_lterm(nf)
-    else:
-        t = syntax.parse_term(args.input, sig)
-        nf, steps = sigma.normalize_steps(rs, t, budget=args.step_budget)
-        out = syntax.print_term(nf)
+    t = sigma.parse_lterm(args.input) if rs.layer == "lterm" else syntax.parse_term(args.input, sig)
+    nf, steps = sigma.normalize_steps(rs, t, budget=args.step_budget)
+    out = syntax.show(nf)
     _emit(args, [out], {"normal_form": out, "steps": steps})
     return 0
 
@@ -125,11 +120,11 @@ def cmd_precook(args) -> int:
 def cmd_translate_proof(args) -> int:
     sig = _load_signature(args)
     proof = _load_proof(args.proof, sig, None)
-    result = proofs.check_binding_proof(sig, proof)
-    if not result.ok:
-        print(f"source proof invalid: {result}", file=sys.stderr)
+    try:
+        translated = precook.translate_proof(sig, proof)
+    except InvalidSourceProof as e:
+        print(f"source proof invalid: {e}", file=sys.stderr)
         return 1
-    translated = precook.translate_proof(sig, proof)
     text = proofs.print_proof_file(translated, layer="lprop")
     if args.output:
         Path(args.output).write_text(text)

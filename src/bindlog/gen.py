@@ -6,6 +6,7 @@ functions are deterministic given the Random instance they are handed.
 
 from __future__ import annotations
 
+import functools
 import random
 
 from . import sigma
@@ -170,69 +171,39 @@ def random_lterm(rng: random.Random, sig: Signature | None, sort, size: int,
 def sigma_rule_instances(rng: random.Random, sig: Signature, rule_name: str,
                          count: int, size: int = 5):
     """Concrete (lhs, rhs) instances of one substitution rule; both sides are
-    sort-correct and rhs is the one-step reduct of lhs under that rule."""
-    rs = sigma.sigma_system(sig)
-    rule = rs.rule(rule_name)
+    sort-correct and rhs is the one-step reduct of lhs under that rule. The
+    left side of a rule written as a pattern is one of its shapes (see
+    sigma._shapes), each term metavariable filled by a random term of its
+    sort; the two rules that are code have generators of their own."""
+    rule = sigma.sigma_system(sig).rule(rule_name)
     out = []
-    tries = 0
-    while len(out) < count and tries < count * 200:
-        tries += 1
-        lhs = _rule_lhs_candidate(rng, sig, rule_name, size)
+    for _ in range(count):
+        lhs = _rule_lhs(rng, sig, rule_name, size)
         if lhs is None:
-            break
-        rhs = rule.apply(lhs, sig)
-        if rhs is None:
-            continue
-        out.append((lhs, rhs))
-    if len(out) < count:
-        raise ValueError(f"could not build {count} instances of {rule_name}")
+            raise ValueError(f"could not build {count} instances of {rule_name}")
+        out.append((lhs, rule.apply(lhs, sig)))
     return out
 
 
-def _rule_lhs_candidate(rng, sig, rule_name, size):
-    T, S = sigma.TermSort, sigma.SubstSort
-    n = rng.randrange(0, 3)
-    p = rng.randrange(0, 3)
-    t = lambda srt: random_lterm(rng, sig, srt, rng.randint(1, size))
+@functools.cache
+def _shapes(rule_name: str) -> list[dict]:
+    # The sigma patterns name no function symbol, so their shapes are those
+    # under every signature.
+    return sigma._shapes(Signature({}, {}), sigma._SIGMA_PATTERNS[rule_name][1])
+
+
+def _rule_lhs(rng, sig, rule_name, size):
     if rule_name == "IndexExpand":
         hi = rng.randrange(2, 6)
         return sigma.Index(rng.randint(2, hi), hi)
-    if rule_name == "VarCons":
-        body = t(T(n))
-        tail = t(S(n, p))
-        return sigma.Closure(sigma.Index(1, p + 1), sigma.Cons(body, tail))
-    if rule_name == "Id":
-        return sigma.Closure(t(T(n)), sigma.Id(n))
-    if rule_name == "Clos":
-        q = rng.randrange(0, 3)
-        inner = sigma.Closure(t(T(q)), t(S(p, q)))
-        return sigma.Closure(inner, t(S(n, p)))
-    if rule_name == "IdL":
-        return sigma.Comp(sigma.Id(n), t(S(p, n)))
-    if rule_name == "ShiftCons":
-        head = t(T(n))
-        tail = t(S(n, p))
-        return sigma.Comp(sigma.Shift(p), sigma.Cons(head, tail))
-    if rule_name == "AssEnv":
-        q = rng.randrange(0, 3)
-        m = rng.randrange(0, 3)
-        return sigma.Comp(sigma.Comp(t(S(q, m)), t(S(p, q))), t(S(n, p)))
-    if rule_name == "MapEnv":
-        q = rng.randrange(0, 3)
-        return sigma.Comp(sigma.Cons(t(T(p)), t(S(p, n))), t(S(q, p)))
-    if rule_name == "IdR":
-        return sigma.Comp(t(S(n, p)), sigma.Id(n))
-    if rule_name == "VarShift":
-        return sigma.Cons(sigma.Index(1, n + 1), sigma.Shift(n))
-    if rule_name == "SCons":
-        s = t(S(n, p + 1))
-        return sigma.Cons(sigma.Closure(sigma.Index(1, p + 1), s),
-                          sigma.Comp(sigma.Shift(p), s))
+    t = lambda sort: random_lterm(rng, sig, sort, rng.randint(1, size))
     if rule_name == "FPush":
         funs = list(sig.functions.items())
         if not funs:
             return None
+        n, p = rng.randrange(0, 3), rng.randrange(0, 3)
         f, arity = rng.choice(funs)
-        args = tuple(t(T(k + p)) for k in arity)
-        return sigma.Closure(sigma.FApp(f, p, args), t(S(n, p)))
-    raise KeyError(rule_name)
+        args = tuple(t(sigma.TermSort(k + p)) for k in arity)
+        return sigma.Closure(sigma.FApp(f, p, args), t(sigma.SubstSort(n, p)))
+    shape = rng.choice(_shapes(rule_name))
+    return sigma.build_pattern(sigma._SIGMA_PATTERNS[rule_name][1], sigma._fill(shape, t))

@@ -256,10 +256,6 @@ class SweepReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def merge(self, other: "SweepReport"):
-        self.checked += other.checked
-        self.violations.extend(other.violations)
-
     def summary(self) -> str:
         verdict = "ok" if self.ok else f"{len(self.violations)} violations"
         return f"{self.checked} instances checked, {verdict}"
@@ -447,9 +443,7 @@ def check_unary_retraction(m: BindingModel, f: str, q_max: int) -> SweepReport:
     ifs = m.ifs
     fh = m.fhat[f]
     for q in range(0, q_max + 1):
-        elems = ifs.carrier(q)
-        if elems is None:
-            raise InfiniteDomainExhaustionRequested(f"carrier {q} is not enumerable")
+        elems = _level_elements(ifs, q, "exhaustive", 0, None)
         s = tuple(ifs.proj(j, q + 1) for j in range(2, q + 2))
         for b in elems:
             rep.checked += 1

@@ -12,7 +12,6 @@ exactly the terms in the image of the translation.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from . import proofs, sigma, syntax
@@ -58,15 +57,7 @@ def precook_prop(sig: Signature, a):
 
 
 def _fresh_binder_namer(avoid: frozenset[str]):
-    counter = itertools.count(1)
-
-    def fresh() -> str:
-        while True:
-            cand = f"z{next(counter)}"
-            if cand not in avoid:
-                return cand
-
-    return fresh
+    return syntax.numbered_names("z", avoid)
 
 
 def uncook(sig: Signature, t):

@@ -51,20 +51,29 @@ class _Interned:
         return type(self), tuple(getattr(self, f) for f in self.__match_args__)
 
 
-def _hash_consed(key: str):
+def _hash_consed(data: tuple[str, ...] = (), kids: tuple[str, ...] = (), *,
+                 seq: bool = False, variable: bool = False, node: bool = True):
     """Make the class a slotted frozen dataclass whose constructor returns
-    the one live instance with the same `key`, an expression naming the
-    data by value and the children by identity (Filliâtre & Conchon,
-    "Type-safe modular hash-consing", 2006). Equality and hashing stay
-    structural, so no result depends on interning; but equal instances are
-    identical, and == between them is O(1). The table holds weak references
-    without callbacks: a live instance keeps alive the children whose ids
-    make its key, so a dead entry is harmless until the purge that runs when
-    the table has doubled. The constructor runs per node built, so it is
-    generated per class, as rule matchers are."""
+    the one live instance with the same data, compared by value, and the
+    same children, compared by identity (Filliâtre & Conchon, "Type-safe
+    modular hash-consing", 2006). Equal instances are thus identical, so
+    equality and hashing are identity's, O(1) at any depth. The fields have
+    the roles syntax.register takes, and a node class is registered with
+    them. The table holds weak references without callbacks: a live
+    instance keeps alive the children whose ids make its key, so a dead
+    entry is harmless until the purge that runs when the table has
+    doubled. The constructor runs per node built, so it is generated per
+    class, as rule matchers are."""
+    ids = [f"*map(id, {k})" if seq else f"id({k})" for k in kids]
+    if len(ids) == 2 and not data:
+        key = f"{ids[0]} << 64 | {ids[1]}"
+    elif len(data) == 1 and not kids:
+        key = data[0]
+    else:
+        key = f"({', '.join([*data, *ids])},)"
 
     def wrap(cls):
-        cls = dataclass(frozen=True, slots=True, init=False)(cls)
+        cls = dataclass(frozen=True, slots=True, init=False, eq=False)(cls)
         fields, table = cls.__match_args__, {}
         env = {"table": table, "new": object.__new__, "ref": weakref.ref, "purge": _purge,
                **{f"set_{f}": getattr(cls, f).__set__ for f in fields}}
@@ -73,6 +82,8 @@ def _hash_consed(key: str):
              + "".join(f" set_{f}(x, {f})\n" for f in fields) + " table[key] = ref(x)\n"
              " if len(table) >= cls._purge_at: purge(cls)\n return x", env)
         cls.__new__, cls._table, cls._purge_at = staticmethod(env["__new__"]), table, 1024
+        if node:
+            syntax.register(cls, data, kids, seq=seq, variable=variable)
         return cls
 
     return wrap
@@ -85,7 +96,7 @@ def _purge(cls):
     cls._purge_at = max(2 * len(live), 1024)
 
 
-@_hash_consed("n")
+@_hash_consed(("n",), node=False)
 class TermSort(_Interned):
     n: int
 
@@ -93,7 +104,7 @@ class TermSort(_Interned):
         return str(self.n)
 
 
-@_hash_consed("(n, p)")
+@_hash_consed(("n", "p"), node=False)
 class SubstSort(_Interned):
     """<n,p>: maps p variables to terms of sort n."""
 
@@ -107,7 +118,7 @@ class SubstSort(_Interned):
 Sort = TermSort | SubstSort
 
 
-@_hash_consed("(i, n)")
+@_hash_consed(("i", "n"))
 class Index(_Interned):
     """The constant i_n of sort n, 1 <= i <= n."""
 
@@ -115,14 +126,14 @@ class Index(_Interned):
     n: int
 
 
-@_hash_consed("name")
+@_hash_consed(("name",), variable=True)
 class FreeVar(_Interned):
     """A named variable; always of sort 0."""
 
     name: str
 
 
-@_hash_consed("(f, p, *map(id, args))")
+@_hash_consed(("f", "p"), ("args",), seq=True)
 class FApp(_Interned):
     """f_p(args): member p of the family of the binding symbol f."""
 
@@ -131,7 +142,7 @@ class FApp(_Interned):
     args: tuple
 
 
-@_hash_consed("id(t) << 64 | id(s)")
+@_hash_consed(kids=("t", "s"))
 class Closure(_Interned):
     """t[s]."""
 
@@ -139,12 +150,12 @@ class Closure(_Interned):
     s: object
 
 
-@_hash_consed("n")
+@_hash_consed(("n",))
 class Id(_Interned):
     n: int
 
 
-@_hash_consed("id(t) << 64 | id(s)")
+@_hash_consed(kids=("t", "s"))
 class Cons(_Interned):
     """t . s"""
 
@@ -152,14 +163,14 @@ class Cons(_Interned):
     s: object
 
 
-@_hash_consed("n")
+@_hash_consed(("n",))
 class Shift(_Interned):
     """up_n, of sort <n+1,n>."""
 
     n: int
 
 
-@_hash_consed("id(s1) << 64 | id(s2)")
+@_hash_consed(kids=("s1", "s2"))
 class Comp(_Interned):
     """s1 o s2"""
 
@@ -168,16 +179,6 @@ class Comp(_Interned):
 
 
 LTerm = Index | FreeVar | FApp | Closure | Id | Cons | Shift | Comp
-
-syntax.register(Index, ("i", "n"))
-syntax.register(FreeVar, ("name",), variable=True)
-syntax.register(FApp, ("f", "p"), ("args",), seq=True)
-syntax.register(Closure, kids=("t", "s"))
-syntax.register(Id, ("n",))
-syntax.register(Cons, kids=("t", "s"))
-syntax.register(Shift, ("n",))
-syntax.register(Comp, kids=("s1", "s2"))
-
 
 def shift_chain(base: int, count: int):
     """up_base o (up_base+1 o ...), right-associated; count >= 1."""
@@ -769,9 +770,10 @@ def termination_probe(rs: RewriteSystem, size_bound: int = 40, samples: int = 10
 # Pattern rules and rule files
 
 
-@dataclass(frozen=True)
-class MetaT:
-    """Metavariable over subterms (?t)."""
+@_hash_consed(("name",), node=False)
+class MetaT(_Interned):
+    """Metavariable over subterms (?t); interned, so that equal patterns are
+    identical and share their compiled functions."""
 
     name: str
 
@@ -924,36 +926,58 @@ class _TermPatternParser(syntax.Parser):
         return super().term()
 
 
-def _check_rule_sorts(sig: Signature | None, name: str, lhs, rhs):
-    """Load-time check that a sorted-layer rule preserves sorts: every
-    instantiation by small leaves (one of each sort with n, p <= 2 for a
-    term metavariable, 0 to 2 for a numeric one) whose left side sort-checks
-    must give the right side the same sort, and there must be one."""
+# The sorts a term metavariable takes in a rule's small instantiations.
+_SMALL_SORTS = (*map(TermSort, range(3)), *(SubstSort(n, p) for n in range(3) for p in range(3)))
+
+
+@functools.cache
+def _leaf(sort):
+    """A smallest term of the sort, kept, so its sort stays cached."""
     from . import gen
 
-    if sig is None:
-        sig = Signature({}, {})
-    leaves = [gen.leaf_of_sort(s) for s in
-              [TermSort(n) for n in range(3)]
-              + [SubstSort(n, p) for n in range(3) for p in range(3)]]
+    return gen.leaf_of_sort(sort)
+
+
+def _fill(shape: dict, term_of: Callable) -> dict:
+    """The binds that give each term metavariable of a shape term_of(its sort)."""
+    return {m: v if m[0] == "#" else term_of(v) for m, v in shape.items()}
+
+
+def _shapes(sig: Signature, lhs) -> list[dict]:
+    """The shapes of a left side under which it sort-checks when each term
+    metavariable is a smallest term of its sort: every map of its term
+    metavariables to sorts with n, p <= 2 and its numeric ones to 0 to 2."""
     metas = sorted(_meta_names(lhs))
-    checked = False
-    for values in itertools.product(*[range(3) if m.startswith("#") else leaves
+    shapes = []
+    for values in itertools.product(*[range(3) if m[0] == "#" else _SMALL_SORTS
                                       for m in metas]):
-        binds = dict(zip(metas, values))
+        shape = dict(zip(metas, values))
         try:
-            sl = sort_of(sig, build_pattern(lhs, binds))
+            sort_of(sig, build_pattern(lhs, _fill(shape, _leaf)))
         except BindLogError:
             continue
+        shapes.append(shape)
+    return shapes
+
+
+def _check_rule_sorts(sig: Signature | None, name: str, lhs, rhs):
+    """Load-time check that a sorted-layer rule preserves sorts: in each
+    shape of its left side, filled with smallest terms, the right side must
+    have the left side's sort, and there must be a shape."""
+    if sig is None:
+        sig = Signature({}, {})
+    shapes = _shapes(sig, lhs)
+    if not shapes:
+        raise ParseError(f"rule {name!r}: found no sort-consistent instantiation to check")
+    for shape in shapes:
+        binds = _fill(shape, _leaf)
+        sl = sort_of(sig, build_pattern(lhs, binds))
         try:
             sr = sort_of(sig, build_pattern(rhs, binds))
         except BindLogError as e:
             raise ParseError(f"rule {name!r} breaks sorting on the right: {e}") from None
         if sl != sr:
             raise ParseError(f"rule {name!r} does not preserve sorts: {sl} -> {sr}")
-        checked = True
-    if not checked:
-        raise ParseError(f"rule {name!r}: found no sort-consistent instantiation to check")
 
 
 def _read_rules(text: str) -> tuple[str, list]:
@@ -1117,5 +1141,7 @@ print_lterm = print_lprop = syntax.show
 for _cls in (Index, FreeVar, FApp, Closure, Id, Cons, Shift, Comp):
     _cls.__str__ = syntax.show  # type: ignore[assignment]
 
-# read without load_rules' sort check, which tests run on this text instead
-_SIGMA_PATTERN_RULES = tuple(r[1] for r in _read_rules(SIGMA_RULES)[1])
+# read once, without load_rules' sort check, which tests run on this text
+# instead: the rules and their left sides by name
+_SIGMA_PATTERNS = {rule.name: (rule, lhs) for _, rule, lhs, _ in _read_rules(SIGMA_RULES)[1]}
+_SIGMA_PATTERN_RULES = tuple(rule for rule, _ in _SIGMA_PATTERNS.values())

@@ -391,16 +391,14 @@ def substitute(theta: SubstMap, x, fresh: Callable[[str], str] | None = None):
 def canonical_binders(x):
     """Rename every bound variable deterministically (x1, x2, ... in preorder,
     skipping the free names of x). Output depends only on the alpha-class."""
-    free = free_vars(x)
-    counter = itertools.count(1)
+    return _rename(x, {}, {}, numbered_names("x", free_vars(x)))
 
-    def next_name(_old: str) -> str:
-        while True:
-            cand = f"x{next(counter)}"
-            if cand not in free:
-                return cand
 
-    return _rename(x, {}, {}, next_name)
+def numbered_names(prefix: str, skip) -> Callable[..., str]:
+    """A source of new names, prefix1, prefix2, ... in turn, skipping the
+    names in skip; each call takes the next, whatever its argument."""
+    names = (name for k in itertools.count(1) if (name := f"{prefix}{k}") not in skip)
+    return lambda _old=None: next(names)
 
 
 # ---------------------------------------------------------------------------
@@ -552,9 +550,6 @@ class Parser:
         if t[0] != kind:
             raise ParseError(f"expected {kind}, found {t[1]!r}", pos=t[2])
         return t
-
-    def at_end(self) -> bool:
-        return self.peek()[0] == "eof"
 
     def done(self):
         t = self.peek()

@@ -1045,6 +1045,27 @@ def test_sort_of_takes_deep_input():
     assert e.value.path == (0,) * 10_000
 
 
+def test_equality_and_hashing_take_deep_input():
+    # Structural equality and hashing recursed and raised RecursionError here.
+    a, b = FreeVar("a"), FreeVar("b")
+    for _ in range(10_000):
+        a, b = FApp("f", 0, (a,)), FApp("f", 0, (b,))
+    assert hash(a) == hash(FApp("f", 0, a.args)) and hash(b) == hash(b)
+    assert a != b and not a == b and a == FApp("f", 0, a.args)
+    assert a in {a, b} and b not in {a} and len({a, b, a}) == 2
+
+
+def test_equality_is_identity():
+    for cls in (Index, FreeVar, FApp, Closure, Id, Cons, Shift, Comp, MetaT, TermSort, SubstSort):
+        assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__, cls
+    for text in ("(?t . ?s) o ?u", "1_?n+1 . up_?n", "1_?m[?s] . (up_?k o ?s)"):
+        assert parse_lterm(text) is parse_lterm(text)
+    # so reading the rule text again gives the same left sides and matchers
+    for _, rule, lhs, _ in sigma._read_rules(sigma.SIGMA_RULES)[1]:
+        assert (rule.apply, lhs) == (RS.rule(rule.name).apply, sigma._SIGMA_PATTERNS[rule.name][1])
+        assert lhs is sigma._SIGMA_PATTERNS[rule.name][1]
+
+
 # ---------------------------------------------------------------------------
 # the protocol walks against the ladders they replaced
 #

@@ -113,6 +113,20 @@ def test_rule_text_fires_as_the_closures_did():
     assert min(fired.values()) >= 200, fired
 
 
+def test_pattern_rule_instances_cover_every_shape():
+    rng = random.Random(0x5A)
+    for name, (rule, lhs) in sigma._SIGMA_PATTERNS.items():
+        seen = set()
+        for x, reduct in gen.sigma_rule_instances(rng, SIG, name, 2000):
+            binds = {}
+            assert sigma.match_pattern(lhs, x, binds), (name, x)
+            assert rule.apply(x, SIG) is reduct is not None
+            seen.add(frozenset((m, v if m[0] == "#" else sigma.sort_of(SIG, v))
+                               for m, v in binds.items()))
+        shapes = {frozenset(shape.items()) for shape in gen._shapes(name)}
+        assert seen == shapes, name
+
+
 def test_rule_text_loads_with_sort_check():
     for sig in (SIG, None):
         rs = sigma.load_rules(sigma.SIGMA_RULES, sig=sig, name="sigma")
