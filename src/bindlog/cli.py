@@ -165,16 +165,15 @@ def cmd_eval(args) -> int:
     if not check.ok:
         print(f"ill-formed proposition: {check}", file=sys.stderr)
         return 2
-    value, exact = models.eval_prop_report(m, p)
+    w: dict = {}
+    value, exact = models.eval_prop_report(m, p, witness=w)
     status = "valid" if value == 1 else "not valid"
     if not exact:
         status += " (on samples)"
     witness = None
-    if value == 0:
-        w = models.quantifier_witness(m, p)
-        if w:
-            witness = {x: models.fmt_element(v) for x, v in w.items()}
-            status += " (witness: " + ", ".join(f"{x} = {v}" for x, v in witness.items()) + ")"
+    if value == 0 and w:
+        witness = {x: models.fmt_element(v) for x, v in w.items()}
+        status += " (witness: " + ", ".join(f"{x} = {v}" for x, v in witness.items()) + ")"
     lines = [f"{syntax.print_prop(p)}: {status}"]
     _emit(args, lines, {"prop": syntax.print_prop(p), "value": value, "exact": exact,
                         "witness": witness})

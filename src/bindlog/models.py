@@ -28,13 +28,17 @@ from .errors import (
 from .syntax import And, App, Atom, Bottom, Exists, Forall, Imp, Or, Signature, Var
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Computable:
     """Carrier element given by a total function on tuples of naturals;
-    compared on a declared probe set, so equality is approximate."""
+    compared on a declared probe set, so equality is approximate. == and
+    hash read arity and fn; a model may keep the values on its probe points
+    in table, and what the element was composed of in parts until then."""
 
     arity: int
     fn: Callable
+    parts: tuple | None = field(default=None, compare=False, repr=False)
+    table: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -77,8 +81,10 @@ class BindingModel:
 # ---------------------------------------------------------------------------
 # Denotation, compiled once into closures over one env dict (Feeley & Lapalme,
 # "Using closures for code generation", 1987) that holds phi and one slot per
-# quantifier. A subterm that reads nothing from env is evaluated once; errors
-# are raised when their node is reached, as by a recursive interpreter.
+# quantifier. A subterm that does not read the innermost quantifier's slot is
+# evaluated again only when a slot it reads holds a new value (once, if it
+# reads none); errors are raised when their node is reached, as by a
+# recursive interpreter.
 
 
 def _raiser(exc):
@@ -87,10 +93,34 @@ def _raiser(exc):
     return run
 
 
-def _once(fn):
-    """fn, run until it first returns; later calls give that value."""
-    cell = []
-    return lambda env: cell[0] if cell else cell.append(fn(env)) or cell[0]
+_UNSET = object()
+
+
+def _memo(fn, keys: frozenset):
+    """fn, run again only when some env slot in keys holds another object
+    than at its last successful run."""
+    seen, value = _UNSET, None
+    if len(keys) <= 1:
+        (k,) = keys or (_UNSET,)  # no env holds _UNSET: fn runs once
+
+        def run(env):
+            nonlocal seen, value
+            v = env.get(k)
+            if v is not seen:
+                value = fn(env)
+                seen = v
+            return value
+        return run
+    keys = tuple(keys)
+
+    def run_many(env):
+        nonlocal seen, value
+        vs = tuple(map(env.get, keys))
+        if seen is _UNSET or any(map(operator.is_not, vs, seen)):
+            value = fn(env)
+            seen = vs
+        return value
+    return run_many
 
 
 # env -> the tuple of the closures' values, unrolled for the common arities
@@ -101,37 +131,41 @@ _TUPLE_OF = {
 }
 
 
-def _compile_args(m: BindingModel, slots, ctx: tuple, scope: dict) -> tuple[Callable, bool]:
-    """(env -> the tuple of the slot bodies' denotations, whether it reads
-    env); where some body reads env, the others are evaluated once."""
-    parts = [_compile_term(m, s.body, tuple(reversed(s.binders)) + ctx, scope) for s in slots]
-    reads = any(r for _, r in parts)
-    fns = [f if r or not reads else _once(f) for f, r in parts]
+def _compile_args(m: BindingModel, slots, ctx: tuple, scope: dict,
+                  inner) -> tuple[Callable, frozenset]:
+    """(env -> the tuple of the slot bodies' denotations, the env slots it
+    reads); where some body reads the slot inner, the others are memoized."""
+    parts = [_compile_term(m, s.body, tuple(reversed(s.binders)) + ctx, scope, inner)
+             for s in slots]
+    reads = frozenset().union(*(r for _, r in parts))
+    fns = [_memo(f, r) if inner in reads and inner not in r else f for f, r in parts]
     unrolled = _TUPLE_OF.get(len(fns))
     return (unrolled(*fns) if unrolled else lambda env: tuple([f(env) for f in fns])), reads
 
 
-def _compile_term(m: BindingModel, t, ctx: tuple, scope: dict) -> tuple[Callable, bool]:
-    """(env -> the denotation of t at level len(ctx), whether it reads env);
-    scope maps quantified names to their env slots."""
+def _compile_term(m: BindingModel, t, ctx: tuple, scope: dict,
+                  inner=None) -> tuple[Callable, frozenset]:
+    """(env -> the denotation of t at level len(ctx), the env slots it
+    reads); scope maps quantified names to their env slots, inner is the
+    innermost quantifier's slot."""
     n = len(ctx)
     if isinstance(t, Var):
         name, box = t.name, m.ifs.box
         if name in ctx:
             i, proj = ctx.index(name) + 1, m.ifs.proj
-            return (lambda env: proj(i, n)), False
+            return (lambda env: proj(i, n)), frozenset()
         key = scope.get(name, name)
 
         def free(env):
             if key not in env:
                 raise UnboundVariable(name)
             return box(env[key], (), n)
-        return free, True
+        return free, frozenset((key,))
     if isinstance(t, App):
-        args, reads = _compile_args(m, t.args, ctx, scope)
+        args, reads = _compile_args(m, t.args, ctx, scope, inner)
         fh = m.fhat.get(t.symbol) or _raiser(KeyError(t.symbol))
         return (lambda env: fh(n, args(env))), reads
-    return _raiser(TypeError(f"not a named term: {t!r}")), False
+    return _raiser(TypeError(f"not a named term: {t!r}")), frozenset()
 
 
 def eval_term(m: BindingModel, t, ctx: tuple[str, ...] = (), phi: Mapping | None = None):
@@ -170,18 +204,20 @@ def _quantifier_domain(m: BindingModel, prop) -> tuple[tuple, bool]:
 _JUNCTIONS = {Imp: (1, 0, 0), And: (1, 1, 1), Or: (0, 0, 0)}
 
 
-def _compile_prop(m: BindingModel, a, domain: tuple, exhaustive: bool, scope: dict) -> Callable:
-    """env -> (truth value, exact) of a, quantifiers ranging over domain."""
+def _compile_prop(m: BindingModel, a, domain: tuple, exhaustive: bool, scope: dict,
+                  inner=None) -> Callable:
+    """env -> (truth value, exact) of a, quantifiers ranging over domain;
+    inner is the slot of the innermost quantifier around a."""
     if isinstance(a, Atom):
-        args, reads = _compile_args(m, a.args, (), scope)
+        args, reads = _compile_args(m, a.args, (), scope, inner)
         ph = m.phat.get(a.pred) or _raiser(KeyError(a.pred))
         atom = lambda env: (ph(args(env)), True)  # noqa: E731
-        return atom if reads else _once(atom)
+        return atom if inner in reads else _memo(atom, reads)
     if isinstance(a, Bottom):
         return lambda env: (0, True)
     if type(a) in _JUNCTIONS:
         x, y, v = _JUNCTIONS[type(a)]
-        left, right = (_compile_prop(m, b, domain, exhaustive, scope) for b in (a.a, a.b))
+        left, right = (_compile_prop(m, b, domain, exhaustive, scope, inner) for b in (a.a, a.b))
 
         def junction(env):
             va, ea = left(env)
@@ -192,7 +228,7 @@ def _compile_prop(m: BindingModel, a, domain: tuple, exhaustive: bool, scope: di
         return junction
     if isinstance(a, (Forall, Exists)):
         key = id(a)  # quantifier_witness reads the slot back by this key
-        body = _compile_prop(m, a.body, domain, exhaustive, {**scope, a.var: key})
+        body = _compile_prop(m, a.body, domain, exhaustive, {**scope, a.var: key}, key)
         stop, rest = (0, 1) if isinstance(a, Forall) else (1, 0)
 
         def quantifier(env):
@@ -209,12 +245,19 @@ def _compile_prop(m: BindingModel, a, domain: tuple, exhaustive: bool, scope: di
     return _raiser(TypeError(f"not a proposition: {a!r}"))
 
 
-def eval_prop_report(m: BindingModel, a, phi: Mapping | None = None) -> tuple[int, bool]:
+def eval_prop_report(m: BindingModel, a, phi: Mapping | None = None,
+                     witness: dict | None = None) -> tuple[int, bool]:
     """(truth value, exact). The value is exact unless it rests on a sampled
     quantifier sweep over a non-enumerable domain; a counterexample found in
-    the samples still refutes exactly."""
+    the samples still refutes exactly. A witness dict receives what
+    quantifier_witness returns, read off the same sweep: a quantifier that
+    stops at a deciding element leaves it in its env slot."""
     env = dict(phi or {})
-    return _compile_prop(m, a, *_quantifier_domain(m, a), {})(env)
+    report = _compile_prop(m, a, *_quantifier_domain(m, a), {})(env)
+    while witness is not None and isinstance(a, (Forall, Exists)) and id(a) in env:
+        witness[a.var] = env[id(a)]
+        a = a.body
+    return report
 
 
 def eval_prop(m: BindingModel, a, phi: Mapping | None = None,
@@ -229,17 +272,12 @@ def eval_prop(m: BindingModel, a, phi: Mapping | None = None,
 def quantifier_witness(m: BindingModel, a, phi: Mapping | None = None) -> dict | None:
     """Best-effort witness assignment for the outermost quantifier prefix:
     the values refuting a universal chain, or satisfying an existential one.
-    None when the prefix verdict needs no witness (or none was found).
-    A quantifier whose sweep stops at a deciding element leaves it in its
-    env slot, and the last sweep of an inner one ran under that element."""
-    env = dict(phi or {})
-    domain, exhaustive = _quantifier_domain(m, a)
-    if isinstance(a, (Forall, Exists)):
-        _compile_prop(m, a, domain, exhaustive, {})(env)
+    None when the prefix verdict needs no witness (or none was found)."""
     witness: dict = {}
-    while isinstance(a, (Forall, Exists)) and id(a) in env:
-        witness[a.var] = env[id(a)]
-        a = a.body
+    if isinstance(a, (Forall, Exists)):
+        eval_prop_report(m, a, phi, witness)
+    else:
+        _quantifier_domain(m, a)  # raises where the sweep's domain would
     return witness or None
 
 
@@ -560,8 +598,8 @@ def delta_model(probe_budget: int = 289) -> BindingModel:
         fa, fbs = a.fn, tuple(b.fn for b in bs)
         if len(fbs) == 1:
             (fb,) = fbs
-            return Computable(p, lambda *xs: fa(fb(*xs)))
-        return Computable(p, lambda *xs: fa(*[fb(*xs) for fb in fbs]))
+            return Computable(p, lambda *xs: fa(fb(*xs)), (fa, bs))
+        return Computable(p, lambda *xs: fa(*[fb(*xs) for fb in fbs]), (fa, bs))
 
     probes: dict[int, list[tuple]] = {}
 
@@ -577,10 +615,19 @@ def delta_model(probe_budget: int = 289) -> BindingModel:
             probes[arity] = pts
         return pts
 
+    def table(a: Computable) -> tuple:
+        """a's values on its probe points; a composite's come from one call
+        of its outer function per point on its arguments' tables."""
+        if a.table is None:
+            vals = itertools.starmap(a.fn, probe_points(a.arity)) if a.parts is None \
+                else map(a.parts[0], *map(table, a.parts[1]))
+            a.table, a.parts = tuple(vals), None
+        return a.table
+
     def elem_eq(a, b, n: int) -> bool:
         if n == 0:
             return a == b
-        return all(a.fn(*pt) == b.fn(*pt) for pt in probe_points(n))
+        return table(a) == table(b)
 
     def sample(n: int, rng: random.Random):
         if n == 0:

@@ -854,6 +854,76 @@ def test_closed_subterms_are_evaluated_once():
     assert counts == [1, 1]
 
 
+def test_invariant_subterms_are_evaluated_once_per_binding():
+    calls = []
+
+    def counted(sym):
+        def fh(p, args):
+            calls.append((sym, p))
+            return DELTA.fhat[sym](p, args)
+        return fh
+
+    # valid, so both sweeps visit every (q, r) pair; i(q) and j(q) read only
+    # q and are evaluated at level 0, i(r) and j(x) under a slot binder
+    prop = "forall q. forall r. =(δ(i(q), x. j(x), y. i(r)), j(q))"
+    for size in (5, 20):
+        m = _small_delta(size, i=counted("i"), j=counted("j"))
+        calls.clear()
+        assert eval_prop_report(m, parse_prop(prop, m.sig)) == (1, False)
+        assert calls.count(("i", 0)) == calls.count(("j", 0)) == size
+        assert calls.count(("i", 1)) == size * size and calls.count(("j", 1)) == 1
+        calls.clear()
+        assert _ref_eval_prop_report(m, parse_prop(prop, m.sig)) == (1, False)
+        assert calls.count(("i", 0)) == calls.count(("j", 0)) == size * size
+
+
+def _raising_delta(size: int):
+    """The small delta model whose i raises on 3 at level 0, so some
+    subterms raise for one binding of the quantifiers they read only."""
+    def i(p, args):
+        if p == 0 and args[0] == 3:
+            raise ValueError("i(3)")
+        return DELTA.fhat["i"](p, args)
+    return _small_delta(size, i=i)
+
+
+# two or three nested quantifiers over short domains
+_NESTED_MODELS = {
+    "ext": _EQ_MODELS["ext"],
+    "delta": (_small_delta(4), lambda rng: rng.randrange(0, 6)),
+    "raising": (_raising_delta(4), lambda rng: rng.randrange(0, 6)),
+}
+
+
+@pytest.mark.parametrize("model", sorted(_NESTED_MODELS))
+def test_nested_quantifiers_match_reference(model):
+    m, draw = _NESTED_MODELS[model]
+    rng = random.Random(f"nested-quantifiers:{model}")
+    seen = {"raised": 0, "witness": 0, "shadowing": 0, "phi": 0, "three": 0, "i(3)": 0}
+    for i in range(400):
+        a = gen.random_prop(rng, m.sig, rng.randint(1, 7), free=_EQ_FREE[:-1] if i % 7 else _EQ_FREE)
+        names = [rng.choice(_EQ_FREE[:4]) for _ in range(rng.choice((2, 3)))]
+        for v in reversed(names):
+            a = rng.choice((Forall, Exists))(v, a)
+        phi = {x: draw(rng) for x in _EQ_FREE[:6] if rng.random() < 0.7}
+        where = (syntax.print_prop(a), phi)
+        witness: dict = {}
+        got = _outcome(eval_prop_report, m, a, phi, witness)
+        assert got == _outcome(_ref_eval_prop_report, m, a, phi), where
+        w = _outcome(models.quantifier_witness, m, a, phi)
+        assert w == _outcome(_ref_quantifier_witness, m, a, phi), where
+        if got[0] == "value":
+            assert w == ("value", witness or None), where
+        seen["raised"] += got[0] == "raised"
+        seen["witness"] += w[0] == "value" and w[1] is not None
+        seen["shadowing"] += _shadowing(a)
+        seen["phi"] += got[0] == "value" and bool(phi.keys() & syntax.free_vars(a))
+        seen["three"] += len(set(names)) == 3
+        seen["i(3)"] += got[:2] == ("raised", ValueError)
+    assert all(v for k, v in seen.items() if k != "i(3)"), seen
+    assert bool(seen["i(3)"]) == (model == "raising"), seen
+
+
 # The delta model's sampler and composition as they were before their
 # elements read their functions once.
 
@@ -904,3 +974,101 @@ def test_delta_sampler_and_box_match_reference():
             # composing with the other side's elements gives the same values too
             assert _same_values(ifs.box(a_ref, bs_ref, p), _ref_box(a_new, bs_new, p), p)
         assert new_rng.getstate() == ref_rng.getstate()
+
+
+# Delta elements keep their values on the probe points in a table; the
+# references above probe the functions point by point.
+
+def _composites(rng, n: int, depth: int):
+    """A level-n element composed depth times from sampled elements, by
+    the model's box, and the same composition by the reference box."""
+    ifs = DELTA.ifs
+    k = rng.randint(1, 2)
+    new = ref = ifs.sample(k, rng)
+    for level in [rng.randint(1, 2) for _ in range(depth - 1)] + [n]:
+        bs = tuple(ifs.sample(level, rng) for _ in range(k))
+        new, ref = ifs.box(new, bs, level), _ref_box(ref, bs, level)
+        k = level
+    return new, ref
+
+
+def test_delta_elem_eq_on_compositions_matches_probes():
+    ifs = DELTA.ifs
+    rng = random.Random("delta-tables")
+    outcomes = set()
+    for _ in range(60):
+        n = rng.randint(1, 2)
+        (a, a_ref), (b, b_ref) = (_composites(rng, n, rng.randint(3, 5)) for _ in range(2))
+        assert ifs.elem_eq(a, a_ref, n) and ifs.elem_eq(a_ref, a, n)
+        # associativity and identity: equal sides built through other tables
+        cs = tuple(ifs.sample(n, rng) for _ in range(n))
+        lhs = ifs.box(ifs.box(a, (ifs.proj(1, n),) * n, n), cs, n)
+        rhs = ifs.box(a, tuple(ifs.box(ifs.proj(1, n), cs, n) for _ in range(n)), n)
+        same = ifs.box(b, tuple(ifs.proj(i, n) for i in range(1, n + 1)), n)
+        for x, y in ((a, b), (a_ref, b), (b_ref, a), (lhs, rhs), (same, b), (same, a)):
+            assert ifs.elem_eq(x, y, n) == _same_values(x, y, n)
+            outcomes.add(ifs.elem_eq(x, y, n))
+    assert outcomes == {True, False}
+
+
+def test_delta_elem_eq_sees_the_last_probe_point():
+    ifs = DELTA.ifs
+    rng = random.Random("delta-last-point")
+    for n, last in ((1, (16,)), (2, (16, 16))):
+        a, _ = _composites(rng, n, 3)
+        off = Computable(n, lambda *xs, fn=a.fn: fn(*xs) + (xs == last))
+        projs = tuple(ifs.proj(i, n) for i in range(1, n + 1))
+        # composites whose only difference is an argument's last value
+        left, right = ifs.box(ifs.proj(1, 1), (a,), n), ifs.box(ifs.proj(1, 1), (off,), n)
+        assert not ifs.elem_eq(left, right, n) and not _same_values(left, right, n)
+        assert not ifs.elem_eq(ifs.box(off, projs, n), a, n)
+        assert ifs.elem_eq(ifs.box(a, projs, n), a, n)
+
+
+def test_delta_elements_are_probed_once():
+    ifs = DELTA.ifs
+    calls = []
+
+    def element(n, fn):
+        return Computable(n, lambda *xs: calls.append(n) or fn(*xs))
+
+    f = element(1, lambda y: 2 * y + 1)
+    b = element(2, lambda x, y: x * y)
+    c = ifs.box(f, (b,), 2)
+    assert c.parts is not None
+    for _ in range(3):
+        assert ifs.elem_eq(c, c, 2) and not ifs.elem_eq(c, b, 2)
+    # one call of f per level-2 probe point, on b's table; b probed once
+    assert calls.count(2) == 289 and calls.count(1) == 289
+    assert c.parts is None and c == c and hash(c) == hash(Computable(2, c.fn))
+
+
+def _planted_delta(m=DELTA):
+    """delta whose level-2 compositions of a level-1 element, and whose
+    level-1 i, are off by one at their last probe point."""
+    def box(a, bs, p):
+        r = m.ifs.box(a, bs, p)
+        if p == 2 and len(bs) == 1:
+            return Computable(2, lambda x, y, fn=r.fn: fn(x, y) + (x == y == 16))
+        return r
+
+    def i(p, args):
+        r = m.fhat["i"](p, args)
+        return Computable(1, lambda x, fn=r.fn: fn(x) + (x == 16)) if p == 1 else r
+    return dataclasses.replace(m, ifs=dataclasses.replace(m.ifs, box=box), fhat={**m.fhat, "i": i})
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_delta_sweeps_match_probe_by_probe_reference(seed):
+    for m in (DELTA, _planted_delta()):
+        probed = dataclasses.replace(m.ifs, elem_eq=_same_values)
+        _assert_same_sweep(
+            check_ifs(m.ifs, 2, 2, 2, mode="sampled", samples=4, seed=seed),
+            _naive_check_ifs(probed, 2, 2, 2, mode="sampled", samples=4, seed=seed))
+        for f in ("i", "δ"):
+            _assert_same_sweep(
+                check_coherence(m, f, 1, 1, mode="sampled", samples=4, seed=seed),
+                _naive_check_coherence(dataclasses.replace(m, ifs=probed), f, 1, 1,
+                                       mode="sampled", samples=4, seed=seed))
+    assert not check_ifs(_planted_delta().ifs, 2, 2, 2, mode="sampled", samples=4, seed=1).ok
+    assert not check_coherence(_planted_delta(), "i", 1, 1, mode="sampled", samples=4, seed=1).ok
