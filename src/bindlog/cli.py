@@ -9,6 +9,7 @@ property), 2 malformed input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -279,6 +280,7 @@ def _demo_disjoint_sum(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # one per process: each parse_args call makes a fresh namespace
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="bindlog",

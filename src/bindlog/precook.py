@@ -158,18 +158,21 @@ def translate_proof(sig: Signature, p: "proofs.ProofTree") -> "proofs.ProofTree"
     res = proofs.check_binding_proof(sig, p)
     if not res.ok:
         raise InvalidSourceProof(str(res))
+    cooked: dict[int, object] = {}  # id -> translation; p keeps the formulas alive
+
+    def cook(a):
+        if (r := cooked.get(id(a))) is None:
+            r = cooked[id(a)] = precook_prop(sig, a)
+        return r
 
     def go(node: proofs.ProofTree) -> proofs.ProofTree:
-        concl = proofs.Sequent(
-            tuple(precook_prop(sig, a) for a in node.conclusion.left),
-            tuple(precook_prop(sig, b) for b in node.conclusion.right),
-        )
+        concl = proofs.Sequent(tuple(map(cook, node.conclusion.left)),
+                               tuple(map(cook, node.conclusion.right)))
         app = node.rule
         x = a = t = None
         if app.rule in proofs.QUANTIFIER_RULES:
-            qx, qa = proofs.principal_quantifier_parts(node)
-            x = qx
-            a = precook_prop(sig, qa)
+            x, qa = proofs.principal_quantifier_parts(node)
+            a = cook(qa)
             if proofs.RULES[app.rule].witness:
                 t = precook(sig, app.t)
         new_app = proofs.RuleApp(app.rule, principal=app.principal, x=x, a=a, t=t)

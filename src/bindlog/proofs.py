@@ -388,6 +388,7 @@ def parse_proof_file(text: str, sig: Signature | None = None) -> ProofTree:
         entries.append((indent // 2, line.strip(), lineno))
     if not entries:
         raise ParseError("empty proof file")
+    formulas: dict = {}  # one node per distinct formula text of this file
 
     def parse_line(content: str, lineno: int) -> tuple[Sequent, RuleApp]:
         m = re.match(r"rule\s+(\S+)\s*(.*)$", content)
@@ -397,7 +398,7 @@ def parse_proof_file(text: str, sig: Signature | None = None) -> ProofTree:
         if rname not in _RULE_BY_NAME:
             raise ParseError(f"unknown rule {rname!r}", line=lineno)
         with syntax.at_line(lineno):
-            p = sigma.LParser(rest) if layer == "lprop" else syntax.Parser(rest, sig)
+            p = (sigma.LParser if layer == "lprop" else syntax.Parser)(rest, sig, formulas)
             params = p.params()
             p.expect("turnstile")
             left, right = p.sequent()

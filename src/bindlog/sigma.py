@@ -422,15 +422,17 @@ class _Budget:
     innermost, each node it normalizes without error. Innermost
     normalization of a node is deterministic for the call's rules and sort
     check, so meeting the node again it spends the recorded steps and takes
-    the recorded form: the steps and errors of normalizing it again."""
+    the recorded form: the steps and errors of normalizing it again. So
+    innermost calls under one rule system and sort check may share a table,
+    each with its own budget."""
 
     __slots__ = ("left", "limit", "steps", "normal")
 
-    def __init__(self, limit: int):
+    def __init__(self, limit: int, normal: dict[int, tuple] | None = None):
         self.left = limit
         self.limit = limit
         self.steps = 0
-        self.normal: dict[int, tuple] = {}
+        self.normal = {} if normal is None else normal
 
     def spend(self, k: int = 1):
         if self.left < k:
@@ -730,7 +732,8 @@ def local_confluence_probe(rs: RewriteSystem, size_bound: int = 40, samples: int
             continue
         report.with_multiple_redexes += 1
         report.peaks_checked += len(steps)
-        nfs = {normalize(rs, res, budget=budget) for (_, _, res) in steps}
+        normal: dict[int, tuple] = {}  # the sample's peaks share their subterms
+        nfs = {_nf_innermost(rs, res, _Budget(budget, normal), False) for _, _, res in steps}
         if len(nfs) > 1:
             report.divergent.append(print_lterm(t))
     return report

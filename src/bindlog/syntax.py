@@ -314,7 +314,11 @@ def alpha_eq(x, y) -> bool:
     """Equality up to the names of bound variables. Nodes of different
     classes are never equal, so neither are the two layers' variables."""
 
+    # env_a is env_b while both walks have bound the same names at the same
+    # levels; then one object is equal to itself
     def go(a, b, env_a: dict, env_b: dict, depth: int) -> bool:
+        if a is b and env_a is env_b:
+            return True
         if type(a) is not type(b):
             return False
         n = NODE_TYPES[type(a)]
@@ -330,12 +334,14 @@ def alpha_eq(x, y) -> bool:
                 if not go(c, d, env_a, env_b, depth):
                     return False
             elif len(c.binders) != len(d.binders) or not go(
-                    c.body, d.body, _at_levels(env_a, c.binders, depth),
+                    c.body, d.body, (ea := _at_levels(env_a, c.binders, depth)),
+                    ea if env_a is env_b and c.binders == d.binders else
                     _at_levels(env_b, d.binders, depth), depth + len(c.binders)):
                 return False
         return True
 
-    return go(x, y, {}, {}, 0)
+    env: dict = {}
+    return go(x, y, env, env, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -528,14 +534,19 @@ class Parser:
 
     When a signature is supplied, a bare identifier declared as a function
     symbol parses as a zero-argument application instead of a variable.
+    prop_list enters each proposition it reads in the `formulas` table (a
+    fresh one unless given) by its source text, and reads a text met before
+    as the node it gave then.
     """
 
     token_re = _TOKEN_RE
 
-    def __init__(self, text: str, sig: Signature | None = None):
+    def __init__(self, text: str, sig: Signature | None = None, formulas: dict | None = None):
+        self.text = text
         self.tokens = tokenize(text, self.token_re)
         self.pos = 0
         self.sig = sig
+        self.formulas = {} if formulas is None else formulas
 
     def peek(self):
         return self.tokens[self.pos]
@@ -647,11 +658,29 @@ class Parser:
     def prop_list(self, stop: str):
         if self.peek()[0] == stop:
             return ()
-        props = [self.prop()]
+        props = [self.listed_prop()]
         while self.peek()[0] == "comma":
             self.next()
-            props.append(self.prop())
+            props.append(self.listed_prop())
         return tuple(props)
+
+    def listed_prop(self):
+        """A proposition of a list, shared through the formulas table. Its
+        text runs to the next comma, turnstile or end outside brackets; a
+        parse that raises or ends elsewhere is not entered."""
+        tokens, depth, end = self.tokens, 0, self.pos
+        while (kind := tokens[end][0]) != "eof" and (
+                depth or kind not in ("comma", "turnstile")):
+            depth += (kind in ("lpar", "lbrack")) - (kind in ("rpar", "rbrack"))
+            end += 1
+        key = self.text[tokens[self.pos][2]:tokens[end][2]].rstrip()
+        if (a := self.formulas.get(key)) is not None:
+            self.pos = end
+            return a
+        a = self.prop()
+        if self.pos == end:
+            self.formulas[key] = a
+        return a
 
     def params(self) -> dict:
         """An optional parameter block `[key=value ...]`: x= a name, A= a

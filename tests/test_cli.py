@@ -2,6 +2,9 @@
 determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -374,3 +377,34 @@ def test_check_proof_modulo_tells_shadowed_quantifiers_apart(capsys, tmp_path):
     code, out, _ = run(capsys, "--sig", str(LAMBDA_SIG), "check-proof", "--modulo", "sigma",
                        str(path))
     assert code == 1 and "RuleMismatch" in out
+
+
+def test_main_calls_in_one_process_match_fresh_runs(capsys, monkeypatch):
+    # the argument parser is built once per process; options of one call
+    # must not leak into the next
+    root = Path(__file__).resolve().parent.parent
+    s = root / "samples"
+    lam, ari = ["--sig", str(s / "lambda.sig")], ["--sig", str(s / "arith.sig")]
+    nest = "3_3[x . (y . (z . id_0))]"
+    calls = [
+        ["--json", *lam, "check-proof", str(s / "equality_compat.prf")],
+        [*lam, "check-proof", str(s / "equality_compat.prf")],
+        [*lam, "parse", "--term", "Λ(x. c)"],
+        ["parse", "--term", "Λ(x. c)"],
+        ["--json", "normalize", "--system", "sigma", nest],
+        ["normalize", "--system", "sigma", nest],
+        ["--step-budget", "1", *ari, "check-proof", "--modulo", str(s / "arith.rw"),
+         str(s / "four_is_even.prf")],
+        [*ari, "check-proof", "--modulo", str(s / "arith.rw"), str(s / "four_is_even.prf")],
+        ["--json", "parse", "--term", "f(x"],
+        ["parse", "--term", "f(x"],
+    ]
+    monkeypatch.delenv("BINDLOG_SEED", raising=False)
+    in_process = [run(capsys, *argv) for argv in calls]
+    env = {k: v for k, v in os.environ.items() if k != "BINDLOG_SEED"}
+    env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), env.get("PYTHONPATH", "")])
+    fresh = [subprocess.run([sys.executable, "-m", "bindlog.cli", *argv], env=env, cwd=root,
+                            capture_output=True, text=True, timeout=120) for argv in calls]
+    assert in_process == [(r.returncode, r.stdout, r.stderr) for r in fresh]
+    assert {code for code, _, _ in in_process} == {0, 1, 2}
+    assert in_process[0][1] != in_process[1][1] and in_process[2][1] != in_process[3][1]

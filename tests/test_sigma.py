@@ -1629,3 +1629,87 @@ def test_engine_view_matches_reference():
         assert kids == _ref_children(x), x
         new = tuple(rng.choice(terms) if rng.random() < 0.5 else c for c in kids)
         assert sigma._rebuild(x, new) == _ref_rebuild(x, new), x
+
+
+# ---------------------------------------------------------------------------
+# One normal-form table per confluence-probe sample: each peak keeps its own
+# budget and spends a replayed entry's recorded steps from it, so the report
+# and the budget errors are those of a fresh table per peak.
+
+
+def _ref_local_confluence_probe(rs, size_bound, samples, *, seed, budget):
+    rng = random.Random(seed)
+    report = sigma.ConfluenceReport()
+    for _ in range(samples):
+        t = gen.random_lterm(rng, rs.sig, gen.random_sort(rng), size_bound)
+        report.samples += 1
+        steps = all_one_step(rs, t)
+        if len(steps) < 2:
+            continue
+        report.with_multiple_redexes += 1
+        report.peaks_checked += len(steps)
+        nfs = {normalize(rs, res, budget=budget) for (_, _, res) in steps}
+        if len(nfs) > 1:
+            report.divergent.append(print_lterm(t))
+    return report
+
+
+def _probe_outcome(probe, rs, size, budget, seed):
+    try:
+        return dataclasses.asdict(probe(rs, size, 150, seed=seed, budget=budget))
+    except StepBudgetExceeded as e:
+        return ("StepBudgetExceeded", e.budget)
+
+
+DIVERGENT_RS = sigma.load_rules(
+    "syntax lterm\nkeep: f_?n(?t) -> ?t\ndrop: f_?n(?t) -> c_?n()\n", sig=SIG)
+
+
+@pytest.mark.parametrize("seed", (0, 1, 7, 0x6EA2))
+def test_confluence_probe_matches_fresh_tables_per_peak(seed):
+    seen = Counter()
+    # at budget 300 every peak fits, but no sample's peaks fit one budget
+    # together; at 160 some size-60 peaks need more
+    for rs, size, budget in ((RS, 20, sigma.DEFAULT_BUDGET), (RS, 40, sigma.DEFAULT_BUDGET),
+                             (RS, 40, 300), (RS, 40, 6), (RS, 60, 160),
+                             (DIVERGENT_RS, 30, sigma.DEFAULT_BUDGET)):
+        got = _probe_outcome(sigma.local_confluence_probe, rs, size, budget, seed)
+        assert got == _probe_outcome(_ref_local_confluence_probe, rs, size, budget, seed)
+        seen["raised" if isinstance(got, tuple) else
+             "divergent" if got["divergent"] else "ok"] += 1
+    assert seen["ok"] >= 3 and seen["raised"] >= 1 and seen["divergent"] == 1
+
+
+def test_replayed_steps_past_a_peaks_budget_raise_as_fresh():
+    rng = random.Random(0xB0D6E7)
+
+    def outcome(run):
+        try:
+            return run()
+        except StepBudgetExceeded as e:
+            return ("raised", e.budget)
+
+    def shared(peak, budget, table):
+        b = sigma._Budget(budget, table)
+        return sigma._nf_innermost(RS, peak, b, False), b.steps
+
+    replays = raised = 0
+    for _ in range(150):
+        t = gen.random_lterm(rng, SIG, gen.random_sort(rng), 30)
+        first, *rest = [res for _, _, res in all_one_step(RS, t)] or [None]
+        for peak in rest:
+            need = normalize_steps(RS, peak)[1]
+            for budget in sorted({0, need // 2, max(need - 1, 0), need}):
+                table: dict = {}
+                shared(first, sigma.DEFAULT_BUDGET, table)
+                replays += any(id(s) in table for s in _subterms(peak))
+                got = outcome(lambda: shared(peak, budget, table))
+                assert got == outcome(lambda: normalize_steps(RS, peak, budget=budget))
+                raised += got[0] == "raised"
+    assert replays > 1000 and raised > 800, (replays, raised)
+
+
+def _subterms(t):
+    yield t
+    for c in sigma._children(t):
+        yield from _subterms(c)
