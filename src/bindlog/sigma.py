@@ -451,34 +451,57 @@ def _check_step_sorts(sig, before, after):
 
 
 def _nf_innermost(rs, x, budget, check_sorts):
-    table = budget.normal
-    trail = []  # the nodes this call passes through, with the steps spent before each
-    while (done := table.get(id(x))) is None:
-        trail.append((x, budget.steps))
-        node = NODE_TYPES[type(x)]
-        kids = node.children(x)
-        if kids:
-            nfs = tuple(_nf_innermost(rs, c, budget, check_sorts) for c in kids)
-            # keep x itself when no child changed, so its entry still holds
-            if any(n is not c for n, c in zip(nfs, kids)):
-                x = node.rebuild(x, nfs)
-                if (done := table.get(id(x))) is not None:
-                    break
+    """Leftmost-innermost normal form, by a loop over a stack of frames
+    (node, kids, their normal forms so far, trail) of the nodes whose kids
+    are being normalized. The frame at hand is x with its trail: the nodes
+    it passes through, with the steps spent before each, entered in the
+    table when it finishes. A kid found in the table is not descended into:
+    its recorded steps are spent and its normal form taken in place. So the
+    steps, errors and entries are those of a recursive call per kid."""
+    table, by_head, sig = budget.normal, rs._by_head, rs.sig
+    stack: list = []
+    trail: list = []
+    look = descend = True  # look x up and enter it in the trail; descend into its kids
+    while True:
+        if not (done := look and table.get(id(x))):
+            if look:
                 trail.append((x, budget.steps))
-        r = _head_rewrite(rs, x)
-        if r is None:
-            done = x, x, 0
-            break
-        budget.spend()
-        if check_sorts:
-            _check_step_sorts(rs.sig, x, r)
-        x = r
-    _, nf, steps = done
-    if steps:
-        budget.spend(steps)
-    for y, before in trail:
-        table[id(y)] = y, nf, budget.steps - before
-    return nf
+            if descend and (kids := NODE_TYPES[type(x)].children(x)):
+                stack.append((x, kids, [], trail))
+            else:
+                r = None
+                for rule in by_head.get(_head_key(x), ()):
+                    if (r := rule.apply(x, sig)) is not None:
+                        break
+                if r is not None:
+                    budget.spend()
+                    if check_sorts:
+                        _check_step_sorts(sig, x, r)
+                    x, look, descend = r, True, True
+                    continue
+                done = x, x, 0
+        if done:
+            _, nf, steps = done
+            if steps:
+                budget.spend(steps)
+            for y, before in trail:
+                table[id(y)] = y, nf, budget.steps - before
+            if not stack:
+                return nf
+            stack[-1][2].append(nf)
+        x, kids, nfs, trail = stack[-1]
+        while len(nfs) < len(kids) and (done := table.get(id(kids[len(nfs)]))):
+            if done[2]:
+                budget.spend(done[2])
+            nfs.append(done[1])
+        if len(nfs) < len(kids):
+            x = kids[len(nfs)]
+            trail, look, descend = [(x, budget.steps)], False, True
+        else:  # x goes on to its head, rebuilt (and looked up) if a kid changed
+            stack.pop()
+            look, descend = any(map(operator.is_not, nfs, kids)), False
+            if look:
+                x = NODE_TYPES[type(x)].rebuild(x, tuple(nfs))
 
 
 def _nf_outermost(rs, x, budget, check_sorts):
@@ -564,22 +587,28 @@ def normalize_steps(rs: RewriteSystem, x, budget: int = DEFAULT_BUDGET,
 
 
 def all_one_step(rs: RewriteSystem, x) -> list[tuple[tuple[int, ...], str, object]]:
-    """Every (position, rule, result-of-one-step) triple for a term."""
+    """Every (position, rule, result-of-one-step) triple for a term, in
+    pre-order, by a walk with a stack of frames [node, kids, index of the
+    kid at hand] from the root down to the focus x. A result is rebuilt up
+    the frames, whose indices spell its position."""
     results: list[tuple[tuple[int, ...], str, object]] = []
-
-    def walk(node, wrap, path):
-        for rule in rs.rules_at(node):
-            r = rule.apply(node, rs.sig)
-            if r is not None:
-                results.append((path, rule.name, wrap(r)))
-        kids = _children(node)
-        for i, c in enumerate(kids):
-            def wrap_i(rc, node=node, kids=kids, i=i, wrap=wrap):
-                return wrap(_rebuild(node, kids[:i] + (rc,) + kids[i + 1:]))
-            walk(c, wrap_i, path + (i,))
-
-    walk(x, lambda r: r, ())
-    return results
+    stack: list = []
+    while True:
+        for rule in rs.rules_at(x):
+            if (r := rule.apply(x, rs.sig)) is not None:
+                for node, kids, i in reversed(stack):
+                    r = _rebuild(node, kids[:i] + (r,) + kids[i + 1:])
+                results.append((tuple([f[2] for f in stack]), rule.name, r))
+        if kids := _children(x):
+            stack.append([x, kids, 0])
+            x = kids[0]
+            continue
+        while stack and (f := stack[-1])[2] + 1 == len(f[1]):
+            stack.pop()
+        if not stack:
+            return results
+        f[2] += 1
+        x = f[1][f[2]]
 
 
 def has_redex(rs: RewriteSystem, x) -> bool:

@@ -8,12 +8,13 @@ import dis
 import gc
 import pickle
 import random
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from bindlog import gen, precook, sigma, syntax
+from bindlog import gen, precook, proofs, sigma, syntax
 from bindlog.errors import (
     BindLogError,
     IndexOutOfRange,
@@ -739,6 +740,43 @@ def test_outermost_and_has_redex_take_deep_input():
     assert sigma.is_F_term(DEPTH_SIG, nf, DEPTH_RS)
 
 
+def _assert_same_chain(a, b):
+    """a and b are the same chain of unary FApps over the same leaf, walked
+    iteratively."""
+    while type(a) is FApp and a.args:
+        assert type(b) is FApp and (a.f, a.p, len(a.args)) == (b.f, b.p, len(b.args))
+        a, b = a.args[0], b.args[0]
+    assert a is b
+
+
+def test_innermost_and_all_one_step_take_deep_input():
+    limit = sys.getrecursionlimit()
+    deep = L("1_1[a_0() . id_0]")
+    for _ in range(10_000):
+        deep = FApp("f", 0, (deep,))
+    want = normalize(DEPTH_RS, deep, strategy="outermost")
+    nf, steps = normalize_steps(DEPTH_RS, deep)
+    assert steps == 1
+    _assert_same_chain(nf, want)
+    ((path, rule, result),) = all_one_step(DEPTH_RS, deep)
+    assert (path, rule, result) == ((0,) * 10_000, "VarCons", nf)
+    # a list of 10,000 redexes x[id_0], each rewritten with its sorts checked
+    items = Id(0)
+    for _ in range(10_000):
+        items = Cons(Closure(FreeVar("x"), Id(0)), items)
+    nf, steps = normalize_steps(DEPTH_RS, items, check_sorts=True)
+    assert steps == 10_000
+    for _ in range(10_000):
+        assert type(nf) is Cons and nf.t == FreeVar("x")
+        nf = nf.s
+    assert nf == Id(0)
+    atom = Atom("=", (Slot((), deep), Slot((), FreeVar("y"))))
+    got = proofs.Congruence(DEPTH_RS).normal_form(atom)
+    assert got.pred == "=" and got.args[1] == Slot((), FreeVar("y"))
+    _assert_same_chain(got.args[0].body, want)
+    assert sys.getrecursionlimit() == limit
+
+
 # ---------------------------------------------------------------------------
 # the innermost memo and sort_of against the code they replaced
 #
@@ -884,6 +922,162 @@ def test_innermost_memo_matches_reference_normalizer():
         _assert_innermost_as_reference(rs, t, False, seen)
     assert seen["raising"] >= 1000 and seen["budget"] >= 7000, seen
     assert seen["replays"] >= 5000 and seen["cut"] >= 300, seen
+
+
+# ---------------------------------------------------------------------------
+# the innermost loop and all_one_step against the recursive code they replaced
+#
+# The references are the memo innermost normalizer and all_one_step as they
+# were before they kept explicit stacks, verbatim but for module prefixes
+# and the references' own names in their recursive calls. The loop must give
+# the same normal form and step count, or raise the same exception, and
+# leave the same table entries, on every input and with a table shared
+# across calls; all_one_step the same triples in the same order, or the
+# same exception.
+
+
+def _ref_memo_nf_innermost(rs, x, budget, check_sorts):
+    table = budget.normal
+    trail = []  # the nodes this call passes through, with the steps spent before each
+    while (done := table.get(id(x))) is None:
+        trail.append((x, budget.steps))
+        node = syntax.NODE_TYPES[type(x)]
+        kids = node.children(x)
+        if kids:
+            nfs = tuple(_ref_memo_nf_innermost(rs, c, budget, check_sorts) for c in kids)
+            # keep x itself when no child changed, so its entry still holds
+            if any(n is not c for n, c in zip(nfs, kids)):
+                x = node.rebuild(x, nfs)
+                if (done := table.get(id(x))) is not None:
+                    break
+                trail.append((x, budget.steps))
+        r = sigma._head_rewrite(rs, x)
+        if r is None:
+            done = x, x, 0
+            break
+        budget.spend()
+        if check_sorts:
+            sigma._check_step_sorts(rs.sig, x, r)
+        x = r
+    _, nf, steps = done
+    if steps:
+        budget.spend(steps)
+    for y, before in trail:
+        table[id(y)] = y, nf, budget.steps - before
+    return nf
+
+
+def _ref_all_one_step(rs: RewriteSystem, x) -> list[tuple[tuple[int, ...], str, object]]:
+    """Every (position, rule, result-of-one-step) triple for a term."""
+    results: list[tuple[tuple[int, ...], str, object]] = []
+
+    def walk(node, wrap, path):
+        for rule in rs.rules_at(node):
+            r = rule.apply(node, rs.sig)
+            if r is not None:
+                results.append((path, rule.name, wrap(r)))
+        kids = sigma._children(node)
+        for i, c in enumerate(kids):
+            def wrap_i(rc, node=node, kids=kids, i=i, wrap=wrap):
+                return wrap(sigma._rebuild(node, kids[:i] + (rc,) + kids[i + 1:]))
+            walk(c, wrap_i, path + (i,))
+
+    walk(x, lambda r: r, ())
+    return results
+
+
+def _table_outcome(nf, rs, t, budget, check_sorts, table, seen):
+    """nf's outcome on t under a counting budget whose table is `table`."""
+    b = _CountingBudget(budget)
+    b.normal = table
+    try:
+        out = nf(rs, t, b, check_sorts), b.steps
+    except Exception as e:
+        out = type(e), e.args
+    seen["replays"] += b.replays
+    seen["cut"] += b.cut
+    return out
+
+
+def _assert_loop_as_memo(rs, group, budget, check_sorts, seen):
+    """The loop and the recursive memo normalize the terms of the group one
+    after another, each on its own table shared by the group, with the same
+    outcomes and the same entries after each call; the loop runs first, on
+    sorts not yet cached. Returns the outcomes."""
+    mine: dict = {}
+    ref: dict = {}
+    outcomes = []
+    for t in group:
+        got = _table_outcome(sigma._nf_innermost, rs, t, budget, check_sorts, mine, seen)
+        want = _table_outcome(_ref_memo_nf_innermost, rs, t, budget, check_sorts, ref, Counter())
+        assert got == want, (str(t), budget, check_sorts)
+        # the entries in the order made; equal lterms are identical, so have
+        # the same keys, but two runs build distinct App nodes
+        assert list(mine.values()) == list(ref.values()), (str(t), budget, check_sorts)
+        assert all(k == id(y) for k, (y, _, _) in mine.items())
+        seen["raising" if isinstance(want[0], type) else "normal"] += 1
+        outcomes.append(want)
+    return outcomes
+
+
+def test_innermost_loop_matches_recursive_memo():
+    user = sigma.load_rules(USER_LTERM_RULES, sig=SIG)
+    extended = RewriteSystem("sigma+user", user.rules + RS.rules, "lterm", SIG)
+    rng = random.Random(0x1009)
+    seen: Counter = Counter()
+    terms = []
+    for k in range(3000):
+        t = gen.random_lterm(rng, SIG, gen.random_sort(rng), rng.randint(3, 60))
+        if k % 3 == 0:  # ill-sorted: sort_of, and with it FPush, raises
+            leaf = gen.leaf_of_sort(gen.random_sort(rng), rng=rng)
+            t = _replace_at(t, rng.choice(list(_positions(t))), leaf)
+        terms.append(t)
+        for rs in (RS, extended):
+            for check_sorts in (False, True):
+                (want,) = _assert_loop_as_memo(rs, [t], sigma.DEFAULT_BUDGET, check_sorts, seen)
+                if not isinstance(want[0], type) and want[1]:
+                    seen["budget"] += 1
+                    (edge,) = _assert_loop_as_memo(rs, [t], want[1] - 1, check_sorts, seen)
+                    assert edge[0] is StepBudgetExceeded
+    # groups of four share a table, each term with its own budget; each
+    # group meets each system and setting of the sort check on every 4th
+    for k in range(0, len(terms), 4):
+        rs, check_sorts = (RS, extended)[k // 4 % 2], k // 4 % 4 >= 2
+        for budget in (sigma.DEFAULT_BUDGET, 5):
+            _assert_loop_as_memo(rs, terms[k:k + 4], budget, check_sorts, seen)
+    rs, terms = _arith_products()
+    for t in terms:
+        _assert_loop_as_memo(rs, [t], sigma.DEFAULT_BUDGET, False, seen)
+    _assert_loop_as_memo(rs, terms, sigma.DEFAULT_BUDGET, False, seen)
+    assert seen["raising"] >= 5000 and seen["budget"] >= 7000, seen
+    assert seen["replays"] >= 5000 and seen["cut"] >= 300, seen
+
+
+def _one_step_outcome(one_step, rs, t):
+    try:
+        return one_step(rs, t)
+    except Exception as e:
+        return type(e), e.args
+
+
+def test_all_one_step_matches_recursive_reference():
+    user = sigma.load_rules(USER_LTERM_RULES, sig=SIG)
+    extended = RewriteSystem("sigma+user", user.rules + RS.rules, "lterm", SIG)
+    rng = random.Random(0x0A5)
+    seen: Counter = Counter()
+    for k in range(2000):
+        t = gen.random_lterm(rng, SIG, gen.random_sort(rng), rng.randint(3, 60))
+        if k % 3 == 0:  # ill-sorted: FPush raises where it meets the bad substitution
+            leaf = gen.leaf_of_sort(gen.random_sort(rng), rng=rng)
+            t = _replace_at(t, rng.choice(list(_positions(t))), leaf)
+        rs = (RS, extended)[k % 2]
+        want = _one_step_outcome(_ref_all_one_step, rs, t)
+        assert _one_step_outcome(all_one_step, rs, t) == want, str(t)
+        seen["raising" if isinstance(want, tuple) else "peaks" if len(want) > 1 else "fewer"] += 1
+    rs, terms = _arith_products()
+    for t in terms:
+        assert all_one_step(rs, t) == _ref_all_one_step(rs, t)
+    assert seen["raising"] >= 30 and seen["peaks"] >= 600, seen
 
 
 def _sort_outcome(sort_fn, sig, t, path):
