@@ -1159,13 +1159,24 @@ def parse_lprop(text: str):
     return a
 
 
+def _fapp_parts(x) -> list:
+    """f_p(args), as parts for syntax.show"""
+    parts = [f"{x.f}_{x.p}("]
+    for a in x.args:
+        if len(parts) > 1:
+            parts.append(", ")
+        parts.append(a)
+    parts.append(")")
+    return parts
+
+
 syntax.SHOW.update({
     Index: lambda x: f"{x.i}_{x.n}",
     FreeVar: lambda x: x.name,
     Id: lambda x: f"id_{x.n}",
     Shift: lambda x: f"up_{x.n}",
-    FApp: lambda x: f"{x.f}_{x.p}({', '.join(map(syntax.show, x.args))})",
-    Closure: lambda x: f"{syntax.show(x.t, syntax.TIGHTEST)}[{syntax.show(x.s)}]",
+    FApp: _fapp_parts,
+    Closure: lambda x: ((x.t, syntax.TIGHTEST), "[", x.s, "]"),
     MetaT: lambda x: f"?{x.name}",
 })
 print_lterm = print_lprop = syntax.show

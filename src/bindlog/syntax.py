@@ -509,24 +509,60 @@ def _by_token(classes: tuple[type, ...]) -> dict[str, tuple[type, int, int]]:
     return {OPERATORS[c].kind: (c, OPERATORS[c].level, OPERATORS[c].right) for c in classes}
 
 
-def tokenize(text: str, token_re: re.Pattern = _TOKEN_RE) -> list[tuple[str, str, int]]:
-    """(kind, text, offset) tokens by the named groups of token_re; `ident`
-    and `sym` matches become keywords or names, `ws` is dropped."""
+def tokenize(text: str, token_re: re.Pattern = _TOKEN_RE, pos: int = 0,
+             stop: tuple[str, ...] = ()) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) tokens of text from offset pos by the named
+    groups of token_re; `ident` and `sym` matches become keywords or names,
+    `ws` is dropped. They run to the first token of a kind in `stop` outside
+    parentheses, which is the last, else to an `eof` token at the end."""
     tokens = []
-    pos = 0
+    depth = 0
     while pos < len(text):
         m = token_re.match(text, pos)
         if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos=pos)
+            raise _unexpected(text, pos)
         kind = m.lastgroup
         if kind != "ws":
             val = m.group()
             if kind in ("ident", "sym"):
                 kind = "kw" if val in _KEYWORDS else "name"
             tokens.append((kind, val, pos))
+            if kind == "lpar":
+                depth += 1
+            elif kind == "rpar":
+                depth -= 1
+            elif kind in stop and depth <= 0:
+                return tokens
         pos = m.end()
     tokens.append(("eof", "", pos))
     return tokens
+
+
+def _unexpected(text: str, pos: int) -> ParseError:
+    return ParseError(f"unexpected character {text[pos]!r}", pos=pos)
+
+
+@functools.cache
+def _tokens_prefix_re(parser: type) -> re.Pattern:
+    """Matches the longest prefix of a text that tokenize splits into
+    parser.token_re's tokens: the look-ahead takes each token as
+    token_re.match does and never gives it back (an atomic group, which
+    Python 3.10's re lacks)."""
+    token_re = parser.token_re
+    return re.compile(f"(?:(?=({token_re.pattern}))\\1)*", token_re.flags)
+
+
+# Text that every layer's token list splits without error: characters that
+# start a token wherever a token may start, the two-character operators and
+# `?` before a word character. It is only a quick test, which texts with
+# `'` or a stray character fail, so that they go to the full match of
+# _tokens_prefix_re.
+_PLAIN = r"[\s\w(),.\[\]=+*×<>#]*"  # runs end where an operator starts: no backtracking
+_PLAIN_TEXT_RE = re.compile(rf"{_PLAIN}(?:(?:\|-|->|/\\|\\/|\?\w){_PLAIN})*")
+
+_SEPARATORS = ("comma", "turnstile")  # the chunks of the text end at these
+_SPACE_RE = re.compile(r"\s*")
+_SEPARATOR_RE = re.compile(r",|\|-")
 
 
 class Parser:
@@ -534,25 +570,48 @@ class Parser:
 
     When a signature is supplied, a bare identifier declared as a function
     symbol parses as a zero-argument application instead of a variable.
-    prop_list enters each proposition it reads in the `formulas` table (a
-    fresh one unless given) by its source text, and reads a text met before
-    as the node it gave then.
+    The text is tokenized lazily, a chunk up to the next comma or turnstile
+    outside parentheses at a time, after one match up front has raised the
+    error of its first character that starts no token. prop_list enters
+    each proposition it reads in the `formulas` table (a fresh one unless
+    given) by its source text, and finds a text met before in the source,
+    untokenized, as the node it gave then.
     """
 
     token_re = _TOKEN_RE
 
     def __init__(self, text: str, sig: Signature | None = None, formulas: dict | None = None):
+        if _PLAIN_TEXT_RE.fullmatch(text) is None:
+            end = _tokens_prefix_re(type(self)).match(text).end()
+            if end < len(text):
+                raise _unexpected(text, end)
         self.text = text
-        self.tokens = tokenize(text, self.token_re)
+        self.tokens: list[tuple[str, str, int]] = []  # the chunks tokenized so far
+        self.scan = 0  # where the untokenized text starts
+        self._read_chunk()
         self.pos = 0
         self.sig = sig
         self.formulas = {} if formulas is None else formulas
 
+    def _read_chunk(self):
+        chunk = tokenize(self.text, self.token_re, self.scan, _SEPARATORS)
+        self.tokens += chunk
+        _, val, offset = chunk[-1]
+        self.scan = offset + len(val)
+
     def peek(self):
-        return self.tokens[self.pos]
+        try:
+            return self.tokens[self.pos]
+        except IndexError:  # at the end of the chunks read so far
+            self._read_chunk()
+            return self.tokens[self.pos]
 
     def next(self):
-        t = self.tokens[self.pos]
+        try:
+            t = self.tokens[self.pos]
+        except IndexError:
+            self._read_chunk()
+            t = self.tokens[self.pos]
         self.pos += 1
         return t
 
@@ -656,30 +715,58 @@ class Parser:
         return left, right
 
     def prop_list(self, stop: str):
-        if self.peek()[0] == stop:
+        first = self.listed_prop(stop)
+        if first is None:
             return ()
-        props = [self.listed_prop()]
+        props = [first]
         while self.peek()[0] == "comma":
             self.next()
             props.append(self.listed_prop())
         return tuple(props)
 
-    def listed_prop(self):
-        """A proposition of a list, shared through the formulas table. Its
-        text runs to the next comma, turnstile or end outside brackets; a
-        parse that raises or ends elsewhere is not entered."""
-        tokens, depth, end = self.tokens, 0, self.pos
-        while (kind := tokens[end][0]) != "eof" and (
-                depth or kind not in ("comma", "turnstile")):
-            depth += (kind in ("lpar", "lbrack")) - (kind in ("rpar", "rbrack"))
-            end += 1
-        key = self.text[tokens[self.pos][2]:tokens[end][2]].rstrip()
-        if (a := self.formulas.get(key)) is not None:
-            self.pos = end
+    def listed_prop(self, stop: str = ""):
+        """A proposition of a list, shared through the formulas table; None
+        where the list is empty, at a token of kind `stop`. A text the table
+        does not hold is parsed, and entered when the token after it is a
+        comma, turnstile or end."""
+        if self.pos == len(self.tokens) and (a := self._known_prop()) is not None:
             return a
+        kind, _, start = self.peek()
+        if kind == stop:
+            return None
         a = self.prop()
-        if self.pos == end:
-            self.formulas[key] = a
+        _, val, last = self.tokens[self.pos - 1]
+        if self.peek()[0] in ("comma", "turnstile", "eof"):
+            self.formulas[self.text[start:last + len(val)]] = a
+        return a
+
+    def _known_prop(self):
+        """The node of the text ahead, untokenized, if the table holds it.
+
+        That text runs from the next non-space character to the first comma
+        or turnstile outside parentheses (a formula holds commas only in
+        argument lists), or to the end. A text the table holds is followed
+        by only spaces and that separator, so it would tokenize and parse as
+        it did when it was entered: the parser moves to the separator, as
+        its token."""
+        text = self.text
+        start = at = _SPACE_RE.match(text, self.scan).end()
+        depth = 0
+        while (sep := _SEPARATOR_RE.search(text, at)) is not None:
+            depth += text.count("(", at, sep.start()) - text.count(")", at, sep.start())
+            if depth <= 0:
+                break
+            at = sep.end()
+        end = len(text) if sep is None else sep.start()
+        a = self.formulas.get(text[start:end].rstrip())
+        if a is None:
+            self.scan = start
+        elif sep is None:
+            self.tokens.append(("eof", "", end))
+            self.scan = end
+        else:
+            self.tokens.append(("comma" if sep.group() == "," else "turnstile", sep.group(), end))
+            self.scan = sep.end()
         return a
 
     def params(self) -> dict:
@@ -731,16 +818,27 @@ def parse_prop(text: str, sig: Signature | None = None) -> Prop:
 # Printing: one printer for the nodes of both layers
 
 
-def _args(slots) -> str:
-    return ", ".join([f"{' '.join(s.binders)}. {show(s.body)}" if s.binders else show(s.body)
-                      for s in slots])
+def _args(head: str, slots) -> list:
+    """The parts (see SHOW) of an application: head, then the slots, whose
+    binders are text, and the closing parenthesis."""
+    parts = [head]
+    for s in slots:
+        if len(parts) > 1:
+            parts.append(", ")
+        if s.binders:
+            parts.append(f"{' '.join(s.binders)}. ")
+        parts.append(s.body)
+    parts.append(")")
+    return parts
 
 
-# How show prints each leaf and application class; bindlog.sigma adds its own.
-SHOW: dict[type, Callable[[object], str]] = {
-    Var: lambda x: x.name,
-    App: lambda x: f"{x.symbol}({_args(x.args)})",
-    Atom: lambda x: f"{x.pred}({_args(x.args)})" if x.args else x.pred,
+# How show prints each leaf and application class: as its text, or as parts
+# that are text, a node printed at level 0 or a (node, level) pair.
+# bindlog.sigma adds its own.
+SHOW: dict[type, Callable[[object], str | tuple | list]] = {
+    Var: attrgetter("name"),
+    App: lambda x: _args(f"{x.symbol}(", x.args),
+    Atom: lambda x: _args(f"{x.pred}(", x.args) if x.args else x.pred,
     Bottom: lambda x: "false",
 }
 
@@ -748,20 +846,45 @@ SHOW: dict[type, Callable[[object], str]] = {
 def show(x, level: int = 0) -> str:
     """The text of a node of either layer, as the parser of its layer reads
     it; parenthesized when its operator's level (a quantifier's is 0) is
-    below `level`."""
-    cls = type(x)
-    printer = SHOW.get(cls)
-    if printer is not None:
-        return printer(x)
-    op = OPERATORS.get(cls)
-    if op is not None:
-        a, b = NODE_TYPES[cls].kids(x)
-        s = f"{show(a, op.level + 1)} {op.text} {show(b, op.right)}"
-        return f"({s})" if level > op.level else s
-    if cls is Forall or cls is Exists:
-        s = f"{NODE_TYPES[cls].name} {x.var}. {show(x.body)}"
-        return f"({s})" if level > 0 else s
-    raise TypeError(f"cannot print {x!r}")
+    below `level`. Iterative: the parts of each node being printed wait on
+    a stack."""
+    out: list[str] = []
+    waiting: list = []
+    parts = iter(((x, level),))
+    while True:
+        for part in parts:
+            if type(part) is str:
+                out.append(part)
+                continue
+            if type(part) is tuple:
+                x, level = part
+            else:
+                x, level = part, 0
+            cls = type(x)
+            printer = SHOW.get(cls)
+            if printer is not None:
+                inner = printer(x)
+                if type(inner) is str:
+                    out.append(inner)
+                    continue
+            elif (op := OPERATORS.get(cls)) is not None:
+                a, b = NODE_TYPES[cls].kids(x)
+                inner = ((a, op.level + 1), f" {op.text} ", (b, op.right))
+                if level > op.level:
+                    inner = ("(", *inner, ")")
+            elif cls is Forall or cls is Exists:
+                inner = (f"{NODE_TYPES[cls].name} {x.var}. ", x.body)
+                if level > 0:
+                    inner = ("(", *inner, ")")
+            else:
+                raise TypeError(f"cannot print {x!r}")
+            waiting.append(parts)
+            parts = iter(inner)
+            break
+        else:
+            if not waiting:
+                return "".join(out)
+            parts = waiting.pop()
 
 
 print_term = print_prop = show

@@ -13,6 +13,7 @@ explains.
 
 import random
 import re
+import sys
 from collections import Counter
 
 import pytest
@@ -579,6 +580,92 @@ def test_printers_match_reference():
     assert len(checked) >= 8, checked
 
 
+# The recursive `show` that the iterative one replaced, verbatim but for the
+# `_ref` names, with bindlog.sigma's printers merged into its table
+
+
+def _ref_args(slots) -> str:
+    return ", ".join([f"{' '.join(s.binders)}. {_ref_show(s.body)}" if s.binders
+                      else _ref_show(s.body) for s in slots])
+
+
+_REF_SHOW = {
+    Var: lambda x: x.name,
+    App: lambda x: f"{x.symbol}({_ref_args(x.args)})",
+    Atom: lambda x: f"{x.pred}({_ref_args(x.args)})" if x.args else x.pred,
+    Bottom: lambda x: "false",
+    Index: lambda x: f"{x.i}_{x.n}",
+    FreeVar: lambda x: x.name,
+    Id: lambda x: f"id_{x.n}",
+    Shift: lambda x: f"up_{x.n}",
+    FApp: lambda x: f"{x.f}_{x.p}({', '.join(map(_ref_show, x.args))})",
+    Closure: lambda x: f"{_ref_show(x.t, syntax.TIGHTEST)}[{_ref_show(x.s)}]",
+    MetaT: lambda x: f"?{x.name}",
+}
+
+
+def _ref_show(x, level: int = 0) -> str:
+    cls = type(x)
+    printer = _REF_SHOW.get(cls)
+    if printer is not None:
+        return printer(x)
+    op = syntax.OPERATORS.get(cls)
+    if op is not None:
+        a, b = syntax.NODE_TYPES[cls].kids(x)
+        s = f"{_ref_show(a, op.level + 1)} {op.text} {_ref_show(b, op.right)}"
+        return f"({s})" if level > op.level else s
+    if cls is Forall or cls is Exists:
+        s = f"{syntax.NODE_TYPES[cls].name} {x.var}. {_ref_show(x.body)}"
+        return f"({s})" if level > 0 else s
+    raise TypeError(f"cannot print {x!r}")
+
+
+def test_show_matches_recursive_reference_at_every_level():
+    """Seeded nodes of both layers, printed at every level from a
+    quantifier's to the tightest, as the recursive printer printed them;
+    each operator and quantifier is met both bare and parenthesized."""
+    seen = Counter()
+    nodes = [x for _, x in _seeded_nodes(0x5E0, 3000)] + _NAMED_CASES + _SORTED_CASES
+    for x in nodes:
+        bare = _ref_show(x)
+        for level in range(syntax.TIGHTEST + 1):
+            want = _ref_show(x, level)
+            assert syntax.show(x, level) == want, (x, level)
+            seen[type(x), want != bare] += 1
+    for cls in (*syntax.OPERATORS, Forall, Exists):
+        assert seen[cls, False] and seen[cls, True], cls
+    assert seen[Closure, False] and seen[FApp, False] and seen[App, False]
+
+
+def test_show_takes_deep_input():
+    limit = sys.getrecursionlimit()
+    n = 10_000
+    sorted_chain, named_chain = FreeVar("x"), Var("x")
+    imp, comp, cons, closure, quantified = A, Id(0), Id(0), FreeVar("x"), A
+    for _ in range(n):
+        sorted_chain = FApp("f", 0, (sorted_chain,))
+        named_chain = App("f", (Slot((), named_chain),))
+        imp = Imp(imp, A)
+        comp = Comp(comp, Id(0))
+        cons = Cons(FreeVar("x"), cons)
+        closure = Closure(closure, Id(0))
+        quantified = Forall("x", quantified)
+    cases = [
+        (sorted_chain, "f_0(" * n + "x" + ")" * n),
+        (named_chain, "f(" * n + "x" + ")" * n),
+        (Atom("P", (Slot((), sorted_chain),)), "P(" + "f_0(" * n + "x" + ")" * (n + 1)),
+        (imp, "(" * (n - 1) + "A => A" + ") => A" * (n - 1)),
+        (comp, "(" * (n - 1) + "id_0 o id_0" + ") o id_0" * (n - 1)),
+        (cons, "x . " * n + "id_0"),
+        (closure, "x" + "[id_0]" * n),
+        (quantified, "forall x. " * n + "A"),
+    ]
+    for x, want in cases:
+        assert syntax.show(x) == str(x) == want
+    assert syntax.show(imp, syntax.TIGHTEST) == f"({str(imp)})"
+    assert sys.getrecursionlimit() == limit
+
+
 def test_proof_file_printer_matches_reference():
     """print_proof_file prints sequents and annotations as the earlier
     printers did."""
@@ -667,6 +754,33 @@ def test_parsers_match_reference():
                 outcomes[parse.__name__, new != "error"] += 1
     # each parser accepted and rejected many inputs
     assert min(outcomes.values()) > 300, outcomes
+
+
+def _unexpected_character(make):
+    try:
+        make()
+    except ParseError as e:
+        return e.message, e.pos
+    return None
+
+
+def test_parser_raises_the_first_unexpected_character_as_tokenize_does():
+    """A parser made on a text raises, before it reads anything, the error
+    of the first character that tokenizing the whole text stops at, and
+    nothing on a text that tokenizes; on random strings over every
+    character the token lists treat specially."""
+    rng = random.Random(0x70E)
+    alphabet = ("x", "y1", "_", "0", "12", "Λ", "é", " ", "\t", "\n", "(", ")", "[", "]", ",",
+                ".", "=", ">", "<", "+", "*", "×", "|", "-", "/", "\\", "?", "'", "#", "!",
+                "@", "o", "id_", "up_", "f_", "1_2", "?n+", "|-", "->", "=>", "/\\", "\\/")
+    outcomes = Counter()
+    for _ in range(6000):
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 14)))
+        for cls in (Parser, LParser, sigma._TermPatternParser):
+            want = _unexpected_character(lambda: syntax.tokenize(text, cls.token_re))
+            assert _unexpected_character(lambda: cls(text)) == want, (cls, text)
+            outcomes[want is None] += 1
+    assert min(outcomes.values()) > 3000, outcomes
 
 
 def test_printed_trees_parse_back():

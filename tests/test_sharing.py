@@ -10,6 +10,7 @@ import itertools
 import random
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -408,3 +409,125 @@ def test_alpha_eq_l_matches_reference_on_shared_translations():
             assert sigma.alpha_eq_l(a, b) == _ref_alpha_eq(a, b)
             checked += 1
     assert checked == 2700
+
+
+# ---------------------------------------------------------------------------
+# the table tested on the source text, before it is tokenized
+
+_EDGE_CASES = [
+    # one formula spelled with different whitespace
+    "rule axiom |- P(x) |- P( x )",
+    "rule weak-left [at=1] |- P(x), P( x ) |- P(x)\n  rule axiom |- P(x) |- P(x)",
+    "rule axiom |-P(x)|-P(x)",
+    "rule axiom |- \tP(x)\t |-  P(x)  ",
+    # a known key followed by junk
+    "rule axiom |- P(x) |- P(x)Q",
+    "rule axiom |- P(x), P(x) ) |- P(x)",
+    "rule axiom |- P(x) |- P(x) )",
+    "rule axiom |- Q, Q2 |- Q",
+    "rule axiom |- Q |- Q2",
+    "rule axiom |- Q |- Q 2",
+    "rule axiom |- Q |- Q => Q",
+    "rule axiom |- Q |- Q, Q |- Q",
+    # keys that contain commas
+    "rule axiom |- R2(x, y), R2(x,y) |- R2(x, y)",
+    "rule weak-left [at=0] |- R2(x, y), R2(x, y) => Q |- R2(x, y) => Q",
+    "rule axiom |- R2(x, y) |- R2(x, y), R2(x, y",
+    "rule axiom |- R2(x, y) |- R2(x, y)), Q",
+    "rule axiom |- R2(x, g(y, z)) |- R2(x, g(y, z))",
+    # empty sides
+    "rule axiom |- |-",
+    "rule axiom |-  |- P(x)",
+    "rule axiom |- P(x) |-",
+    "rule axiom |- P(x) |- \n  rule axiom |- P(x) |- P(x)",
+    "rule axiom |- , |- P(x)",
+    "rule axiom |- P(x) |- ,",
+    # `syntax lprop` keys with brackets and cons
+    "syntax lprop\nrule axiom |- P(1_1[t . id_0]), P(1_1[t . id_0]) |- P(1_1[t . id_0])",
+    "syntax lprop\nrule axiom |- =(1_1[f_0(x, y) . id_0], x) |- =(1_1[f_0(x, y) . id_0], x)",
+    "syntax lprop\nrule axiom |- P(1_1[t . id_0]) |- P(1_1[t . id_0])[id_0]",
+    "syntax lprop\nrule axiom |- P(1_1[t . id_0]) |- P(1_1[t . id_0] . id_0)",
+    "syntax lprop\nrule axiom |- P(x[up_0 o up_1]) |- P(x[up_0 o up_1]), P(x[up_0  o up_1])",
+    "syntax lprop\nrule axiom |- P(1_1[t . id_0]) |- P(1_1[t . id_0]) #",
+]
+
+
+# an unexpected character after an earlier syntax error on the same line,
+# and the character each line must report
+_STRAY_CHARACTERS = {
+    "rule axiom |- P(x)) |- P(x) !": "!",
+    "rule axiom |- P(x) |- P(x), , Q ?": "?",
+    "rule axiom |- P(x), ( |- P(x) @": "@",
+    "rule axiom [at=x] |- Q |- Q $": "$",
+    "rule axiom |- P(x |- P(x) '": "'",
+    "rule axiom |- P(x) |- P(x)\n  rule axiom |- R2(x, y)) |- R2(x, y) ?x !": "!",
+}
+
+
+def test_formula_table_edge_cases_read_as_the_reference():
+    for text, char in _STRAY_CHARACTERS.items():
+        line = text.count("\n") + 1
+        assert _outcome(lambda: parse_proof_file(text, CORPUS_SIG)) == (
+            "raised", "ParseError", f"unexpected character {char!r} (line {line})"), text
+    outcomes = Counter()
+    for text in (*_EDGE_CASES, *_STRAY_CHARACTERS):
+        new = _outcome(lambda: parse_proof_file(text, CORPUS_SIG))
+        assert new == _outcome(lambda: _ref_parse_proof_file(text, CORPUS_SIG)), text
+        outcomes[isinstance(new, ProofTree)] += 1
+    assert min(outcomes.values()) > 8, outcomes
+
+
+def test_a_formula_text_met_before_is_not_tokenized_again():
+    """The characters tokenized while reading proofgen's identity and
+    instantiation proofs never cover a formula whose text came earlier in
+    the file, and come to no more than the file's distinct formula text,
+    its rule heads and its parameter blocks."""
+    rng = random.Random(0x70C)
+    read = []  # (parser, first, end) of each chunk handed to the tokenizer
+    real = syntax.Parser._read_chunk
+
+    def reading(self):
+        first = self.scan
+        real(self)
+        read.append((self, first, self.scan))
+
+    tokenized = skipped = 0
+    for _ in range(40):
+        proofs_ = [proofgen.identity(gen.random_prop(rng, KERNEL_SIG, rng.randint(4, 10))),
+                   proofgen.instantiation(
+                       "x", proofgen.instantiation_body(rng, gen, KERNEL_SIG),
+                       proofgen.binder_heavy_witness(rng, gen, KERNEL_SIG, rng.randint(1, 4)))]
+        for proof in proofs_:
+            text = proofgen.to_text(proof)
+            read.clear()
+            with mock.patch.object(syntax.Parser, "_read_chunk", reading):
+                tree = parse_proof_file(text, KERNEL_SIG)
+            chunks: dict = {}
+            for parser, first, end in read:
+                chunks.setdefault(parser, []).append((first, end))
+            lines = [ln.strip() for ln in text.splitlines()]
+            assert len(chunks) == len(lines)  # one parser per line, each tokenizes
+            met: set[str] = set()
+            allowed = 0
+            for line, node, spans in zip(lines, _nodes(tree), chunks.values()):
+                allowed += line.find("|-")  # the rule head and parameter block
+                at = line.find("|-") + 3 - re.match(r"rule\s+\S+\s*", line).end()
+                sides = node.conclusion
+                for i, a in enumerate((*sides.left, *sides.right)):
+                    if i == len(sides.left):
+                        at += 4  # " |- "
+                    elif i:
+                        at += 2  # ", "
+                    formula = syntax.show(a)
+                    covered = any(first < at + len(formula) and at < end for first, end in spans)
+                    if formula in met:
+                        assert not covered, (line, formula)
+                        skipped += 1
+                    else:
+                        allowed += len(formula)
+                    met.add(formula)
+                    at += len(formula)
+            count = sum(end - first for parser, first, end in read)
+            assert count <= allowed, text
+            tokenized += count
+    assert skipped > 1000 and tokenized > 10_000, (skipped, tokenized)
