@@ -67,11 +67,11 @@ def _load_proof(path: str, sig, cong: proofs.Congruence | None) -> proofs.ProofT
     the plain checker and term-layer congruences read term syntax, the
     substitution congruence reads lprop."""
     text = Path(path).read_text()
-    want = "lprop" if cong is not None and cong.layer == "lterm" else "term"
+    want = "lprop" if cong is not None and cong.system.layer == "lterm" else "term"
     have = proofs.proof_file_layer(text)
     if have != want:
         checker = ("the plain checker" if cong is None
-                   else f"a congruence over the {cong.layer} layer")
+                   else f"a congruence over the {cong.system.layer} layer")
         raise ParseError(f"{path} is in {have} syntax; {checker} needs {want} syntax")
     return proofs.parse_proof_file(text, sig)
 

@@ -843,7 +843,7 @@ def validate_sigma_rules(nm: SigmaModel, instances_per_rule: int = 30,
     for rule in rs.rules:
         pairs = gen.sigma_rule_instances(rng, nm.sig, rule.name, instances_per_rule, size)
         for lhs, rhs in pairs:
-            names = sigma.free_vars_l(lhs) | sigma.free_vars_l(rhs)
+            names = syntax.free_vars(lhs) | syntax.free_vars(rhs)
             phi = _random_phi(nm, sorted(names), rng)
             rep.checked += 1
             if not values_equal(lhs, rhs, sigma.sort_of(nm.sig, lhs)):

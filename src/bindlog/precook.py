@@ -56,14 +56,10 @@ def precook_prop(sig: Signature, a):
         Slot((), precook(sig, s.body, s.binders[::-1])) for s in atom.args)), a)
 
 
-def _fresh_binder_namer(avoid: frozenset[str]):
-    return syntax.numbered_names("z", avoid)
-
-
 def uncook(sig: Signature, t):
     """Inverse of the term translation on its image: rebuilds named binders
     (freshly chosen) such that re-translating reproduces t exactly."""
-    fresh = _fresh_binder_namer(sigma.all_names_l(t))
+    fresh = syntax.numbered_names("z", syntax.all_names(t))
     return _uncook_term(sig, t, (), fresh)
 
 
@@ -105,7 +101,7 @@ def _uncook_args(sig, args, arity, ctx: tuple[str, ...], fresh) -> tuple:
 def uncook_prop(sig: Signature, a):
     # generated binders must dodge quantifier-bound names too, or a shielded
     # occurrence of a quantified variable could be captured
-    fresh = _fresh_binder_namer(sigma.all_names_l(a))
+    fresh = syntax.numbered_names("z", syntax.all_names(a))
 
     def uncook_atom(a):
         if a.pred not in sig.predicates or len(sig.predicates[a.pred]) != len(a.args):
@@ -125,16 +121,16 @@ def subst_commutes(sig: Signature, t, u, x: str,
                    budget: int = sigma.DEFAULT_BUDGET) -> bool:
     """Does substituting then translating agree with translating then
     substituting, up to normalization and alpha-equivalence? Terms of the
-    sorted layer bind nothing, so on a term substitute_l grafts and
+    sorted layer bind nothing, so on a term syntax.subst grafts and
     alpha-equivalence is equality.
     """
     if rs is None:
         rs = sigma.sigma_system(sig)
     translate = precook_prop if isinstance(u, syntax.Prop) else precook
     lhs = translate(sig, syntax.substitute({x: t}, u))
-    rhs = sigma.substitute_l({x: precook(sig, t)}, translate(sig, u))
-    return sigma.alpha_eq_l(sigma.normalize(rs, lhs, budget=budget),
-                            sigma.normalize(rs, rhs, budget=budget))
+    rhs = syntax.subst({x: precook(sig, t)}, translate(sig, u))
+    return syntax.alpha_eq(sigma.normalize(rs, lhs, budget=budget),
+                           sigma.normalize(rs, rhs, budget=budget))
 
 
 # ---------------------------------------------------------------------------

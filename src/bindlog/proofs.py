@@ -17,7 +17,6 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from typing import Callable
 
 from . import sigma, syntax
 from .errors import (
@@ -132,27 +131,7 @@ class ProofTree:
 
 
 # ---------------------------------------------------------------------------
-# Layer-specific operation bundles
-
-
-@dataclass(frozen=True)
-class SyntaxOps:
-    alpha_eq: Callable
-    substitute1: Callable  # (t, x, A) -> (t/x)A
-    free_vars: Callable
-
-
-BINDING_OPS = SyntaxOps(
-    alpha_eq=syntax.alpha_eq,
-    substitute1=lambda t, x, a: syntax.substitute({x: t}, a),
-    free_vars=syntax.free_vars,
-)
-
-LTERM_OPS = SyntaxOps(
-    alpha_eq=sigma.alpha_eq_l,
-    substitute1=lambda t, x, a: sigma.substitute_l({x: t}, a),
-    free_vars=sigma.free_vars_l,
-)
+# Congruences
 
 
 class Congruence:
@@ -161,16 +140,10 @@ class Congruence:
     congruence is syntactic (alpha only)."""
 
     def __init__(self, system: sigma.RewriteSystem | None = None,
-                 layer: str | None = None, budget: int = sigma.DEFAULT_BUDGET):
+                 budget: int = sigma.DEFAULT_BUDGET):
         self.system = system
-        self.layer = system.layer if system is not None else (layer or "term")
         self.budget = budget
-        self.ops = LTERM_OPS if self.layer == "lterm" else BINDING_OPS
         self._nf_cache: dict = {}
-
-    @staticmethod
-    def syntactic(layer: str = "term") -> "Congruence":
-        return Congruence(None, layer=layer)
 
     def normal_form(self, a):
         if self.system is None:
@@ -185,11 +158,11 @@ class Congruence:
         return nf
 
     def equal(self, a, b) -> bool:
-        if self.ops.alpha_eq(a, b):
+        if syntax.alpha_eq(a, b):
             return True
         if self.system is None:
             return False
-        return self.ops.alpha_eq(self.normal_form(a), self.normal_form(b))
+        return syntax.alpha_eq(self.normal_form(a), self.normal_form(b))
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +175,7 @@ def check_binding_proof(sig: Signature, p: ProofTree) -> CheckResult:
     (with respect to symbol binders too), and the right-forall / left-exists
     rules enforce the freshness side condition. The formulas must be
     well-formed over sig."""
-    res = _check(Congruence.syntactic("term"), p)
+    res = _check(Congruence(), p)
     return res if not res.ok else _check_well_formed(sig, p)
 
 
@@ -279,11 +252,10 @@ def principal_quantifier_parts(node: ProofTree):
 
 
 def _check(cong: Congruence, proof: ProofTree) -> CheckResult:
-    ops = cong.ops
     ceq = cong.equal
 
     def alpha_list(xs, ys) -> bool:
-        return len(xs) == len(ys) and all(map(ops.alpha_eq, xs, ys))
+        return len(xs) == len(ys) and all(map(syntax.alpha_eq, xs, ys))
 
     def check_node(node: ProofTree):
         app = node.rule
@@ -329,12 +301,12 @@ def _check(cong: Congruence, proof: ProofTree) -> CheckResult:
             if not ceq(principal, spec.quantifier(x, a)):
                 raise _Rejected("RuleMismatch", "principal does not match the (x,A) annotation")
             if spec.witness:
-                if not ceq(body, ops.substitute1(app.t, x, a)):
+                if not ceq(body, syntax.subst({x: app.t}, a)):
                     raise _Rejected("RuleMismatch", "premise formula is not the "
                                     "substitution instance of the annotation")
-            elif not ops.alpha_eq(body, a):
+            elif not syntax.alpha_eq(body, a):
                 raise _Rejected("RuleMismatch", "premise formula differs from the annotation body")
-            elif any(x in ops.free_vars(c) for c in gamma + delta):
+            elif any(x in syntax.free_vars(c) for c in gamma + delta):
                 raise _Rejected("SideConditionViolated", f"{x} occurs free in the context")
 
     return _first_rejection(proof, lambda node, path: check_node(node))

@@ -302,43 +302,9 @@ def lprop_sorts_ok(sig: Signature, a) -> bool:
     return True
 
 
-# ---------------------------------------------------------------------------
-# Variables, grafting, substitution, alpha on this layer
-
-
-# The walks of bindlog.syntax cover this layer too; as its terms bind nothing,
-# on them grafting is replacement and alpha-equivalence is equality.
-free_vars_l = syntax.free_vars
-all_names_l = syntax.all_names
+# The walks of bindlog.syntax cover this layer; grafting keeps a name here
+# for the callers that graft sorted terms.
 graft_l = syntax.graft
-alpha_eq_l = syntax.alpha_eq
-
-
-def substitute_l(theta, x):
-    """Capture-avoiding substitution: quantified variables are renamed away
-    from the free variables of the substituted terms."""
-    if not theta:
-        return x
-    n = NODE_TYPES[type(x)]
-    if n.variable:
-        return theta.get(x.name, x)
-    kids = n.kids(x)
-    if not n.slotted:
-        return n.rebuild(x, tuple([substitute_l(theta, c) for c in kids])) if kids else x
-    new = []
-    for s in kids:
-        inner = syntax._unbind(theta, s.binders)
-        binders, body = s.binders, s.body
-        range_free = set().union(*map(free_vars_l, inner.values())) if binders else ()
-        if range_free and range_free.intersection(binders):
-            # the fresh name must avoid every name in the body, bound ones
-            # included, or an inner quantifier could capture it
-            fresh = syntax._fresh_namer(range_free | all_names_l(body) | set(inner)
-                                         | set(s.binders))
-            binders = tuple([fresh(b) if b in range_free else b for b in s.binders])
-            body = graft_l({b: FreeVar(y) for b, y in zip(s.binders, binders) if b != y}, body)
-        new.append(Slot(binders, substitute_l(inner, body)))
-    return n.make(n.data(x), tuple(new))
 
 
 # ---------------------------------------------------------------------------
@@ -1181,8 +1147,15 @@ syntax.SHOW.update({
 })
 print_lterm = print_lprop = syntax.show
 
+
+def _repr(x) -> str:
+    """<class text>, printed by the iterative show, so that any depth prints."""
+    return f"<{type(x).__name__} {syntax.show(x)}>"
+
+
 for _cls in (Index, FreeVar, FApp, Closure, Id, Cons, Shift, Comp):
     _cls.__str__ = syntax.show  # type: ignore[assignment]
+    _cls.__repr__ = _repr  # type: ignore[assignment]
 
 # read once, without load_rules' sort check, which tests run on this text
 # instead: the rules and their left sides by name

@@ -9,10 +9,10 @@ names with a body.
 The connective and quantifier nodes defined here are shared with the sorted
 explicit-substitution layer (bindlog.sigma): a proposition over that layer
 simply holds sorted terms in binder-free slots. The walks here cover both
-layers through one node protocol (see NodeType), except `substitute` and
-`canonical_binders`: bindlog.sigma has its own substitution. So do the
-text grammar (one token list, one operator table, one printer `show`) and
-the reader of line-oriented files (`file_lines`).
+layers through one node protocol (see NodeType), the one capture-avoiding
+substitution `subst` among them. So do the text grammar (one token list,
+one operator table, one printer `show`) and the reader of line-oriented
+files (`file_lines`).
 """
 
 from __future__ import annotations
@@ -359,45 +359,60 @@ def _fresh_namer(taken: set[str]) -> Callable[[str], str]:
     return fresh
 
 
-def _rename(x, theta: SubstMap, env: dict[str, str], new_name: Callable[[str], str]):
-    """Replace the free variables of x mapped by theta and give every binder
-    b the name new_name(b), in preorder; env maps the binders in scope."""
+def _rename(x, env: dict[str, str], new_name: Callable[[str], str]):
+    """x with every binder b renamed to new_name(b), in preorder, and every
+    variable env maps (on entry any name, then the binders in scope)
+    renamed as env says, each through its own class."""
     n = NODE_TYPES[type(x)]
     if n.variable:
-        if x.name in env:
-            return n.make((env[x.name],), ())
-        return theta.get(x.name, x)
+        return n.make((env[x.name],), ()) if x.name in env else x
     kids = n.kids(x)
     if n.slotted:
         new = []
         for s in kids:
             ys = tuple([new_name(b) for b in s.binders])
-            new.append(Slot(ys, _rename(s.body, theta, {**env, **dict(zip(s.binders, ys))},
-                                        new_name)))
+            new.append(Slot(ys, _rename(s.body, {**env, **dict(zip(s.binders, ys))}, new_name)))
         return n.make(n.data(x), tuple(new))
-    return n.rebuild(x, tuple([_rename(c, theta, env, new_name) for c in kids]))
+    return n.rebuild(x, tuple([_rename(c, env, new_name) for c in kids]))
 
 
-def substitute(theta: SubstMap, x, fresh: Callable[[str], str] | None = None):
-    """Capture-avoiding substitution.
+def subst(theta: SubstMap, x):
+    """Capture-avoiding substitution on either layer. A binder is renamed
+    only where a term pushed under it has it free; its new name b1, b2, ...
+    occurs neither in the slot nor in the map, so no inner binder can
+    capture it."""
+    if not theta:
+        return x
+    n = NODE_TYPES[type(x)]
+    if n.variable:
+        return theta.get(x.name, x)
+    kids = n.kids(x)
+    if not n.slotted:
+        return n.rebuild(x, tuple([subst(theta, c) for c in kids])) if kids else x
+    new = []
+    for s in kids:
+        inner = _unbind(theta, s.binders)
+        binders, body = s.binders, s.body
+        range_free = set().union(*map(free_vars, inner.values())) if binders else ()
+        if range_free and range_free.intersection(binders):
+            fresh = _fresh_namer(range_free | all_names(body) | set(inner) | set(binders))
+            binders = tuple([fresh(b) if b in range_free else b for b in s.binders])
+            body = _rename(body, dict(zip(s.binders, binders)), str)  # str: same names inside
+        new.append(Slot(binders, subst(inner, body)))
+    return n.make(n.data(x), tuple(new))
 
-    Every binder is renamed to a name occurring neither free nor bound in the
-    argument nor in the map before the map is pushed under it. The result is
-    then put into a canonical bound-name form, so the choice of fresh-name
-    generator is unobservable.
-    """
-    if fresh is None:
-        taken = set(all_names(x)) | set(theta)
-        for t in theta.values():
-            taken |= all_names(t)
-        fresh = _fresh_namer(taken)
-    return canonical_binders(_rename(x, theta, {}, fresh))
+
+def substitute(theta: SubstMap, x):
+    """Capture-avoiding substitution with its result in the canonical
+    bound-name form, so it depends only on the alpha-classes of x and of
+    the map's terms."""
+    return canonical_binders(subst(theta, x))
 
 
 def canonical_binders(x):
     """Rename every bound variable deterministically (x1, x2, ... in preorder,
     skipping the free names of x). Output depends only on the alpha-class."""
-    return _rename(x, {}, {}, numbered_names("x", free_vars(x)))
+    return _rename(x, {}, numbered_names("x", free_vars(x)))
 
 
 def numbered_names(prefix: str, skip) -> Callable[..., str]:

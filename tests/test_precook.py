@@ -153,7 +153,7 @@ def test_subst_commutes_binder_case_hand_checked():
     t = parse_term("g(z, z)", SIG)
     u = parse_term("Λ(z. x)", SIG)
     lhs = F(SIG, syntax.substitute({"x": t}, u))
-    rhs = sigma.graft_l({"x": F(SIG, t)}, F(SIG, u))
+    rhs = syntax.graft({"x": F(SIG, t)}, F(SIG, u))
     assert lhs != rhs  # grafting leaves a closure redex
     assert sigma.normalize(RS, lhs) == sigma.normalize(RS, rhs)
     expected = FApp("Λ", 0, (FApp("g", 1, (
@@ -183,11 +183,11 @@ def test_prop_grafting_agrees_when_capture_free():
         x = rng.choice(("x", "y"))
         ap = precook_prop(SIG, a)
         tp = F(SIG, t)
-        if sigma.free_vars_l(tp) & _quantified_names(ap):
+        if syntax.free_vars(tp) & _quantified_names(ap):
             continue
-        lhs = sigma.normalize(RS, sigma.graft_l({x: tp}, ap))
-        rhs = sigma.normalize(RS, sigma.substitute_l({x: tp}, ap))
-        assert sigma.alpha_eq_l(lhs, rhs)
+        lhs = sigma.normalize(RS, syntax.graft({x: tp}, ap))
+        rhs = sigma.normalize(RS, syntax.subst({x: tp}, ap))
+        assert syntax.alpha_eq(lhs, rhs)
         checked += 1
     assert checked > 100
 

@@ -228,7 +228,7 @@ def test_axiom_modulo_arithmetic():
 
 def test_axiom_fails_under_empty_congruence():
     ax = axiom_at(AP(f"=({num(4)}, {num(4)})"), AP(f"=(*({num(2)}, {num(2)}), {num(4)})"))
-    r = check_modulo_proof(ARITH_SIG, Congruence.syntactic("term"), ax)
+    r = check_modulo_proof(ARITH_SIG, Congruence(), ax)
     assert not r.ok and r.kind == "RuleMismatch"
 
 
@@ -236,7 +236,7 @@ def test_congruence_closure_examples():
     cong = arith_congruence()
     assert cong.equal(AP(f"=({num(4)}, {num(4)})"), AP(f"=(*({num(2)}, {num(2)}), {num(4)})"))
     a = AP("=(x, x)")
-    assert Congruence.syntactic("term").equal(a, a)
+    assert Congruence().equal(a, a)
     # one-step closure collapse under the substitution system
     lsig = Signature({}, {"=": (0, 0)})
     scong = Congruence(sigma.sigma_system(lsig))
@@ -254,7 +254,7 @@ def test_congruence_budget_exceeded_is_reported():
 
 def test_binding_valid_implies_modulo_valid_with_syntactic_congruence():
     for name, proof in corpus():
-        r = check_modulo_proof(CORPUS_SIG, Congruence.syntactic("term"), proof)
+        r = check_modulo_proof(CORPUS_SIG, Congruence(), proof)
         assert r.ok, f"{name}: {r}"
 
 
@@ -423,16 +423,14 @@ _PREMISE_COUNT = {
 
 
 def _reference_check(sig, cong: Congruence, proof: ProofTree, modulo: bool) -> CheckResult:
-    ops = cong.ops
-
     def fail(kind, path, msg):
         return CheckResult.failed(kind, path, msg)
 
     def alpha_list(xs, ys) -> bool:
-        return len(xs) == len(ys) and all(ops.alpha_eq(a, b) for a, b in zip(xs, ys))
+        return len(xs) == len(ys) and all(syntax.alpha_eq(a, b) for a, b in zip(xs, ys))
 
     def ceq(a, b) -> bool:
-        return cong.equal(a, b) if modulo else ops.alpha_eq(a, b)
+        return cong.equal(a, b) if modulo else syntax.alpha_eq(a, b)
 
     def principal(node, path, side):
         lst = node.conclusion.left if side == "left" else node.conclusion.right
@@ -651,7 +649,7 @@ def _reference_check(sig, cong: Congruence, proof: ProofTree, modulo: bool) -> C
                 instance, b = p.right[0], R[i]
             if not ceq(b, cls(x, a)):
                 return fail("RuleMismatch", path, "principal does not match the (x,A) annotation")
-            if not ceq(instance, ops.substitute1(t, x, a)):
+            if not ceq(instance, syntax.subst({x: t}, a)):
                 return fail("RuleMismatch", path,
                             "premise formula is not the substitution instance of the annotation")
             return None
@@ -682,9 +680,9 @@ def _reference_check(sig, cong: Congruence, proof: ProofTree, modulo: bool) -> C
                 body, b, ctx = p.left[-1], L[i], list(gamma) + list(R)
             if not ceq(b, cls(x, a)):
                 return fail("RuleMismatch", path, "principal does not match the (x,A) annotation")
-            if not ops.alpha_eq(body, a):
+            if not syntax.alpha_eq(body, a):
                 return fail("RuleMismatch", path, "premise formula differs from the annotation body")
-            if any(x in ops.free_vars(c) for c in ctx):
+            if any(x in syntax.free_vars(c) for c in ctx):
                 return fail("SideConditionViolated", path, f"{x} occurs free in the context")
             return None
 
@@ -831,9 +829,9 @@ def test_rule_table_matches_reference_checker():
     rng = random.Random(0x7AB1E)
     checked = 0
     for name, proof in corpus():
-        checked += _same_verdicts(CORPUS_SIG, lambda: Congruence.syntactic("term"),
+        checked += _same_verdicts(CORPUS_SIG, Congruence,
                                   list(_mutants(rng, proof, 120)), modulo=False)
-        checked += _same_verdicts(CORPUS_SIG, lambda: Congruence.syntactic("term"),
+        checked += _same_verdicts(CORPUS_SIG, Congruence,
                                   list(_mutants(rng, proof, 40)), modulo=True)
     rs = sigma.sigma_system(CORPUS_SIG)
     for name, proof in corpus():
@@ -897,13 +895,13 @@ def _fuzz_bases():
     for stem, sig_stem in SAMPLE_SIGS.items():
         sig = syntax.parse_signature((SAMPLES / f"{sig_stem}.sig").read_text())
         cong = Congruence(sigma.load_rules((SAMPLES / "arith.rw").read_text(), sig=sig)) \
-            if sig_stem == "arith" else Congruence.syntactic("term")
+            if sig_stem == "arith" else Congruence()
         bases.append(((SAMPLES / f"{stem}.prf").read_text(), sig, cong))
     for _, proof in corpus():
-        bases.append((print_proof_file(proof), CORPUS_SIG, Congruence.syntactic("term")))
+        bases.append((print_proof_file(proof), CORPUS_SIG, Congruence()))
         translated = precook.translate_proof(CORPUS_SIG, proof)
         bases.append((print_proof_file(translated, layer="lprop"), CORPUS_SIG,
-                      Congruence.syntactic("term")))
+                      Congruence()))
     return bases
 
 

@@ -5,7 +5,6 @@ translation per formula node. Each is compared with a frozen copy of the
 code it replaced, which shares nothing (the `_ref_*` functions)."""
 
 import contextlib
-import dataclasses
 import itertools
 import random
 import re
@@ -77,6 +76,39 @@ def _ref_alpha_eq(x, y) -> bool:
     return go(x, y, {}, {}, 0)
 
 
+def _ref_tokenize(text: str, token_re) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) tokens by the named groups of token_re; `ident`
+    and `sym` matches become keywords or names, `ws` is dropped."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = token_re.match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", pos=pos)
+        kind = m.lastgroup
+        if kind != "ws":
+            val = m.group()
+            if kind in ("ident", "sym"):
+                kind = "kw" if val in syntax._KEYWORDS else "name"
+            tokens.append((kind, val, pos))
+        pos = m.end()
+    tokens.append(("eof", "", pos))
+    return tokens
+
+
+class _RefParser(syntax.Parser):
+    """The grammar over the whole line's tokens, made up front by the frozen
+    tokenizer, with no formula table."""
+
+    def __init__(self, text: str, sig=None):
+        self.text, self.sig = text, sig
+        self.tokens, self.pos = _ref_tokenize(text, self.token_re), 0
+
+
+class _RefLParser(_RefParser, sigma.LParser):
+    pass
+
+
 def _ref_parse_proof_file(text: str, sig=None) -> ProofTree:
     layer, lines = syntax.file_lines(text, proofs._LAYERS)
     entries = []
@@ -96,7 +128,7 @@ def _ref_parse_proof_file(text: str, sig=None) -> ProofTree:
         if rname not in proofs._RULE_BY_NAME:
             raise ParseError(f"unknown rule {rname!r}", line=lineno)
         with syntax.at_line(lineno):
-            p = sigma.LParser(rest) if layer == "lprop" else syntax.Parser(rest, sig)
+            p = _RefLParser(rest) if layer == "lprop" else _RefParser(rest, sig)
             params = p.params()
             p.expect("turnstile")
             left = [] if p.peek()[0] == "turnstile" else [p.prop()]
@@ -156,12 +188,8 @@ def _ref_translate_proof(sig, p: ProofTree) -> ProofTree:
 
 @contextlib.contextmanager
 def _reference_alpha():
-    """The checkers, with every Congruence made meanwhile comparing by the
-    frozen alpha_eq."""
-    with mock.patch.multiple(
-            proofs,
-            BINDING_OPS=dataclasses.replace(proofs.BINDING_OPS, alpha_eq=_ref_alpha_eq),
-            LTERM_OPS=dataclasses.replace(proofs.LTERM_OPS, alpha_eq=_ref_alpha_eq)):
+    """The checkers, comparing by the frozen alpha_eq meanwhile."""
+    with mock.patch.object(syntax, "alpha_eq", _ref_alpha_eq):
         yield
 
 
@@ -211,27 +239,26 @@ def _generated_texts(rng, count):
 def _texts(seed: int):
     """(text, signature, term-layer congruence factory) triples."""
     rng = random.Random(seed)
-    syntactic = lambda: Congruence.syntactic("term")  # noqa: E731
     out = []
     for stem, sig_stem in SAMPLE_SIGS.items():
         sig = syntax.parse_signature((SAMPLES / f"{sig_stem}.sig").read_text())
         rules = (SAMPLES / "arith.rw").read_text()
         make = (lambda sig=sig: Congruence(sigma.load_rules(rules, sig=sig))) \
-            if sig_stem == "arith" else syntactic
+            if sig_stem == "arith" else Congruence
         out.append(((SAMPLES / f"{stem}.prf").read_text(), sig, make))
     for _, proof in corpus():
         for m in _mutants(rng, proof, 6):
-            out.append((print_proof_file(m), CORPUS_SIG, syntactic))
+            out.append((print_proof_file(m), CORPUS_SIG, Congruence))
         translated = precook.translate_proof(CORPUS_SIG, proof)
         for m in _mutants(rng, translated, 4, lterm=True):
-            out.append((print_proof_file(m, layer="lprop"), CORPUS_SIG, syntactic))
+            out.append((print_proof_file(m, layer="lprop"), CORPUS_SIG, Congruence))
     bases = _fuzz_bases()
     for _ in range(400):
         text, sig, _ = rng.choice(bases)
         for _ in range(rng.choice([1, 1, 2, 3])):
             text = (_byte_mutant if rng.random() < 0.5 else _structural_mutant)(rng, text)
-        out.append((text, sig, syntactic))
-    out += [(text, KERNEL_SIG, syntactic) for text in _generated_texts(rng, 30)]
+        out.append((text, sig, Congruence))
+    out += [(text, KERNEL_SIG, Congruence) for text in _generated_texts(rng, 30)]
     return out
 
 
@@ -406,7 +433,7 @@ def test_alpha_eq_l_matches_reference_on_shared_translations():
     for _ in range(300):
         core = precook.precook_prop(SIG, gen.random_prop(rng, SIG, rng.randint(1, 6)))
         for a, b in itertools.product([core, Forall("x", core), Forall("y", core)], repeat=2):
-            assert sigma.alpha_eq_l(a, b) == _ref_alpha_eq(a, b)
+            assert syntax.alpha_eq(a, b) == _ref_alpha_eq(a, b)
             checked += 1
     assert checked == 2700
 

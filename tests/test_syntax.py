@@ -230,15 +230,23 @@ def test_substitute_respects_alpha(data):
     assert alpha_eq(substitute(theta, t), substitute(theta, u))
 
 
-def test_substitute_fresh_generator_unobservable():
-    t = P("forall x. =(Λ(y. g(x, y)), z)")
-    theta = {"z": T("Λ(y. y)")}
-    import itertools
-    gen1 = iter(f"n{i}" for i in itertools.count(100)).__next__
-    gen2 = iter(f"m{i}" for i in itertools.count(5000)).__next__
-    a = substitute(theta, t, fresh=lambda base: gen1())
-    b = substitute(theta, t, fresh=lambda base: gen2())
-    assert to_debruijn(a) == to_debruijn(b)
+@given(st.data())
+def test_substitute_depends_only_on_alpha_classes(data):
+    # the output is canonical: alpha-variants of the argument and of the
+    # map's terms give the same output, not just alpha-equivalent ones
+    t = data.draw(st.one_of(term_st(), prop_st()))
+    theta = data.draw(subst_map_st())
+    variant = {v: subst_oracle({}, u) for v, u in theta.items()}
+    assert substitute(theta, t) == substitute(variant, subst_oracle({}, t))
+
+
+@given(st.one_of(term_st(), prop_st()), subst_map_st())
+def test_subst_matches_oracle(t, theta):
+    out = syntax.subst(theta, t)
+    assert alpha_eq(out, subst_oracle(theta, t))
+    range_free = frozenset().union(*map(free_vars, theta.values()))
+    if not syntax.all_names(t) & range_free:
+        assert out == graft(theta, t)  # nothing to rename: no binder is touched
 
 
 # ---------------------------------------------------------------------------
