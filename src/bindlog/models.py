@@ -82,9 +82,11 @@ class BindingModel:
 # Denotation, compiled once into closures over one env dict (Feeley & Lapalme,
 # "Using closures for code generation", 1987) that holds phi and one slot per
 # quantifier. A subterm that does not read the innermost quantifier's slot is
-# evaluated again only when a slot it reads holds a new value (once, if it
-# reads none); errors are raised when their node is reached, as by a
-# recursive interpreter.
+# evaluated again only after the innermost quantifier whose slot it reads
+# writes that slot (once, if it reads none); one that reads it but skips
+# the slot of some enclosing quantifier is evaluated once per binding of the
+# slots it reads. Errors are never stored: they are raised when their node
+# is reached, as by a recursive interpreter.
 
 
 def _raiser(exc):
@@ -96,31 +98,66 @@ def _raiser(exc):
 _UNSET = object()
 
 
-def _memo(fn, keys: frozenset):
-    """fn, run again only when some env slot in keys holds another object
-    than at its last successful run."""
-    seen, value = _UNSET, None
-    if len(keys) <= 1:
-        (k,) = keys or (_UNSET,)  # no env holds _UNSET: fn runs once
+def _memo(fn, vals: list) -> Callable:
+    """fn, run again only after its entry in vals is set back to _UNSET,
+    which the quantifier owning vals does each time it writes its slot."""
+    i = len(vals)
+    vals.append(_UNSET)
+
+    def run(env):
+        v = vals[i]
+        if v is _UNSET:
+            v = vals[i] = fn(env)
+        return v
+    return run
+
+
+def _tabled(fn, keys: tuple) -> Callable:
+    """fn, run once per binding of the quantifier slots keys, told apart by
+    the identity of their values (domain elements, which the domain tuple
+    keeps alive)."""
+    table: dict = {}
+    if len(keys) == 1:
+        (k,) = keys
 
         def run(env):
-            nonlocal seen, value
-            v = env.get(k)
-            if v is not seen:
-                value = fn(env)
-                seen = v
-            return value
+            key = id(env[k])
+            try:
+                return table[key]
+            except KeyError:
+                pass
+            v = table[key] = fn(env)
+            return v
         return run
-    keys = tuple(keys)
 
     def run_many(env):
-        nonlocal seen, value
-        vs = tuple(map(env.get, keys))
-        if seen is _UNSET or any(map(operator.is_not, vs, seen)):
-            value = fn(env)
-            seen = vs
-        return value
+        key = tuple([id(env[k]) for k in keys])
+        try:
+            return table[key]
+        except KeyError:
+            pass
+        v = table[key] = fn(env)
+        return v
     return run_many
+
+
+def _hoist(fn, reads: frozenset, around: frozenset, quants: dict) -> Callable:
+    """fn, which reads the env slots reads, as run by a node that reads
+    around; quants maps the enclosing quantifiers' slots, outermost first,
+    to the memo lists their quantifiers empty when they write. Where the
+    node reads the innermost slot, fn is memoized if it does not read that
+    slot (its memo emptied by the innermost quantifier whose slot it
+    reads), and tabled per binding of the quantifier slots it reads if it
+    does but misses another quantifier slot that the node reads."""
+    inner = next(reversed(quants), None)
+    if inner not in around:
+        return fn
+    if inner not in reads:
+        owner = next((k for k in reversed(quants) if k in reads), None)
+        return _memo(fn, quants[owner] if owner is not None else [])
+    if any(k in around and k not in reads for k in quants):
+        return _tabled(fn, tuple(k for k in quants if k in reads))
+    return fn
 
 
 # env -> the tuple of the closures' values, unrolled for the common arities
@@ -132,22 +169,22 @@ _TUPLE_OF = {
 
 
 def _compile_args(m: BindingModel, slots, ctx: tuple, scope: dict,
-                  inner) -> tuple[Callable, frozenset]:
+                  quants: dict) -> tuple[Callable, frozenset]:
     """(env -> the tuple of the slot bodies' denotations, the env slots it
-    reads); where some body reads the slot inner, the others are memoized."""
-    parts = [_compile_term(m, s.body, tuple(reversed(s.binders)) + ctx, scope, inner)
+    reads); each body is hoisted (_hoist) against what the others read."""
+    parts = [_compile_term(m, s.body, tuple(reversed(s.binders)) + ctx, scope, quants)
              for s in slots]
     reads = frozenset().union(*(r for _, r in parts))
-    fns = [_memo(f, r) if inner in reads and inner not in r else f for f, r in parts]
+    fns = [_hoist(f, r, reads, quants) for f, r in parts]
     unrolled = _TUPLE_OF.get(len(fns))
     return (unrolled(*fns) if unrolled else lambda env: tuple([f(env) for f in fns])), reads
 
 
 def _compile_term(m: BindingModel, t, ctx: tuple, scope: dict,
-                  inner=None) -> tuple[Callable, frozenset]:
+                  quants: dict) -> tuple[Callable, frozenset]:
     """(env -> the denotation of t at level len(ctx), the env slots it
-    reads); scope maps quantified names to their env slots, inner is the
-    innermost quantifier's slot."""
+    reads); scope maps quantified names to their env slots, quants is as
+    for _hoist."""
     n = len(ctx)
     if isinstance(t, Var):
         name, box = t.name, m.ifs.box
@@ -162,7 +199,7 @@ def _compile_term(m: BindingModel, t, ctx: tuple, scope: dict,
             return box(env[key], (), n)
         return free, frozenset((key,))
     if isinstance(t, App):
-        args, reads = _compile_args(m, t.args, ctx, scope, inner)
+        args, reads = _compile_args(m, t.args, ctx, scope, quants)
         fh = m.fhat.get(t.symbol) or _raiser(KeyError(t.symbol))
         return (lambda env: fh(n, args(env))), reads
     return _raiser(TypeError(f"not a named term: {t!r}")), frozenset()
@@ -171,7 +208,7 @@ def _compile_term(m: BindingModel, t, ctx: tuple, scope: dict,
 def eval_term(m: BindingModel, t, ctx: tuple[str, ...] = (), phi: Mapping | None = None):
     """Denotation of a term in a context of bound variables (innermost
     first); an element of the carrier at level len(ctx)."""
-    return _compile_term(m, t, tuple(ctx), {})[0](dict(phi or {}))
+    return _compile_term(m, t, tuple(ctx), {}, {})[0](dict(phi or {}))
 
 
 def _closed_term_values(m: BindingModel, a) -> list:
@@ -205,19 +242,19 @@ _JUNCTIONS = {Imp: (1, 0, 0), And: (1, 1, 1), Or: (0, 0, 0)}
 
 
 def _compile_prop(m: BindingModel, a, domain: tuple, exhaustive: bool, scope: dict,
-                  inner=None) -> Callable:
+                  quants: dict) -> Callable:
     """env -> (truth value, exact) of a, quantifiers ranging over domain;
-    inner is the slot of the innermost quantifier around a."""
+    scope and quants are as for _compile_term."""
     if isinstance(a, Atom):
-        args, reads = _compile_args(m, a.args, (), scope, inner)
+        args, reads = _compile_args(m, a.args, (), scope, quants)
         ph = m.phat.get(a.pred) or _raiser(KeyError(a.pred))
         atom = lambda env: (ph(args(env)), True)  # noqa: E731
-        return atom if inner in reads else _memo(atom, reads)
+        return _hoist(atom, reads, frozenset(quants), quants)
     if isinstance(a, Bottom):
         return lambda env: (0, True)
     if type(a) in _JUNCTIONS:
         x, y, v = _JUNCTIONS[type(a)]
-        left, right = (_compile_prop(m, b, domain, exhaustive, scope, inner) for b in (a.a, a.b))
+        left, right = (_compile_prop(m, b, domain, exhaustive, scope, quants) for b in (a.a, a.b))
 
         def junction(env):
             va, ea = left(env)
@@ -228,7 +265,15 @@ def _compile_prop(m: BindingModel, a, domain: tuple, exhaustive: bool, scope: di
         return junction
     if isinstance(a, (Forall, Exists)):
         key = id(a)  # quantifier_witness reads the slot back by this key
-        body = _compile_prop(m, a.body, domain, exhaustive, {**scope, a.var: key}, key)
+        memos: list = []
+        body = _compile_prop(m, a.body, domain, exhaustive, {**scope, a.var: key},
+                             {**quants, key: memos})
+        if memos:
+            blank, run_body = list(memos), body
+
+            def body(env):
+                memos[:] = blank  # the memos this slot owns hold values for the last element
+                return run_body(env)
         stop, rest = (0, 1) if isinstance(a, Forall) else (1, 0)
 
         def quantifier(env):
@@ -253,7 +298,7 @@ def eval_prop_report(m: BindingModel, a, phi: Mapping | None = None,
     quantifier_witness returns, read off the same sweep: a quantifier that
     stops at a deciding element leaves it in its env slot."""
     env = dict(phi or {})
-    report = _compile_prop(m, a, *_quantifier_domain(m, a), {})(env)
+    report = _compile_prop(m, a, *_quantifier_domain(m, a), {}, {})(env)
     while witness is not None and isinstance(a, (Forall, Exists)) and id(a) in env:
         witness[a.var] = env[id(a)]
         a = a.body
@@ -321,9 +366,27 @@ def _tuples_over(elems: tuple, k: int, mode: str, samples: int, rng):
         if k else iter([()])
 
 
-def _columns(rows: list, width: int):
-    """The columns of equal-length rows, or width empty tuples for no rows."""
-    return zip(*rows) if rows else itertools.repeat((), width)
+def _column_numbers(choices: list, radix: int, width: int) -> list[list[int]]:
+    """For each tuple of rows in itertools.product(*choices) order, the
+    numbers of its columns: column j of rows (r1, ..., rn), digits below
+    radix, is numbered r1[j] * radix**(n-1) + ... + rn[j]. Tuples with a
+    common prefix share its numbering."""
+    numbers = [[0] * width]
+    for rows in choices:
+        grown = []
+        for c in numbers:
+            scaled = list(map(operator.mul, c, itertools.repeat(radix, width)))
+            grown += [list(map(operator.add, scaled, r)) for r in rows]
+        numbers = grown
+    return numbers
+
+
+def _digits(number: int, radix: int, n: int) -> list[int]:
+    """The n digits of number in base radix, most significant first."""
+    out = [0] * n
+    for k in range(n - 1, -1, -1):
+        number, out[k] = divmod(number, radix)
+    return out
 
 
 def check_ifs(ifs: IFS, n_max: int, p_max: int, q_max: int,
@@ -392,23 +455,34 @@ def check_ifs(ifs: IFS, n_max: int, p_max: int, q_max: int,
                         r = rows[i] = [intern(box(b, cs, q), q) for cs in cs_list]
                     return r
 
-                for b in elems_p:
-                    row(b)
+                prows = [row(b) for b in elems_p]
+                # every index in these rows is below radix: the column of
+                # inner results (row(b)[j] for b in bs) is numbered by its
+                # indices as digits, once per bs and not once per a
+                radix = len(elems_at_q)
+
+                def with_columns(pairs: list) -> tuple[list, dict]:
+                    """pairs of bs and its column numbers, and the columns
+                    they reach: number -> the column's elements."""
+                    reached = set(itertools.chain.from_iterable(c for _, c in pairs))
+                    return pairs, {c: tuple([elems_at_q[d] for d in _digits(c, radix, n)])
+                                   for c in reached}
+
+                shared = None
+                if mode == "exhaustive":
+                    shared = with_columns(list(zip(itertools.product(elems_p, repeat=n),
+                                                   _column_numbers([prows] * n, radix, width))))
                 for a in elems_n:
-                    # column of inner results -> index of box(a, column, q)
-                    outer: dict[tuple, int] = {}
-                    for bs in _tuples_over(elems_p, n, mode, samples, rng):
+                    # a sampled sweep draws each a's argument tuples in turn
+                    pairs, columns = shared or with_columns(
+                        [(bs, _column_numbers([[row(b)] for b in bs], radix, width)[0])
+                         for bs in _tuples_over(elems_p, n, mode, samples, rng)])
+                    # column number -> index of box(a, column, q)
+                    outer = dict(zip(columns, [intern(box(a, col, q), q)
+                                               for col in columns.values()]))
+                    for bs, numbers in pairs:
                         lhs = row(box(a, bs, p))
-                        inner = [row(b) for b in bs]
-                        rhs = list(map(outer.get, _columns(inner, width)))
-                        if None in rhs:
-                            for j, ds in enumerate(_columns(inner, width)):
-                                if rhs[j] is None:
-                                    d = outer.get(ds)
-                                    if d is None:
-                                        d = outer[ds] = intern(
-                                            box(a, tuple(elems_at_q[i] for i in ds), q), q)
-                                    rhs[j] = d
+                        rhs = list(map(outer.__getitem__, numbers))
                         rep.checked += width
                         if lhs == rhs:
                             continue
@@ -417,6 +491,7 @@ def check_ifs(ifs: IFS, n_max: int, p_max: int, q_max: int,
                                 rep.violations.append(
                                     f"associativity: {fmt_element(a)} "
                                     f"{_fmt_tuple(bs)} {_fmt_tuple(cs)} (n={n},p={p},q={q})")
+                shared = pairs = None  # free this block's numbering before the next is built
     return rep
 
 

@@ -1148,14 +1148,9 @@ syntax.SHOW.update({
 print_lterm = print_lprop = syntax.show
 
 
-def _repr(x) -> str:
-    """<class text>, printed by the iterative show, so that any depth prints."""
-    return f"<{type(x).__name__} {syntax.show(x)}>"
-
-
 for _cls in (Index, FreeVar, FApp, Closure, Id, Cons, Shift, Comp):
     _cls.__str__ = syntax.show  # type: ignore[assignment]
-    _cls.__repr__ = _repr  # type: ignore[assignment]
+    _cls.__repr__ = syntax.show_repr  # type: ignore[assignment]
 
 # read once, without load_rules' sort check, which tests run on this text
 # instead: the rules and their left sides by name

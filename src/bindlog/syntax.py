@@ -905,6 +905,26 @@ def show(x, level: int = 0) -> str:
 print_term = print_prop = show
 
 
+def show_repr(x) -> str:
+    """<class text>, printed by the iterative show, so that any depth
+    prints. A slot prints as its binders and body; a node holding a part
+    that is not a node prints as the fields it was built with."""
+    try:
+        text = show(x.body if type(x) is Slot else x)
+    except TypeError:
+        return _FIELDS_REPR.get(type(x), object.__repr__)(x)
+    if type(x) is Slot and x.binders:
+        text = f"{' '.join(x.binders)}. {text}"
+    return f"<{type(x).__name__} {text}>"
+
+
+# the dataclass-generated reprs, which recurse, kept for malformed nodes
+_FIELDS_REPR = {cls: cls.__repr__ for cls in (Var, Slot, App, Atom, Imp, And, Or, Bottom,
+                                               Forall, Exists)}
+for _cls in _FIELDS_REPR:
+    _cls.__repr__ = show_repr  # type: ignore[assignment]
+
+
 def print_sequent(left, right) -> str:
     return f"{', '.join(map(show, left))} |- {', '.join(map(show, right))}".strip()
 

@@ -422,6 +422,16 @@ def test_check_ifs_matches_naive_on_delta_samples(seed):
                                              samples=3, seed=seed))
 
 
+@pytest.mark.parametrize("seed", [1, 2, 4])
+def test_check_ifs_matches_naive_on_sampled_violations(seed):
+    # violations show the order in which each a's argument tuples are drawn
+    # (seed 3 draws none of the broken instances)
+    ifs = _broken_ext_ifs()
+    got = check_ifs(ifs, 2, 2, 2, mode="sampled", samples=5, seed=seed)
+    assert got.violations
+    _assert_same_sweep(got, _naive_check_ifs(ifs, 2, 2, 2, mode="sampled", samples=5, seed=seed))
+
+
 def test_check_ifs_consults_elem_eq_where_results_differ():
     ifs = _tagged_ext_ifs()
     rep = check_ifs(ifs, 2, 2, 2)
@@ -871,10 +881,51 @@ def test_invariant_subterms_are_evaluated_once_per_binding():
         calls.clear()
         assert eval_prop_report(m, parse_prop(prop, m.sig)) == (1, False)
         assert calls.count(("i", 0)) == calls.count(("j", 0)) == size
-        assert calls.count(("i", 1)) == size * size and calls.count(("j", 1)) == 1
+        assert calls.count(("i", 1)) == size and calls.count(("j", 1)) == 1
         calls.clear()
         assert _ref_eval_prop_report(m, parse_prop(prop, m.sig)) == (1, False)
         assert calls.count(("i", 0)) == calls.count(("j", 0)) == size * size
+    # under three quantifiers the slot x. δ(...), which reads q and s but not
+    # r, runs once per (q, s): no q, r, s satisfy the body (a() is 1, i(...)
+    # is at least 2), so both sweeps visit every triple
+    prop = "exists q. exists r. exists s. =(a(), i(δ(i(r), x. δ(i(q), y. i(s), z. j(s)), w. j(w))))"
+    for size in (3, 6):
+        m = _small_delta(size, δ=counted("δ"))
+        calls.clear()
+        assert eval_prop_report(m, parse_prop(prop, m.sig)) == (0, False)
+        assert calls.count(("δ", 0)) == size ** 3 and calls.count(("δ", 1)) == size ** 2
+        calls.clear()
+        assert _ref_eval_prop_report(m, parse_prop(prop, m.sig)) == (0, False)
+        assert calls.count(("δ", 1)) == size ** 3
+
+
+class _CountingEnv(dict):
+    """An env that counts the reads of each slot."""
+
+    def __init__(self):
+        super().__init__()
+        self.reads: dict = {}
+
+    def __getitem__(self, key):
+        self.reads[key] = self.reads.get(key, 0) + 1
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.reads[key] = self.reads.get(key, 0) + 1
+        return super().get(key, default)
+
+
+def test_hoisted_subterms_read_no_slot_per_inner_element():
+    # i(q) and j(q) read q only; they are evaluated once per element for q,
+    # and nothing reads q's slot for each element for r in between
+    for size in (5, 20):
+        m = _small_delta(size)
+        a = parse_prop("forall q. forall r. =(δ(i(q), x. j(x), y. i(r)), j(q))", m.sig)
+        env = _CountingEnv()
+        assert models._compile_prop(m, a, *models._quantifier_domain(m, a), {}, {})(env) \
+            == (1, False)
+        assert env.reads[id(a)] == 2 * size
+        assert env.reads.keys() == {id(a), id(a.body)}
 
 
 def _raising_delta(size: int):
@@ -885,6 +936,30 @@ def _raising_delta(size: int):
             raise ValueError("i(3)")
         return DELTA.fhat["i"](p, args)
     return _small_delta(size, i=i)
+
+
+def test_tabled_subterms_raise_each_time_they_are_reached():
+    # i(r) is tabled per element for r; i(3) raises, and a failed run is not
+    # stored: it raises again when reached again (here, by a second run of
+    # the same compiled proposition, whose tables hold i(0) to i(2))
+    calls = []
+    m = _raising_delta(6)
+    i = m.fhat["i"]
+
+    def counted_i(p, args):
+        calls.append((p, args[0]))
+        return i(p, args)
+    m = dataclasses.replace(m, fhat={**m.fhat, "i": counted_i})
+    a = parse_prop("forall q. forall r. =(δ(j(q), x. i(x), y. i(r)), i(r))", m.sig)
+    want = _outcome(_ref_eval_prop_report, m, a)
+    assert want == ("raised", ValueError, ("i(3)",))
+    assert _outcome(eval_prop_report, m, a) == want
+    run = models._compile_prop(m, a, *models._quantifier_domain(m, a), {}, {})
+    for k in (1, 2):
+        calls.clear()
+        assert _outcome(run, {}) == want
+        assert [c for c in calls if c[0] == 0] == ([(0, 0), (0, 1), (0, 2)] if k == 1 else []) \
+            + [(0, 3)]
 
 
 # two or three nested quantifiers over short domains

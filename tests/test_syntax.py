@@ -345,6 +345,21 @@ def test_quantifier_body_extends_right():
     assert isinstance(p, Forall) and isinstance(p.body, syntax.Imp)
 
 
+def test_repr_takes_deep_input():
+    # The dataclass-generated repr recursed and raised RecursionError here.
+    chain = Var("x")
+    for _ in range(10_000):
+        chain = App("f", (Slot((), chain),))
+    assert repr(chain) == f"<App {print_term(chain)}>"
+    assert repr(chain).count("f(") == 10_000
+    deep = Forall("y", Atom("P", (Slot(("z",), chain),)))
+    assert repr(deep) == f"<Forall {print_prop(deep)}>"
+    assert repr(P("forall x. Q => false")) == "<Forall forall x. Q => false>"
+    assert repr(Slot(("x", "y"), T("f(x)"))) == "<Slot x y. f(x)>"
+    # a part that is not a node: the fields as given
+    assert repr(Imp(Bottom(), 42)) == "Imp(a=<Bottom false>, b=42)"
+
+
 def test_constants_roundtrip_without_signature():
     t = T("g(c(), x)")
     assert parse_term(print_term(t)) == t
