@@ -28,17 +28,31 @@ from .errors import (
 from .syntax import And, App, Atom, Bottom, Exists, Forall, Imp, Or, Signature, Var
 
 
-@dataclass(unsafe_hash=True, slots=True)
+@dataclass(eq=False, slots=True)
 class Computable:
-    """Carrier element given by a total function on tuples of naturals;
-    compared on a declared probe set, so equality is approximate. == and
-    hash read arity and fn; a model may keep the values on its probe points
-    in table, and what the element was composed of in parts until then."""
+    """Carrier element given by a total function on tuples of naturals.
+    An affine element, c0 + cs·xs, carries its coefficients (c0, cs) in
+    coeffs: == and hash read (arity, coeffs) for it, so two equal affine
+    maps are ==, and (arity, fn) for any other element, which is == only to
+    elements sharing its function. An affine element is never == to one
+    without coefficients. A model compares values on a declared probe set,
+    so that equality is approximate; it may keep the values on the probe
+    points in table, and what the element was composed of in parts until
+    then."""
 
     arity: int
     fn: Callable
-    parts: tuple | None = field(default=None, compare=False, repr=False)
-    table: tuple | None = field(default=None, init=False, compare=False, repr=False)
+    parts: tuple | None = field(default=None, repr=False)
+    coeffs: tuple | None = None
+    table: tuple | None = field(default=None, init=False, repr=False)
+
+    def __eq__(self, other):
+        if other.__class__ is not Computable:
+            return NotImplemented
+        return self.arity == other.arity and (self.coeffs or self.fn) == (other.coeffs or other.fn)
+
+    def __hash__(self):
+        return hash((self.arity, self.coeffs or self.fn))
 
 
 @dataclass(frozen=True)
@@ -212,19 +226,18 @@ def eval_term(m: BindingModel, t, ctx: tuple[str, ...] = (), phi: Mapping | None
 
 
 def _closed_term_values(m: BindingModel, a) -> list:
+    """The distinct values of a's closed subterms, in the pre-order of their
+    first occurrence, atoms left to right; the order fixes the quantifier
+    domain's, and so the witness a sweep reports."""
     vals: list = []
-
-    def visit_term(t):
+    stack = [s.body for atom in reversed(syntax.atoms(a)) for s in reversed(atom.args)]
+    while stack:
+        t = stack.pop()
         if not syntax.free_vars(t):
             v = eval_term(m, t, (), {})
             if v not in vals:
                 vals.append(v)
-        for c in syntax.NODE_TYPES[type(t)].children(t):
-            visit_term(c)
-
-    for atom in syntax.atoms(a):
-        for s in atom.args:
-            visit_term(s.body)
+        stack += reversed(syntax.NODE_TYPES[type(t)].children(t))
     return vals
 
 
@@ -653,6 +666,12 @@ def delta_model(probe_budget: int = 289) -> BindingModel:
     The injections must skip the orphans: if they covered all the naturals
     there would be no value left for the constant to make the case-split
     equation fail while the injection axioms stay valid.
+
+    Projections, sampled elements, constants, the injections and the
+    constant a of an affine argument, and compositions of affine elements
+    are affine: they carry their coefficients and are built from them
+    alone, so equal maps are ==. δ above level 0, and any composition with
+    a part that is not affine, is an opaque function.
     """
 
     sig = Signature({"i": (0,), "j": (0,), "δ": (0, 1, 1), "a": ()}, {"=": (0, 0)})
@@ -660,42 +679,65 @@ def delta_model(probe_budget: int = 289) -> BindingModel:
     def carrier(n: int):
         return None
 
+    def affine(c0: int, cs: tuple) -> Computable:
+        if len(cs) == 1:  # δ's branches at level 0: called once per quantifier element
+            (c,) = cs
+            fn = lambda x: c0 + c * x  # noqa: E731
+        else:
+            fn = lambda *xs: sum(map(operator.mul, cs, xs), c0)  # noqa: E731
+        return Computable(len(cs), fn, coeffs=(c0, cs))
+
     def proj(i: int, n: int):
-        return Computable(n, lambda *xs, i=i: xs[i - 1])
+        return affine(0, tuple([int(k == i) for k in range(1, n + 1)]))
 
     def box(a, bs, p):
         if not bs:
             if p == 0:
                 return a
-            return Computable(p, lambda *xs, a=a: a)
+            return affine(a, (0,) * p)
         if p == 0:
             return a.fn(*bs)
+        if a.coeffs is not None and all(b.coeffs is not None for b in bs):
+            c0, cs = a.coeffs
+            b0s, bcs = zip(*[b.coeffs for b in bs])
+            return affine(c0 + sum(map(operator.mul, cs, b0s)),
+                          tuple([sum(map(operator.mul, cs, col)) for col in zip(*bcs)]))
         fa, fbs = a.fn, tuple(b.fn for b in bs)
         if len(fbs) == 1:
             (fb,) = fbs
             return Computable(p, lambda *xs: fa(fb(*xs)), (fa, bs))
         return Computable(p, lambda *xs: fa(*[fb(*xs) for fb in fbs]), (fa, bs))
 
-    probes: dict[int, list[tuple]] = {}
+    # arity -> the probe points, and their coordinates one column per position
+    probes: dict[int, tuple[list, list]] = {}
 
-    def probe_points(arity: int) -> list[tuple]:
-        pts = probes.get(arity)
-        if pts is None:
+    def probe_points(arity: int) -> tuple[list, list]:
+        found = probes.get(arity)
+        if found is None:
             if arity <= 2:
                 pts = list(itertools.product(range(17), repeat=arity))[:probe_budget]
             else:
                 prng = random.Random(0xDE17A + arity)
                 pts = [tuple(prng.randrange(17) for _ in range(arity))
                        for _ in range(probe_budget)]
-            probes[arity] = pts
-        return pts
+            found = probes[arity] = pts, list(zip(*pts))
+        return found
 
     def table(a: Computable) -> tuple:
-        """a's values on its probe points; a composite's come from one call
-        of its outer function per point on its arguments' tables."""
+        """a's values on its probe points: an affine element's by whole-row
+        arithmetic on the points' columns, a composite's from one call of its
+        outer function per point on its arguments' tables."""
         if a.table is None:
-            vals = itertools.starmap(a.fn, probe_points(a.arity)) if a.parts is None \
-                else map(a.parts[0], *map(table, a.parts[1]))
+            if a.coeffs is not None:
+                c0, cs = a.coeffs
+                pts, columns = probe_points(a.arity)
+                vals = itertools.repeat(c0, len(pts))
+                for c, column in zip(cs, columns):
+                    vals = map(operator.add, vals, map(operator.mul, column, itertools.repeat(c)))
+            elif a.parts is None:
+                vals = itertools.starmap(a.fn, probe_points(a.arity)[0])
+            else:
+                vals = map(a.parts[0], *map(table, a.parts[1]))
             a.table, a.parts = tuple(vals), None
         return a.table
 
@@ -708,16 +750,19 @@ def delta_model(probe_budget: int = 289) -> BindingModel:
         if n == 0:
             return rng.randrange(0, 512)
         cs = tuple([rng.randrange(0, 4) for _ in range(n)])
-        c0 = rng.randrange(0, 8)
-        return Computable(n, lambda *xs: sum(map(operator.mul, cs, xs), c0))
+        return affine(rng.randrange(0, 8), cs)
 
-    def lift0(base: Callable[[int], int]):
+    def injection(k: int):
+        """The family of d -> 2d + k, pointwise."""
         def fh(p: int, args: tuple):
             (d,) = args
             if p == 0:
-                return base(d)
+                return 2 * d + k
+            if d.coeffs is not None:
+                c0, cs = d.coeffs
+                return affine(2 * c0 + k, tuple([2 * c for c in cs]))
             fd = d.fn
-            return Computable(p, lambda *xs: base(fd(*xs)))
+            return Computable(p, lambda *xs: 2 * fd(*xs) + k)
         return fh
 
     def delta_hat(p: int, args: tuple):
@@ -731,7 +776,7 @@ def delta_model(probe_budget: int = 289) -> BindingModel:
     def const_one(p: int, args: tuple):
         if p == 0:
             return 1
-        return Computable(p, lambda *xs: 1)
+        return affine(1, (0,) * p)
 
     ifs = IFS(carrier=carrier, proj=proj, box=box, elem_eq=elem_eq,
               sample=sample, m0_samples=tuple(range(257)))
@@ -739,12 +784,7 @@ def delta_model(probe_budget: int = 289) -> BindingModel:
         name=f"delta(probe_budget={probe_budget})",
         sig=sig,
         ifs=ifs,
-        fhat={
-            "i": lift0(lambda d: 2 * d + 2),
-            "j": lift0(lambda d: 2 * d + 3),
-            "δ": delta_hat,
-            "a": const_one,
-        },
+        fhat={"i": injection(2), "j": injection(3), "δ": delta_hat, "a": const_one},
         phat={"=": lambda args: int(args[0] == args[1])},
     )
 

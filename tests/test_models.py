@@ -2,6 +2,7 @@
 and from the sorted layer, and model table files."""
 
 import dataclasses
+import gc
 import itertools
 import random
 
@@ -843,6 +844,43 @@ def test_compiled_evaluation_raises_where_the_reference_does():
         assert _outcome(eval_term, m, 7) == _outcome(_ref_eval_term, m, 7)
 
 
+# delta propositions of this file with closed subterms; their values fix
+# the order of the quantifier domain past the samples
+_DELTA_CLOSED = (
+    "=(δ(a(), x. a(), y. a()), a())",
+    "forall x. =(x, a())",
+    "exists x. =(x, j(i(i(i(i(i(i(i(a())))))))))",
+    "exists q. =(a(), i(δ(i(a()), x. δ(i(q), y. i(a()), z. j(j(a()))), w. j(w))))",
+    "forall q. =(δ(j(i(a())), x. i(a()), y. j(j(a()))), δ(a(), x. q, y. i(i(a()))))",
+)
+
+
+def test_closed_term_values_match_the_recursive_walk():
+    rng = random.Random("closed-term-values")
+    props = [DP(text) for text in _DELTA_CLOSED]
+    props += [gen.random_prop(rng, DELTA.sig, rng.randint(1, 9), free=_EQ_FREE) for _ in range(300)]
+    several = 0
+    for a in props:
+        got = models._closed_term_values(DELTA, a)
+        assert got == _ref_closed_term_values(DELTA, a), syntax.print_prop(a)
+        several += len(got) > 1
+    assert several > 5, several
+
+
+def test_delta_evaluation_leaves_no_reference_cycle():
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for text in _DELTA_CLOSED:
+            a = DP(text)
+            gc.collect()
+            eval_prop_report(DELTA, a)
+            assert gc.collect() == 0, text
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_closed_subterms_are_evaluated_once():
     calls = []
 
@@ -1033,21 +1071,60 @@ def _same_values(x, y, n) -> bool:
     return all(x.fn(*pt) == y.fn(*pt) for pt in _probe_points(n))
 
 
+# The injections and the constant as they were before elements carried
+# their coefficients.
+
+def _ref_lift0(base):
+    def fh(p, args):
+        (d,) = args
+        if p == 0:
+            return base(d)
+        fd = d.fn
+        return Computable(p, lambda *xs: base(fd(*xs)))
+    return fh
+
+
+_REF_FHAT = {
+    "i": _ref_lift0(lambda d: 2 * d + 2),
+    "j": _ref_lift0(lambda d: 2 * d + 3),
+    "a": lambda p, args: 1 if p == 0 else Computable(p, lambda *xs: 1),
+}
+
+
 def test_delta_sampler_and_box_match_reference():
-    ifs = DELTA.ifs
+    ifs, fhat = DELTA.ifs, DELTA.fhat
     for seed in range(20):
         new_rng, ref_rng = random.Random(seed), random.Random(seed)
+        branch_rng = random.Random(f"delta-branches:{seed}")
         for n in range(4):
             for _ in range(3):
-                assert _same_values(ifs.sample(n, new_rng), _ref_sample(n, ref_rng), n)
+                x_new, x_ref = ifs.sample(n, new_rng), _ref_sample(n, ref_rng)
+                assert _same_values(x_new, x_ref, n)
+                # the injections of an element with coefficients and of one without
+                for f in ("i", "j"):
+                    want = _REF_FHAT[f](n, (x_ref,))
+                    assert _same_values(fhat[f](n, (x_new,)), want, n)
+                    assert _same_values(fhat[f](n, (x_ref,)), want, n)
+                    assert n == 0 or fhat[f](n, (x_new,)).coeffs is not None
+            assert _same_values(fhat["a"](n, ()), _REF_FHAT["a"](n, ()), n)
         assert new_rng.getstate() == ref_rng.getstate()
         for k, p in itertools.product(range(4), repeat=2):
             a_new, a_ref = ifs.sample(k, new_rng), _ref_sample(k, ref_rng)
             bs_new = tuple(ifs.sample(p, new_rng) for _ in range(k))
             bs_ref = tuple(_ref_sample(p, ref_rng) for _ in range(k))
-            assert _same_values(ifs.box(a_new, bs_new, p), _ref_box(a_ref, bs_ref, p), p)
-            # composing with the other side's elements gives the same values too
+            want = _ref_box(a_ref, bs_ref, p)
+            assert _same_values(ifs.box(a_new, bs_new, p), want, p)
+            assert p == 0 or ifs.box(a_new, bs_new, p).coeffs is not None
+            # composing with the other side's elements gives the same values
+            # too, and so does each mix of affine and opaque parts
             assert _same_values(ifs.box(a_ref, bs_ref, p), _ref_box(a_new, bs_new, p), p)
+            assert _same_values(ifs.box(a_new, bs_ref, p), want, p)
+            assert _same_values(ifs.box(a_ref, bs_new, p), want, p)
+            # δ's results, opaque above level 0, as arguments
+            fg = (ifs.sample(p + 1, branch_rng), ifs.sample(p + 1, branch_rng))
+            ds_new = tuple(fhat["δ"](p, (b, *fg)) for b in bs_new)
+            ds_ref = tuple(fhat["δ"](p, (b, *fg)) for b in bs_ref)
+            assert _same_values(ifs.box(a_new, ds_new, p), _ref_box(a_ref, ds_ref, p), p)
         assert new_rng.getstate() == ref_rng.getstate()
 
 
@@ -1070,7 +1147,7 @@ def _composites(rng, n: int, depth: int):
 def test_delta_elem_eq_on_compositions_matches_probes():
     ifs = DELTA.ifs
     rng = random.Random("delta-tables")
-    outcomes = set()
+    outcomes, equal = set(), set()
     for _ in range(60):
         n = rng.randint(1, 2)
         (a, a_ref), (b, b_ref) = (_composites(rng, n, rng.randint(3, 5)) for _ in range(2))
@@ -1080,10 +1157,18 @@ def test_delta_elem_eq_on_compositions_matches_probes():
         lhs = ifs.box(ifs.box(a, (ifs.proj(1, n),) * n, n), cs, n)
         rhs = ifs.box(a, tuple(ifs.box(ifs.proj(1, n), cs, n) for _ in range(n)), n)
         same = ifs.box(b, tuple(ifs.proj(i, n) for i in range(1, n + 1)), n)
-        for x, y in ((a, b), (a_ref, b), (b_ref, a), (lhs, rhs), (same, b), (same, a)):
+        for x, y in ((a, b), (a_ref, b), (b_ref, a), (lhs, rhs), (same, b), (same, a), (a, a_ref)):
             assert ifs.elem_eq(x, y, n) == _same_values(x, y, n)
             outcomes.add(ifs.elem_eq(x, y, n))
-    assert outcomes == {True, False}
+            # affine elements (not the references) are == exactly when their
+            # values are equal, and then share a hash and a probe table
+            affine = x.coeffs is not None and y.coeffs is not None
+            assert (x == y) == (affine and _same_values(x, y, n))
+            assert x != y or (hash(x) == hash(y) and x.table is not None and x.table == y.table)
+            equal.add(x == y)
+        # the same values one level up are another element
+        assert ifs.box(a, tuple(ifs.proj(i, n + 1) for i in range(1, n + 1)), n + 1) != a
+    assert outcomes == equal == {True, False}
 
 
 def test_delta_elem_eq_sees_the_last_probe_point():
@@ -1116,6 +1201,14 @@ def test_delta_elements_are_probed_once():
     # one call of f per level-2 probe point, on b's table; b probed once
     assert calls.count(2) == 289 and calls.count(1) == 289
     assert c.parts is None and c == c and hash(c) == hash(Computable(2, c.fn))
+    # an affine element's table, from its coefficients, agrees at every
+    # probe point with its opaque twin's, which is not == to it
+    for n in (1, 2, 3):
+        x = ifs.sample(n, random.Random(n))
+        twin = element(n, x.fn)
+        calls.clear()
+        assert ifs.elem_eq(x, twin, n) and x != twin and twin != x
+        assert calls == [n] * len(twin.table) == [n] * (17 if n == 1 else 289)
 
 
 def _planted_delta(m=DELTA):
