@@ -1,6 +1,7 @@
 """Command-line frontend: parsing, proof checking, normalization, the
 translation pipeline, model evaluation, structure sweeps, and the two
-independence demonstrations.
+independence demonstrations. Only the model commands (eval, verify-model,
+demo) import models, which lies outside the trusted base.
 
 Exit codes: 0 success, 1 semantic failure (invalid proof, invalid
 property), 2 malformed input.
@@ -15,7 +16,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import models, precook, proofs, sigma, syntax
+from . import precook, proofs, sigma, syntax
 from .errors import BindLogError, InvalidSourceProof, ParseError
 
 
@@ -53,13 +54,11 @@ def cmd_parse(args) -> int:
     return 0 if check.ok else 1
 
 
-def _congruence_from_arg(modulo: str | None, sig, budget: int):
-    if modulo is None:
-        return None
-    if modulo == "sigma":
-        return proofs.Congruence(sigma.sigma_system(sig), budget=budget)
-    rs = sigma.load_rules(Path(modulo).read_text(), sig=sig, name=Path(modulo).stem)
-    return proofs.Congruence(rs, budget=budget)
+def _system_from_arg(name: str, sig) -> sigma.RewriteSystem:
+    """`sigma`, the substitution system of sig, or a rule file's system."""
+    if name == "sigma":
+        return sigma.sigma_system(sig)
+    return sigma.load_rules(Path(name).read_text(), sig=sig, name=Path(name).stem)
 
 
 def _load_proof(path: str, sig, cong: proofs.Congruence | None) -> proofs.ProofTree:
@@ -78,7 +77,8 @@ def _load_proof(path: str, sig, cong: proofs.Congruence | None) -> proofs.ProofT
 
 def cmd_check_proof(args) -> int:
     sig = _load_signature(args)
-    cong = _congruence_from_arg(args.modulo, sig, args.step_budget)
+    cong = (None if args.modulo is None
+            else proofs.Congruence(_system_from_arg(args.modulo, sig), budget=args.step_budget))
     proof = _load_proof(args.proof, sig, cong)
     if cong is None:
         result = proofs.check_binding_proof(sig, proof)
@@ -94,11 +94,7 @@ def cmd_check_proof(args) -> int:
 
 def cmd_normalize(args) -> int:
     sig = _load_signature(args)
-    if args.system == "sigma":
-        rs = sigma.sigma_system(sig)
-    else:
-        rs = sigma.load_rules(Path(args.system).read_text(), sig=sig,
-                              name=Path(args.system).stem)
+    rs = _system_from_arg(args.system, sig)
     t = sigma.parse_lterm(args.input) if rs.layer == "lterm" else syntax.parse_term(args.input, sig)
     nf, steps = sigma.normalize_steps(rs, t, budget=args.step_budget)
     out = syntax.show(nf)
@@ -136,6 +132,7 @@ def cmd_translate_proof(args) -> int:
 
 
 def _model_from_name(name: str, probe_budget: int, sig=None):
+    from . import models
     if name == "ext":
         return models.ext_counter_model()
     if name == "delta":
@@ -155,6 +152,7 @@ def _model_from_name(name: str, probe_budget: int, sig=None):
 
 
 def cmd_eval(args) -> int:
+    from . import models
     sig = _load_signature(args) if args.sig else None
     m = _model_from_name(args.model, args.probe_budget, sig)
     if isinstance(m, models.IFS):
@@ -192,6 +190,7 @@ def _parse_bounds(text: str) -> tuple[int, int, int]:
 
 
 def cmd_verify_model(args) -> int:
+    from . import models
     n, p, q = _parse_bounds(args.bounds)
     sig = _load_signature(args) if args.sig else None
     m = _model_from_name(args.model, args.probe_budget, sig)
@@ -221,6 +220,7 @@ def cmd_demo(args) -> int:
 
 
 def _demo_extensionality(args) -> int:
+    from . import models
     m = models.ext_counter_model()
     lines = []
     payload: dict = {"demo": "extensionality"}
@@ -253,6 +253,7 @@ def _demo_extensionality(args) -> int:
 
 
 def _demo_disjoint_sum(args) -> int:
+    from . import models
     m = models.delta_model(args.probe_budget)
     case_split = syntax.parse_term("δ(a(), x. a(), y. a())", m.sig)
     const = syntax.parse_term("a()", m.sig)

@@ -33,6 +33,7 @@ class SortMismatch(BindLogError):
 class IndexOutOfRange(BindLogError):
     def __init__(self, path: tuple[int, ...], i: int, n: int):
         self.path = path
+        self.i, self.n = i, n
         super().__init__(f"index {i}_{n} out of range at {path_str(path)} (need 1 <= i <= n)")
 
 

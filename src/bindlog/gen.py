@@ -84,13 +84,6 @@ def random_prop(rng: random.Random, sig: Signature, size: int, free=DEFAULT_FREE
                random_prop(rng, sig, half, free, scope))
 
 
-def random_subst_map(rng: random.Random, sig: Signature, size: int = 4,
-                     domain=DEFAULT_FREE, free=DEFAULT_FREE) -> dict:
-    n = rng.randint(1, min(3, len(domain)))
-    chosen = rng.sample(list(domain), n)
-    return {v: random_term(rng, sig, rng.randint(1, size), free) for v in chosen}
-
-
 # ---------------------------------------------------------------------------
 # Sorted layer
 
@@ -101,23 +94,18 @@ def random_sort(rng: random.Random, hi: int = 3):
     return sigma.SubstSort(rng.randrange(0, hi + 1), rng.randrange(0, hi + 1))
 
 
-def leaf_of_sort(sort, free=DEFAULT_FREE, rng: random.Random | None = None):
-    """A smallest sort-correct term of the requested sort."""
+def leaf_of_sort(sort, rng: random.Random, free=DEFAULT_FREE):
+    """A smallest sort-correct term of the sort, its variable or indices
+    drawn at random: sigma._leaf's term, up to those."""
     if isinstance(sort, sigma.TermSort):
-        n = sort.n
-        if n == 0:
-            name = rng.choice(free) if rng else free[0]
-            return sigma.FreeVar(name)
-        i = rng.randint(1, n) if rng else 1
-        return sigma.Index(i, n)
+        if sort.n == 0:
+            return sigma.FreeVar(rng.choice(free))
+        return sigma.Index(rng.randint(1, sort.n), sort.n)
     n, p = sort.n, sort.p
-    if n == p:
-        return sigma.Id(n)
-    if n > p:
-        return sigma.shift_chain(p, n - p)
-    # n < p: cons leaves onto a smaller substitution
-    return sigma.Cons(leaf_of_sort(sigma.TermSort(n), free, rng),
-                      leaf_of_sort(sigma.SubstSort(n, p - 1), free, rng))
+    if n >= p:
+        return sigma._leaf(sort)
+    return sigma.Cons(leaf_of_sort(sigma.TermSort(n), rng, free),
+                      leaf_of_sort(sigma.SubstSort(n, p - 1), rng, free))
 
 
 def random_lterm(rng: random.Random, sig: Signature | None, sort, size: int,
@@ -126,7 +114,7 @@ def random_lterm(rng: random.Random, sig: Signature | None, sort, size: int,
     if sig is None:
         sig = Signature({}, {})
     if size <= 1:
-        return leaf_of_sort(sort, free, rng)
+        return leaf_of_sort(sort, rng, free)
     if isinstance(sort, sigma.TermSort):
         n = sort.n
         choices = ["closure", "closure", "leaf"]
@@ -135,7 +123,7 @@ def random_lterm(rng: random.Random, sig: Signature | None, sort, size: int,
             choices += ["fapp", "fapp"]
         pick = rng.choice(choices)
         if pick == "leaf":
-            return leaf_of_sort(sort, free, rng)
+            return leaf_of_sort(sort, rng, free)
         if pick == "fapp":
             f, arity = rng.choice(funs)
             per = max(1, (size - 1) // max(1, len(arity)))

@@ -592,7 +592,7 @@ EXT_AXIOMS = (
 )
 
 
-def ext_counter_model(n_max: int = 4) -> BindingModel:
+def ext_counter_model() -> BindingModel:
     """The finite model separating the equality axioms from the
     extensionality scheme. Level n holds k and l (constant-like elements),
     the n projections, and their barred twins which compose through an
@@ -641,7 +641,7 @@ def ext_counter_model(n_max: int = 4) -> BindingModel:
         elem_eq=lambda a, b, n: a == b,
     )
     return BindingModel(
-        name=f"ext(n_max={n_max})",
+        name="ext",
         sig=sig,
         ifs=ifs,
         fhat={"f": lambda p, args: neg(args[0]), "Λ": lambda p, args: lam(args[0])},

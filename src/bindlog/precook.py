@@ -12,8 +12,6 @@ exactly the terms in the image of the translation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import proofs, sigma, syntax
 from .errors import InvalidSourceProof, NotAnFTerm
 from .sigma import (
@@ -134,17 +132,7 @@ def subst_commutes(sig: Signature, t, u, x: str,
 
 
 # ---------------------------------------------------------------------------
-# Theories and proofs
-
-
-@dataclass(frozen=True)
-class TheoryModulo:
-    axioms: tuple
-    congruence: RewriteSystem
-
-
-def translate_theory(sig: Signature, axioms) -> TheoryModulo:
-    return TheoryModulo(tuple(precook_prop(sig, a) for a in axioms), sigma.sigma_system(sig))
+# Proofs
 
 
 def translate_proof(sig: Signature, p: "proofs.ProofTree") -> "proofs.ProofTree":

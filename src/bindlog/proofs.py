@@ -201,8 +201,28 @@ def _check_well_formed(sig: Signature, proof: ProofTree) -> CheckResult:
 
 def check_modulo_proof(sig: Signature, cong: Congruence, p: ProofTree) -> CheckResult:
     """Check a proof tree against the calculus modulo: every side condition
-    written as a congruence is decided by the supplied normalizing system."""
-    return _check(cong, p)
+    written as a congruence is decided by the supplied normalizing system.
+    First every formula, annotation and witness must be well-formed over sig,
+    as the rules of the system can erase an ill-formed subterm."""
+    res = _check_signature(sig, cong, p)
+    return res if not res.ok else _check(cong, p)
+
+
+def _check_signature(sig: Signature, cong: Congruence, proof: ProofTree) -> CheckResult:
+    """well_formed, or on the sorted layer well_sorted, over each distinct
+    formula, annotation and witness of the proof."""
+    sorted_layer = cong.system is not None and cong.system.layer == "lterm"
+    judge = sigma.well_sorted if sorted_layer else syntax.well_formed
+    seen: set[int] = set()  # ids: the proof keeps its formulas alive
+
+    def check_node(node: ProofTree, path):
+        for x in node.conclusion.left + node.conclusion.right + (node.rule.a, node.rule.t):
+            if x is not None and id(x) not in seen:
+                seen.add(id(x))
+                if not (r := judge(sig, x)).ok:
+                    raise _Rejected(r.kind, f"{x} is ill-formed: {r}")
+
+    return _first_rejection(proof, check_node)
 
 
 class _Rejected(Exception):

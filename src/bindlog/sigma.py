@@ -31,6 +31,7 @@ from typing import Callable
 from . import syntax
 from .errors import (
     BindLogError,
+    CheckResult,
     IndexOutOfRange,
     ParseError,
     SortMismatch,
@@ -284,22 +285,49 @@ def _node_sort(x, sorts, where) -> Sort:
     return SubstSort(b.n, b.p + 1)
 
 
-def lprop_sorts_ok(sig: Signature, a) -> bool:
-    """True iff every atom applies a declared predicate to binder-free slots
-    whose bodies have the sorts the predicate's rank prescribes."""
-    for atom in syntax.atoms(a):
-        arity = sig.predicates.get(atom.pred)
-        if arity is None or len(arity) != len(atom.args):
-            return False
-        for s, k in zip(atom.args, arity):
+def well_sorted(sig: Signature, x) -> CheckResult:
+    """Is x a proposition whose atoms apply declared predicates to
+    binder-free slots with bodies of the sorts the predicate's rank
+    prescribes, or a term of sort 0, the sort quantified variables range
+    over? Error kinds: UnknownSymbol, ArityMismatch, BinderCountMismatch,
+    SortMismatch and IndexOutOfRange, at the path of the offending node."""
+    if not isinstance(x, syntax.Prop):
+        return _has_sort(sig, x, TermSort(0), ())
+    stack = [(x, ())]
+    while stack:
+        a, path = stack.pop()
+        if type(a) is not syntax.Atom:
+            kids = NODE_TYPES[type(a)].children(a)
+            stack += [(c, path + (i,)) for i, c in reversed(tuple(enumerate(kids)))]
+            continue
+        arity = sig.predicates.get(a.pred)
+        if arity is None:
+            return CheckResult.failed("UnknownSymbol", path, f"predicate {a.pred!r} not declared")
+        if len(arity) != len(a.args):
+            return CheckResult.failed("ArityMismatch", path, f"{a.pred!r} expects "
+                                      f"{len(arity)} arguments, got {len(a.args)}")
+        for i, (s, k) in enumerate(zip(a.args, arity)):
             if s.binders:
-                return False
-            try:
-                if sort_of(sig, s.body) != TermSort(k):
-                    return False
-            except BindLogError:
-                return False
-    return True
+                return CheckResult.failed("BinderCountMismatch", path + (i,),
+                                          f"argument {i} of {a.pred!r} binds variables")
+            r = _has_sort(sig, s.body, TermSort(k), path + (i,))
+            if not r.ok:
+                return r
+    return CheckResult.passed()
+
+
+def _has_sort(sig: Signature, t, want: Sort, path: tuple[int, ...]) -> CheckResult:
+    try:
+        found = sort_of(sig, t, path)
+    except SortMismatch as e:
+        return CheckResult.failed("SortMismatch", e.path, f"expected {e.expected}, found {e.found}")
+    except IndexOutOfRange as e:
+        return CheckResult.failed("IndexOutOfRange", e.path, f"index {e.i}_{e.n} out of range")
+    except TypeError:  # a named term
+        return CheckResult.failed("SortMismatch", path, f"{t} is not a term of this layer")
+    if found != want:
+        return CheckResult.failed("SortMismatch", path, f"expected {want}, found {found}")
+    return CheckResult.passed()
 
 
 # The walks of bindlog.syntax cover this layer; grafting keeps a name here
@@ -930,10 +958,14 @@ _SMALL_SORTS = (*map(TermSort, range(3)), *(SubstSort(n, p) for n in range(3) fo
 
 @functools.cache
 def _leaf(sort):
-    """A smallest term of the sort, kept, so its sort stays cached."""
-    from . import gen
-
-    return gen.leaf_of_sort(sort)
+    """A smallest term of the sort: x, 1_n, id_n, a shift chain, or a cons
+    of these. Kept, so its sort stays cached."""
+    if type(sort) is TermSort:
+        return FreeVar("x") if sort.n == 0 else Index(1, sort.n)
+    n, p = sort.n, sort.p
+    if n >= p:
+        return Id(n) if n == p else shift_chain(p, n - p)
+    return Cons(_leaf(TermSort(n)), _leaf(SubstSort(n, p - 1)))
 
 
 def _fill(shape: dict, term_of: Callable) -> dict:

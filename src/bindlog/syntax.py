@@ -428,42 +428,45 @@ def numbered_names(prefix: str, skip) -> Callable[..., str]:
 def well_formed(sig: Signature, x) -> CheckResult:
     """Check symbol declarations, arities, binder counts, and binder
     distinctness. Error kinds: UnknownSymbol, ArityMismatch,
-    BinderCountMismatch, DuplicateBinder."""
+    BinderCountMismatch, DuplicateBinder. The walk keeps an explicit stack
+    and checks in the order of the recursive definition: the binders of a
+    symbol's argument after the body of the argument before it. A node's
+    path is a link (index, parent's link), spelled out only for an error."""
 
-    def check_app(symbol, table, arity_kind, x, path):
-        if symbol not in table:
-            return CheckResult.failed("UnknownSymbol", path, f"{arity_kind} {symbol!r} not declared")
-        arity = table[symbol]
-        if len(x.args) != len(arity):
-            return CheckResult.failed(
-                "ArityMismatch", path,
-                f"{symbol!r} expects {len(arity)} arguments, got {len(x.args)}")
-        for i, (s, k) in enumerate(zip(x.args, arity)):
-            if len(s.binders) != k:
-                return CheckResult.failed(
-                    "BinderCountMismatch", path + (i,),
-                    f"argument {i} of {symbol!r} binds {k} variables, got {len(s.binders)}")
-            if len(set(s.binders)) != len(s.binders):
-                return CheckResult.failed(
-                    "DuplicateBinder", path + (i,),
-                    f"binder list {s.binders} of {symbol!r} has duplicates")
-            r = go(s.body, path + (i,))
-            if not r.ok:
-                return r
-        return CheckResult.passed()
+    def failed(kind, link, message):
+        path = []
+        while link:
+            i, link = link
+            path.append(i)
+        return CheckResult.failed(kind, tuple(reversed(path)), message)
 
-    def go(x, path) -> CheckResult:
-        if type(x) is App:
-            return check_app(x.symbol, sig.functions, "function", x, path)
-        if type(x) is Atom:
-            return check_app(x.pred, sig.predicates, "predicate", x, path)
-        for i, c in enumerate(NODE_TYPES[type(x)].children(x)):
-            r = go(c, path + (i,))
-            if not r.ok:
-                return r
-        return CheckResult.passed()
-
-    return go(x, ())
+    stack: list = [(x, None, None)]  # (node or slot, link, (symbol, i, k) for a slot)
+    while stack:
+        x, link, slot = stack.pop()
+        if slot is not None:
+            symbol, i, k = slot
+            if len(x.binders) != k:
+                return failed("BinderCountMismatch", link, f"argument {i} of {symbol!r} "
+                              f"binds {k} variables, got {len(x.binders)}")
+            if len(set(x.binders)) != k:
+                return failed("DuplicateBinder", link,
+                              f"binder list {x.binders} of {symbol!r} has duplicates")
+            stack.append((x.body, link, None))
+        elif type(x) is App or type(x) is Atom:
+            symbol, table, kind = ((x.symbol, sig.functions, "function") if type(x) is App
+                                   else (x.pred, sig.predicates, "predicate"))
+            if symbol not in table:
+                return failed("UnknownSymbol", link, f"{kind} {symbol!r} not declared")
+            arity = table[symbol]
+            if len(x.args) != len(arity):
+                return failed("ArityMismatch", link,
+                              f"{symbol!r} expects {len(arity)} arguments, got {len(x.args)}")
+            stack += [(s, (i, link), (symbol, i, k))
+                      for i, (s, k) in reversed(tuple(enumerate(zip(x.args, arity))))]
+        else:
+            stack += [(c, (i, link), None)
+                      for i, c in reversed(tuple(enumerate(NODE_TYPES[type(x)].children(x))))]
+    return CheckResult.passed()
 
 
 # ---------------------------------------------------------------------------

@@ -183,6 +183,43 @@ def test_check_proof_ill_formed_over_the_signature_exits_1(capsys, tmp_path, tex
     assert code == 1 and kind in err and not dst.exists()
 
 
+SAMPLES = LAMBDA_SIG.parent
+
+
+@pytest.mark.parametrize("sig, modulo, text, line", [
+    ("lambda.sig", "sigma", "syntax lprop\nrule axiom |- Zzz(x, y) |- Zzz(x, y)\n",
+     "UnknownSymbol at root: Zzz(x, y) is ill-formed: "
+     "UnknownSymbol at root: predicate 'Zzz' not declared"),
+    ("lambda.sig", "sigma", "syntax lprop\nrule axiom |- =(f_0(x, y), x) |- =(f_0(x, y), x)\n",
+     "SortMismatch at root: =(f_0(x, y), x) is ill-formed: "
+     "SortMismatch at 0: expected 1 arguments for 'f', found 2"),
+    # VarCons erases f_0(x, x): the rule pass alone reads P(x) |- P(x)
+    ("lambda.sig", "sigma", "syntax lprop\nrule axiom |- P(1_2[x . (f_0(x, x) . id_0)]) |- P(x)\n",
+     "SortMismatch at root: P(1_2[x . f_0(x, x) . id_0]) is ill-formed: "
+     "SortMismatch at 0.1.1.0: expected 1 arguments for 'f', found 2"),
+    # FPush would raise on the undeclared symbol
+    ("lambda.sig", "sigma", "syntax lprop\nrule axiom |- P(Zzz_1(1_1)[x . id_0]) |- P(x)\n",
+     "SortMismatch at root: P(Zzz_1(1_1)[x . id_0]) is ill-formed: "
+     "SortMismatch at 0.0: expected a declared function symbol, found 'Zzz'"),
+    # a witness stands for a quantified variable, of sort 0
+    ("lambda.sig", "sigma", "syntax lprop\nrule all-left [x=y A=Q t=1_1] |- forall y. Q |- Q\n"
+     "  rule axiom |- Q |- Q\n",
+     "SortMismatch at root: 1_1 is ill-formed: SortMismatch at root: expected 0, found 1"),
+    # mul0 erases Zzz(0())
+    ("arith.sig", "arith.rw", "rule axiom |- =(*(0(), Zzz(0())), 0()) |- =(0(), 0())\n",
+     "UnknownSymbol at root: =(*(0(), Zzz(0())), 0()) is ill-formed: "
+     "UnknownSymbol at 0.1: function 'Zzz' not declared"),
+], ids=["undeclared-predicate", "arity", "erased-by-varcons", "under-fpush", "witness-sort",
+        "erased-by-mul0"])
+def test_check_proof_modulo_ill_formed_over_the_signature_exits_1(
+        capsys, tmp_path, monkeypatch, sig, modulo, text, line):
+    monkeypatch.chdir(SAMPLES)
+    path = tmp_path / "proof.prf"
+    path.write_text(text)
+    code, out, err = run(capsys, "--sig", sig, "check-proof", "--modulo", modulo, str(path))
+    assert (code, out, err) == (1, f"proof check (modulo {modulo}): {line}\n", "")
+
+
 @pytest.mark.parametrize("rules, term", [
     ("r: +(?x, 0()) -> ?y\n", "+(0(), 0())"),
     ("syntax lterm\nr: ?t[?s] -> ?u\n", "x[id_0]"),

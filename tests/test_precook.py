@@ -8,7 +8,7 @@ import pytest
 from bindlog import gen, precook, proofs, sigma, syntax
 from bindlog.errors import NotAnFTerm
 from bindlog.precook import precook as F
-from bindlog.precook import precook_prop, subst_commutes, translate_theory, uncook, uncook_prop
+from bindlog.precook import precook_prop, subst_commutes, uncook, uncook_prop
 from bindlog.sigma import Closure, Comp, FApp, FreeVar, Id, Index, Shift, TermSort, sort_of
 from bindlog.syntax import Signature, alpha_eq, parse_prop, parse_term
 
@@ -201,32 +201,26 @@ def _quantified_names(a) -> set:
 
 
 # ---------------------------------------------------------------------------
-# theories and proofs
+# axioms and proofs
 
 
-def test_translate_theory_lambda_equality():
+def test_precook_prop_lambda_equality_axioms():
     axioms = [
         parse_prop("forall x. =(x, x)", LAM_SIG),
         parse_prop("forall y. forall z. =(y, z) => =(Λ(x. y), Λ(x. z))", LAM_SIG),
     ]
-    th = translate_theory(LAM_SIG, axioms)
-    assert th.axioms[0] == sigma.parse_lprop("forall x. =(x, x)")
-    assert th.axioms[1] == sigma.parse_lprop(
+    cooked = [precook_prop(LAM_SIG, a) for a in axioms]
+    assert cooked[0] == sigma.parse_lprop("forall x. =(x, x)")
+    assert cooked[1] == sigma.parse_lprop(
         "forall y. forall z. =(y, z) => =(Λ_0(y[up_0]), Λ_0(z[up_0]))")
-    assert th.congruence.rule_names() == sigma.sigma_system(LAM_SIG).rule_names()
-
-
-def test_translate_theory_empty():
-    th = translate_theory(SIG, [])
-    assert th.axioms == ()
 
 
 def test_translate_beta_instance():
     sig = Signature({"α": (0, 0), "λ": (1,)}, {"=": (0, 0)})
     inst = parse_prop("forall x. =(α(λ(x. x), x), x)", sig)
-    th = translate_theory(sig, [inst])
-    assert th.axioms[0] == sigma.parse_lprop("forall x. =(α_0(λ_0(1_1), x), x)")
-    assert sigma.lprop_sorts_ok(sig, th.axioms[0])
+    cooked = precook_prop(sig, inst)
+    assert cooked == sigma.parse_lprop("forall x. =(α_0(λ_0(1_1), x), x)")
+    assert sigma.well_sorted(sig, cooked).ok
 
 
 def _axiom(p):

@@ -252,6 +252,36 @@ def test_congruence_budget_exceeded_is_reported():
     assert not r.ok and r.kind == "CongruenceBudgetExceeded"
 
 
+def test_modulo_checker_reports_what_fpush_would_raise_on():
+    tree = parse_proof_file("syntax lprop\nrule axiom |- P(Zzz_1(1_1)[x . id_0]) |- P(x)\n",
+                            CORPUS_SIG)
+    r = check_modulo_proof(CORPUS_SIG, Congruence(sigma.sigma_system(CORPUS_SIG)), tree)
+    assert (r.ok, r.kind, r.path) == (False, "SortMismatch", ())
+    assert r.message == ("P(Zzz_1(1_1)[x . id_0]) is ill-formed: SortMismatch at 0.0: "
+                         "expected a declared function symbol, found 'Zzz'")
+
+
+def test_checkers_judge_deep_formulas():
+    t = AT("0()")
+    for _ in range(10_000):
+        t = syntax.App("S", (syntax.Slot((), t),))
+    deep = syntax.Atom("=", (syntax.Slot((), t), syntax.Slot((), t)))
+    assert check_modulo_proof(ARITH_SIG, arith_congruence(), axiom_at(deep, deep)).ok
+    assert check_binding_proof(ARITH_SIG, axiom_at(deep, deep)).ok
+    bad = syntax.Atom("=", (syntax.Slot((), syntax.App("S", (syntax.Slot((), t),) * 2)),
+                            syntax.Slot((), t)))
+    r = check_modulo_proof(ARITH_SIG, arith_congruence(), axiom_at(bad, bad))
+    assert (r.ok, r.kind) == (False, "ArityMismatch")
+
+
+def test_modulo_sigma_rejects_a_named_formula():
+    tree = parse_proof_file("rule axiom |- P(f(x)) |- P(f(x))\n", CORPUS_SIG)
+    r = check_modulo_proof(CORPUS_SIG, Congruence(sigma.sigma_system(CORPUS_SIG)), tree)
+    assert (r.ok, r.kind, r.path) == (False, "SortMismatch", ())
+    assert r.message == ("P(f(x)) is ill-formed: SortMismatch at 0: "
+                         "f(x) is not a term of this layer")
+
+
 def test_binding_valid_implies_modulo_valid_with_syntactic_congruence():
     for name, proof in corpus():
         r = check_modulo_proof(CORPUS_SIG, Congruence(), proof)
@@ -843,6 +873,130 @@ def test_rule_table_matches_reference_checker():
         checked += _same_verdicts(ARITH_SIG, lambda: Congruence(arith, budget=budget),
                                   list(_mutants(rng, four_is_even_proof(), 200)), modulo=True)
     assert checked >= 2000
+
+
+# ---------------------------------------------------------------------------
+# the modulo checker judges every formula against the signature: one fault
+# planted in one formula, annotation or witness of an accepted proof
+
+
+def _term_sites(x, path=()):
+    """(path, subterm) for every term position in a proposition or term, in
+    the term view of syntax.NODE_TYPES."""
+    if not isinstance(x, syntax.Prop):
+        yield path, x
+    for i, c in enumerate(syntax.NODE_TYPES[type(x)].children(x)):
+        yield from _term_sites(c, path + (i,))
+
+
+def _replace_term(x, path, new):
+    if not path:
+        return new
+    n = syntax.NODE_TYPES[type(x)]
+    kids = list(n.children(x))
+    kids[path[0]] = _replace_term(kids[path[0]], path[1:], new)
+    return n.rebuild(x, tuple(kids))
+
+
+def _named_fault(rng, u):
+    """(what is wrong, erased or not, an ill-formed named term standing where
+    u stands)."""
+    zero = syntax.App("0", ())
+    fault, bad = rng.choice([
+        ("undeclared", syntax.App("Zzz", (syntax.Slot((), u),))),
+        ("arity", syntax.App("S", (syntax.Slot((), u), syntax.Slot((), u)))),
+        ("binders", syntax.App("S", (syntax.Slot(("z",), u),))),
+    ])
+    erased = rng.random() < 0.5
+    if erased:  # mul0 erases it, plus0 then gives u back
+        bad = syntax.App("+", (syntax.Slot((), syntax.App("*", (syntax.Slot((), zero),
+                                                                 syntax.Slot((), bad)))),
+                               syntax.Slot((), u)))
+    return fault, erased, bad
+
+
+def _sorted_fault(rng, u, n):
+    """(what is wrong, erased or not, an ill-formed sorted term standing
+    where u, of sort n, stands)."""
+    fault, bad = rng.choice([
+        ("undeclared", sigma.FApp("Zzz", n, ())),
+        ("arity", sigma.FApp("f", n, (u, u))),
+        ("sort", sigma.Index(1, n + 1)),
+    ])
+    erased = rng.random() < 0.5
+    if erased:  # VarCons erases it: 1_{n+2}[u . (bad . id_n)] -> u
+        bad = sigma.Closure(sigma.Index(1, n + 2),
+                            sigma.Cons(u, sigma.Cons(bad, sigma.Id(n))))
+    return fault, erased, bad
+
+
+def _sites(sig, item, lterm):
+    """The term positions of item where a fault can go: on the sorted layer,
+    those of a term sort."""
+    return [(p, u) for p, u in _term_sites(item)
+            if not lterm or isinstance(sigma.sort_of(sig, u), sigma.TermSort)]
+
+
+def _fault_spots(sig, tree, lterm):
+    """(node path, node, "left"/"right"/"a"/"t", index, item) for every item
+    with a site."""
+    return [(path, nd, where, i, item) for path, nd in _subtrees(tree)
+            for where, i, item in [("left", i, a) for i, a in enumerate(nd.conclusion.left)]
+            + [("right", i, a) for i, a in enumerate(nd.conclusion.right)]
+            + [(k, None, getattr(nd.rule, k)) for k in ("a", "t")]
+            if item is not None and _sites(sig, item, lterm)]
+
+
+def _plant_fault(rng, sig, tree, lterm):
+    """tree with one fault in one formula, annotation or witness of one node:
+    (the tree, the node's path, the faulty item, what is wrong, erased or
+    not)."""
+    path, nd, where, i, item = rng.choice(_fault_spots(sig, tree, lterm))
+    site, u = rng.choice(_sites(sig, item, lterm))
+    fault, erased, bad = (_sorted_fault(rng, u, sigma.sort_of(sig, u).n) if lterm
+                          else _named_fault(rng, u))
+    new_item = _replace_term(item, site, bad)
+    seq, app = nd.conclusion, nd.rule
+    if i is None:
+        app = RuleApp(app.rule, app.principal, app.x,
+                      new_item if where == "a" else app.a, new_item if where == "t" else app.t)
+    else:
+        side = list(getattr(seq, where))
+        side[i] = new_item
+        seq = Sequent(*((tuple(side), seq.right) if where == "left" else (seq.left, tuple(side))))
+    return _replace_at(tree, path, ProofTree(seq, app, nd.premises)), path, new_item, \
+        fault, erased
+
+
+_FORMULA_FAULTS = {"UnknownSymbol", "ArityMismatch", "BinderCountMismatch", "SortMismatch",
+                   "IndexOutOfRange"}
+
+
+def test_modulo_checker_rejects_every_planted_signature_fault():
+    rng = random.Random(0x516)
+    rs = sigma.sigma_system(CORPUS_SIG)
+    sources = [(CORPUS_SIG, lambda: Congruence(rs), precook.translate_proof(CORPUS_SIG, p), True)
+               for _, p in corpus()]
+    arith = [four_is_even_proof()] + [
+        axiom_at(AP(f"=({num(a * b)}, {num(a * b)})"), AP(f"=(*({num(a)}, {num(b)}), {num(a * b)})"))
+        for a in range(3) for b in range(3)]
+    sources += [(ARITH_SIG, arith_congruence, p, False) for p in arith]
+    for sig, cong, tree, _ in sources:
+        assert check_modulo_proof(sig, cong(), tree).ok
+    sources = [s for s in sources if _fault_spots(s[0], s[2], s[3])]
+    assert len(sources) >= 20
+    kinds, planted = Counter(), Counter()
+    for _ in range(600):
+        sig, cong, tree, lterm = rng.choice(sources)
+        bad_tree, path, bad, fault, erased = _plant_fault(rng, sig, tree, lterm)
+        r = check_modulo_proof(sig, cong(), bad_tree)
+        assert isinstance(r, CheckResult) and not r.ok, bad
+        assert r.kind in _FORMULA_FAULTS and r.path == path, (r, bad)
+        assert r.message.startswith(f"{bad} is ill-formed: "), (r, bad)
+        kinds[r.kind] += 1
+        planted[lterm, fault, erased] += 1
+    assert set(kinds) == _FORMULA_FAULTS - {"IndexOutOfRange"}, kinds
+    assert min(planted.values()) >= 20 and len(planted) == 12, planted
 
 
 # ---------------------------------------------------------------------------

@@ -362,6 +362,16 @@ def test_lterm_rule_file_with_sort_check():
     assert normalize(rs, L("1_1[x . id_0]")) == FreeVar("x")
 
 
+def test_rule_shapes_are_filled_with_a_smallest_term_of_each_sort():
+    sorts = [TermSort(n) for n in range(4)] + [SubstSort(n, p) for n in range(4) for p in range(4)]
+    rng = random.Random(3)
+    for s in sorts:
+        assert sort_of(SIG, sigma._leaf(s)) == s == sort_of(SIG, gen.leaf_of_sort(s, rng))
+    shown = [sigma.print_lterm(sigma._leaf(s)) for s in
+             (TermSort(0), TermSort(2), SubstSort(2, 2), SubstSort(3, 1), SubstSort(1, 3))]
+    assert shown == ["x", "1_2", "id_2", "up_1 o up_2", "1_1 . 1_1 . id_1"]
+
+
 def test_lterm_rule_file_rejects_sort_breakers():
     text = "syntax lterm\nbad: ?t[id_?n] -> 1_?n\n"
     with pytest.raises(ParseError):
@@ -1699,7 +1709,7 @@ def test_prop_walks_match_reference():
     rs = sigma_system(SIG)
     verdicts = set()
     for a in _l_inputs(0xB3)[:1000]:
-        sorts_ok, normal = sigma.lprop_sorts_ok(SIG, a), sigma.is_F_prop(SIG, a, rs)
+        sorts_ok, normal = sigma.well_sorted(SIG, a).ok, sigma.is_F_prop(SIG, a, rs)
         assert sorts_ok == _ref_lprop_sorts_ok(SIG, a), a
         assert normal == _ref_is_F_prop(SIG, a, rs), a
         verdicts.add((sorts_ok, normal))

@@ -202,7 +202,8 @@ def test_substitute_matches_graft_after_freshening():
     rng = random.Random(23)
     for _ in range(1000):
         t = gen.random_term(rng, SIG, rng.randint(1, 8))
-        theta = gen.random_subst_map(rng, SIG)
+        chosen = rng.sample(gen.DEFAULT_FREE, rng.randint(1, 3))
+        theta = {v: gen.random_term(rng, SIG, rng.randint(1, 4)) for v in chosen}
         assert alpha_eq(substitute(theta, t), subst_oracle(theta, t))
 
 
@@ -343,6 +344,16 @@ def test_precedence(text, expected):
 def test_quantifier_body_extends_right():
     p = parse_prop("forall x. P(x) => Q")
     assert isinstance(p, Forall) and isinstance(p.body, syntax.Imp)
+
+
+def test_well_formed_takes_deep_input():
+    sig = Signature({"f": (0,)}, {"P": (1,)})
+    for bottom, want in ((Var("x"), None), (App("h", ()), "UnknownSymbol")):
+        chain = bottom
+        for _ in range(10_000):
+            chain = App("f", (Slot((), chain),))
+        r = well_formed(sig, Forall("y", Atom("P", (Slot(("z",), chain),))))
+        assert (r.kind, r.path) == (want, None if want is None else (0,) * 10_002)
 
 
 def test_repr_takes_deep_input():
