@@ -10,7 +10,10 @@ The record holds:
   seconds, pass/fail counts, and the 20 slowest tests;
 - the line counts of src/ and of the trusted base: the modules
   bindlog/__init__ imports, with errors;
-- machine info: nproc, Python version, platform.
+- machine info: nproc, Python version, platform, and the speed of the
+  benchmark's reference loop (the median of REFERENCE_SAMPLES runs of
+  bench/harness.py's reference_loop), to which bench/run.py scales its
+  times.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import json
 import os
 import platform
 import re
+import statistics
 import subprocess
 import sys
 import time
@@ -29,6 +33,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "bindlog"
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=20"]
+REFERENCE_SAMPLES = 21
 
 
 def _lines(path: Path) -> int:
@@ -81,6 +86,14 @@ def tier1() -> dict:
             "summary": summary.strip("= "), "slowest": slowest}
 
 
+def reference_loop_s() -> float:
+    """The median seconds of the benchmark's reference loop on this machine."""
+    sys.path.insert(0, str(ROOT / "bench"))
+    import harness
+
+    return statistics.median(harness.reference_loop() for _ in range(REFERENCE_SAMPLES))
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("number", type=int, help="N of BENCH_<N>.json")
@@ -90,7 +103,7 @@ def main(argv=None) -> int:
         "tier1": tier1(),
         "loc": loc(),
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
-                    "platform": platform.platform()},
+                    "platform": platform.platform(), "reference_loop_s": reference_loop_s()},
     }
     path = ROOT / f"BENCH_{args.number}.json"
     path.write_text(json.dumps(record, indent=1, ensure_ascii=False) + "\n")

@@ -23,7 +23,6 @@ import itertools
 import math
 import operator
 import random
-import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable
@@ -37,7 +36,7 @@ from .errors import (
     SortMismatch,
     StepBudgetExceeded,
 )
-from .syntax import NODE_TYPES, Signature, Slot
+from .syntax import NODE_TYPES, Signature, Slot, node_class
 
 DEFAULT_BUDGET = 10**6
 
@@ -45,81 +44,27 @@ DEFAULT_BUDGET = 10**6
 # Sorts and terms
 
 
-class _Interned:
+class _Interned(syntax.Node):
     __slots__ = ("__weakref__", "_sort")  # _sort: (signature, sort), see sort_of
 
-    def __reduce__(self):  # copy, deepcopy and pickle go through the table
-        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
 
-
-def _hash_consed(data: tuple[str, ...] = (), kids: tuple[str, ...] = (), *,
-                 seq: bool = False, variable: bool = False, node: bool = True):
-    """Make the class a slotted frozen dataclass whose constructor returns
-    the one live instance with the same data, compared by value, and the
-    same children, compared by identity (Filliâtre & Conchon, "Type-safe
-    modular hash-consing", 2006). Equal instances are thus identical, so
-    equality and hashing are identity's, O(1) at any depth. The fields have
-    the roles syntax.register takes, and a node class is registered with
-    them. The table holds weak references without callbacks: a live
-    instance keeps alive the children whose ids make its key, so a dead
-    entry is harmless until the purge that runs when the table has
-    doubled. The constructor runs per node built, so it is generated per
-    class, as rule matchers are."""
-    ids = [f"*map(id, {k})" if seq else f"id({k})" for k in kids]
-    if len(ids) == 2 and not data:
-        key = f"{ids[0]} << 64 | {ids[1]}"
-    elif len(data) == 1 and not kids:
-        key = data[0]
-    else:
-        key = f"({', '.join([*data, *ids])},)"
-
-    def wrap(cls):
-        cls = dataclass(frozen=True, slots=True, init=False, eq=False)(cls)
-        fields, table = cls.__match_args__, {}
-        env = {"table": table, "new": object.__new__, "ref": weakref.ref, "purge": _purge,
-               **{f"set_{f}": getattr(cls, f).__set__ for f in fields}}
-        exec(f"def __new__(cls, {', '.join(fields)}):\n key = {key}\n r = table.get(key)\n"
-             " if r is not None and (x := r()) is not None: return x\n x = new(cls)\n"
-             + "".join(f" set_{f}(x, {f})\n" for f in fields) + " table[key] = ref(x)\n"
-             " if len(table) >= cls._purge_at: purge(cls)\n return x", env)
-        cls.__new__, cls._table, cls._purge_at = staticmethod(env["__new__"]), table, 1024
-        if node:
-            syntax.register(cls, data, kids, seq=seq, variable=variable)
-        return cls
-
-    return wrap
-
-
-def _purge(cls):
-    live = {k: r for k, r in cls._table.items() if r() is not None}
-    cls._table.clear()
-    cls._table.update(live)
-    cls._purge_at = max(2 * len(live), 1024)
-
-
-@_hash_consed(("n",), node=False)
+@node_class(("n",), interned=True, walked=False)
 class TermSort(_Interned):
     n: int
 
-    def __str__(self):
-        return str(self.n)
 
-
-@_hash_consed(("n", "p"), node=False)
+@node_class(("n", "p"), interned=True, walked=False)
 class SubstSort(_Interned):
     """<n,p>: maps p variables to terms of sort n."""
 
     n: int
     p: int
 
-    def __str__(self):
-        return f"<{self.n},{self.p}>"
-
 
 Sort = TermSort | SubstSort
 
 
-@_hash_consed(("i", "n"))
+@node_class(("i", "n"), interned=True)
 class Index(_Interned):
     """The constant i_n of sort n, 1 <= i <= n."""
 
@@ -127,14 +72,14 @@ class Index(_Interned):
     n: int
 
 
-@_hash_consed(("name",), variable=True)
+@node_class(("name",), variable=True, interned=True)
 class FreeVar(_Interned):
     """A named variable; always of sort 0."""
 
     name: str
 
 
-@_hash_consed(("f", "p"), ("args",), seq=True)
+@node_class(("f", "p"), ("args",), seq=True, interned=True)
 class FApp(_Interned):
     """f_p(args): member p of the family of the binding symbol f."""
 
@@ -143,7 +88,7 @@ class FApp(_Interned):
     args: tuple
 
 
-@_hash_consed(kids=("t", "s"))
+@node_class(kids=("t", "s"), interned=True)
 class Closure(_Interned):
     """t[s]."""
 
@@ -151,12 +96,12 @@ class Closure(_Interned):
     s: object
 
 
-@_hash_consed(("n",))
+@node_class(("n",), interned=True)
 class Id(_Interned):
     n: int
 
 
-@_hash_consed(kids=("t", "s"))
+@node_class(kids=("t", "s"), interned=True)
 class Cons(_Interned):
     """t . s"""
 
@@ -164,14 +109,14 @@ class Cons(_Interned):
     s: object
 
 
-@_hash_consed(("n",))
+@node_class(("n",), interned=True)
 class Shift(_Interned):
     """up_n, of sort <n+1,n>."""
 
     n: int
 
 
-@_hash_consed(kids=("s1", "s2"))
+@node_class(kids=("s1", "s2"), interned=True)
 class Comp(_Interned):
     """s1 o s2"""
 
@@ -210,10 +155,13 @@ def sort_of(sig: Signature, t, path: tuple[int, ...] = ()) -> Sort:
     Errors are not cached, so each call raises its own, with the caller's
     path. The checks run in the order of the recursive definition, so the
     first error found is the one it gives."""
-    stack: list = []  # frames (node, the sorts of its children so far)
+    cached = getattr(t, "_sort", None)
+    if cached is not None and cached[0] is sig:
+        return cached[1]
+    stack: list = []  # frames (node, its children, the sorts of those so far)
 
     def where():  # the path of the node at hand, built only for an error
-        return path + tuple(len(sorts) for _, sorts in stack)
+        return path + tuple(len(sorts) for _, _, sorts in stack)
 
     while True:
         cached = getattr(t, "_sort", None)
@@ -227,17 +175,17 @@ def sort_of(sig: Signature, t, path: tuple[int, ...] = ()) -> Sort:
                     raise SortMismatch(where(), f"{len(arity)} arguments for {t.f!r}",
                                        str(len(t.args)))
             if type(t) in (FApp, Closure, Cons, Comp) and (kids := _children(t)):
-                stack.append((t, []))
+                stack.append((t, kids, []))
                 t = kids[0]
                 continue
             s = _node_sort(t, (), where)
             _set_sort(t, (sig, s))
         while stack:  # hand s to the frame above
-            x, sorts = stack[-1]
+            x, kids, sorts = stack[-1]
             if type(x) is FApp and s != (want := TermSort(sig.functions[x.f][len(sorts)] + x.p)):
                 raise SortMismatch(where(), str(want), str(s))
             sorts.append(s)
-            if len(sorts) < len(kids := _children(x)):
+            if len(sorts) < len(kids):
                 t = kids[len(sorts)]
                 break
             stack.pop()
@@ -253,6 +201,24 @@ _set_sort = _Interned._sort.__set__  # past the frozen dataclasses' __setattr__
 def _node_sort(x, sorts, where) -> Sort:
     """The sort of x from the sorts of its children; an FApp's arguments
     are checked already. where() is the path of x."""
+    if type(x) is Comp:
+        a, b = sorts
+        if type(a) is not SubstSort:
+            raise SortMismatch(where() + (0,), "a substitution sort", str(a))
+        if type(b) is not SubstSort or b.p != a.n:
+            raise SortMismatch(where() + (1,), f"<q,{a.n}>", str(b))
+        return SubstSort(b.n, a.p)
+    if type(x) is Closure or type(x) is Cons:
+        a, b = sorts
+        if type(a) is not TermSort:
+            raise SortMismatch(where() + (0,), "a term sort", str(a))
+        if type(x) is Closure:
+            if type(b) is not SubstSort or b.p != a.n:
+                raise SortMismatch(where() + (1,), f"<n,{a.n}>", str(b))
+            return TermSort(b.n)
+        if type(b) is not SubstSort or b.n != a.n:
+            raise SortMismatch(where() + (1,), f"<{a.n},p>", str(b))
+        return SubstSort(b.n, b.p + 1)
     if type(x) is Index:
         if not (1 <= x.i <= x.n):
             raise IndexOutOfRange(where(), x.i, x.n)
@@ -265,24 +231,7 @@ def _node_sort(x, sorts, where) -> Sort:
         return SubstSort(x.n + 1, x.n)
     if type(x) is FApp:
         return TermSort(x.p)
-    if type(x) not in (Closure, Cons, Comp):
-        raise TypeError(f"not a sorted term: {x!r}")
-    a, b = sorts
-    if type(x) is Comp:
-        if not isinstance(a, SubstSort):
-            raise SortMismatch(where() + (0,), "a substitution sort", str(a))
-        if not isinstance(b, SubstSort) or b.p != a.n:
-            raise SortMismatch(where() + (1,), f"<q,{a.n}>", str(b))
-        return SubstSort(b.n, a.p)
-    if not isinstance(a, TermSort):
-        raise SortMismatch(where() + (0,), "a term sort", str(a))
-    if type(x) is Closure:
-        if not isinstance(b, SubstSort) or b.p != a.n:
-            raise SortMismatch(where() + (1,), f"<n,{a.n}>", str(b))
-        return TermSort(b.n)
-    if not isinstance(b, SubstSort) or b.n != a.n:
-        raise SortMismatch(where() + (1,), f"<{a.n},p>", str(b))
-    return SubstSort(b.n, b.p + 1)
+    raise TypeError(f"not a sorted term: {x!r}")
 
 
 def well_sorted(sig: Signature, x) -> CheckResult:
@@ -330,8 +279,7 @@ def _has_sort(sig: Signature, t, want: Sort, path: tuple[int, ...]) -> CheckResu
     return CheckResult.passed()
 
 
-# The walks of bindlog.syntax cover this layer; grafting keeps a name here
-# for the callers that graft sorted terms.
+# The walks of bindlog.syntax cover this layer; a name for grafting sorted terms
 graft_l = syntax.graft
 
 
@@ -364,21 +312,17 @@ class RewriteSystem:
     sig: Signature | None = None
 
     @functools.cached_property
-    def _by_head(self) -> dict[object, tuple[Rule, ...]]:
-        index: dict[object, tuple[Rule, ...]] = {}
-        for r in self.rules:
-            index[r.head] = index.get(r.head, ()) + (r,)
-        return index
+    def _dispatch(self) -> _Dispatch:
+        return _Dispatch(self.rules)
 
     @functools.cached_property
-    def _reach(self) -> tuple[dict[object, float], float]:
-        """The largest reach of the rules at each head, and of finite ones."""
-        return ({h: max(r.reach for r in rules) for h, rules in self._by_head.items()},
-                max((r.reach for r in self.rules if r.reach < math.inf), default=0))
+    def _near(self) -> float:
+        """The largest finite reach of the rules."""
+        return max((r.reach for r in self.rules if r.reach < math.inf), default=0)
 
     def rules_at(self, x) -> tuple[Rule, ...]:
         """The rules that can fire at x's head, in declaration order."""
-        return self._by_head.get(_head_key(x), ())
+        return self._dispatch[_head_key(x)][2]
 
     def rule(self, name: str) -> Rule:
         for r in self.rules:
@@ -390,8 +334,22 @@ class RewriteSystem:
         return tuple(r.name for r in self.rules)
 
 
-# The engine's view of a node: its children in the term view, which
-# all_one_step's positions count.
+class _Dispatch(dict):
+    """The engine's one lookup per node it visits, for the rules of one
+    system: head (see _head_key) -> (children and rebuild of the term view,
+    the rules at the head in order, their largest reach), filled lazily."""
+
+    def __init__(self, rules: tuple[Rule, ...]):
+        super().__init__()
+        self.rules = rules
+
+    def __missing__(self, head):
+        n = NODE_TYPES[syntax.App if type(head) is str else head]
+        rules = tuple([r for r in self.rules if r.head == head])
+        self[head] = entry = n.children, n.rebuild, rules, max([r.reach for r in rules], default=0)
+        return entry
+
+
 def _children(x) -> tuple:
     return NODE_TYPES[type(x)].children(x)
 
@@ -400,10 +358,10 @@ def _rebuild(x, kids: tuple):
     return NODE_TYPES[type(x)].rebuild(x, kids)
 
 
-def _head_rewrite(rs: RewriteSystem, x):
-    for rule in rs.rules_at(x):
-        r = rule.apply(x, rs.sig)
-        if r is not None:
+def _head_rewrite(rs: RewriteSystem, x, rules: tuple[Rule, ...] | None = None):
+    """What the first of `rules`, else of the rules at x's head, to fire gives."""
+    for rule in rs.rules_at(x) if rules is None else rules:
+        if (r := rule.apply(x, rs.sig)) is not None:
             return r
     return None
 
@@ -438,21 +396,19 @@ class _Budget:
 def _check_step_sorts(sig, before, after):
     # Sorts are compositional, so comparing the redex with its replacement
     # suffices to establish preservation for the whole term.
-    sb = sort_of(sig, before)
-    sa = sort_of(sig, after)
-    if sb != sa:
+    if (sb := sort_of(sig, before)) != (sa := sort_of(sig, after)):
         raise SortMismatch((), str(sb), str(sa))
 
 
 def _nf_innermost(rs, x, budget, check_sorts):
-    """Leftmost-innermost normal form, by a loop over a stack of frames
-    (node, kids, their normal forms so far, trail) of the nodes whose kids
-    are being normalized. The frame at hand is x with its trail: the nodes
-    it passes through, with the steps spent before each, entered in the
-    table when it finishes. A kid found in the table is not descended into:
-    its recorded steps are spent and its normal form taken in place. So the
-    steps, errors and entries are those of a recursive call per kid."""
-    table, by_head, sig = budget.normal, rs._by_head, rs.sig
+    """Leftmost-innermost normal form, by a loop over a stack of frames (node, kids,
+    their normal forms so far, trail, rebuild, rules at its head) of the nodes whose
+    kids are being normalized. The frame at hand is x with its trail: the nodes it
+    passes through, with the steps spent before each, entered in the table when it
+    finishes. A kid found in the table is not descended into: its recorded steps are
+    spent and its normal form taken in place. So the steps, errors and entries are
+    those of a recursive call per kid."""
+    table, dispatch, sig, App = budget.normal, rs._dispatch, rs.sig, syntax.App
     stack: list = []
     trail: list = []
     look = descend = True  # look x up and enter it in the trail; descend into its kids
@@ -460,11 +416,14 @@ def _nf_innermost(rs, x, budget, check_sorts):
         if not (done := look and table.get(id(x))):
             if look:
                 trail.append((x, budget.steps))
-            if descend and (kids := NODE_TYPES[type(x)].children(x)):
-                stack.append((x, kids, [], trail))
+            if descend:  # else x is a frame's node, rebuilt: its rules are the frame's
+                children, rebuild, rules, _ = dispatch[x.symbol if type(x) is App else type(x)]
+                kids = children(x)
+            if descend and kids:
+                stack.append((x, kids, [], trail, rebuild, rules))
             else:
                 r = None
-                for rule in by_head.get(_head_key(x), ()):
+                for rule in rules:
                     if (r := rule.apply(x, sig)) is not None:
                         break
                 if r is not None:
@@ -483,58 +442,66 @@ def _nf_innermost(rs, x, budget, check_sorts):
             if not stack:
                 return nf
             stack[-1][2].append(nf)
-        x, kids, nfs, trail = stack[-1]
-        while len(nfs) < len(kids) and (done := table.get(id(kids[len(nfs)]))):
+        x, kids, nfs, trail, rebuild, rules = stack[-1]
+        i = len(nfs)
+        while i < len(kids) and (done := table.get(id(kids[i]))):
             if done[2]:
                 budget.spend(done[2])
             nfs.append(done[1])
-        if len(nfs) < len(kids):
-            x = kids[len(nfs)]
+            i += 1
+        if i < len(kids):
+            x = kids[i]
             trail, look, descend = [(x, budget.steps)], False, True
         else:  # x goes on to its head, rebuilt (and looked up) if a kid changed
             stack.pop()
             look, descend = any(map(operator.is_not, nfs, kids)), False
             if look:
-                x = NODE_TYPES[type(x)].rebuild(x, tuple(nfs))
+                x = rebuild(x, tuple(nfs))
 
 
 def _nf_outermost(rs, x, budget, check_sorts):
     """Leftmost-outermost normal form, by a pre-order search with a stack of
     frames from the root down to the focus x: [node, kids, index of the kid
     searched, reach, depth of the topmost frame of infinite reach at or
-    above it, else its own depth + 1]. A frame's rules found no redex when
-    last offered and cannot see a rewrite their reach or more levels below,
-    so after a step only frames within reach are offered again, top down:
-    the steps and errors are those of a search restarted from the root."""
-    normal, (reach, near) = budget.normal, rs._reach
+    above it, else its own depth + 1, rebuild, rules at its head, the
+    node's children]. A frame's rules found no redex when last offered and
+    cannot see a rewrite their reach or more levels below, so after a step
+    only frames within reach are offered again, top down: the steps and
+    errors are those of a search restarted from the root."""
+    normal, near, sig = budget.normal, rs._near, rs.sig
+    dispatch, App = rs._dispatch, syntax.App
     stack: list = []
     r = None
     while True:
         if r is None and id(x) not in normal:
-            r = _head_rewrite(rs, x)
+            children, rebuild, rules, k = dispatch[x.symbol if type(x) is App else type(x)]
+            r = _head_rewrite(rs, x, rules)
             if r is None:
-                kids = _children(x)
+                kids = children(x)
                 if kids:
-                    d, k = len(stack), reach.get(_head_key(x), 0)
+                    d = len(stack)
                     up = stack[-1][4] if stack else 0
-                    stack.append([x, list(kids), 0, k, up if up < d else d + (k < math.inf)])
+                    stack.append([x, list(kids), 0, k, up if up < d else d + (k < math.inf),
+                                  rebuild, rules, kids])
                     x = kids[0]
                     continue
                 normal[id(x)] = x, x, 0
         if r is not None:
             budget.spend()
             if check_sorts:
-                _check_step_sorts(rs.sig, x, r)
+                _check_step_sorts(sig, x, r)
             x, r, d = r, None, len(stack)
             top = stack[-1][4] if stack else 0  # the topmost frame within reach
             top = next((j for j in range(max(0, d - near), top) if stack[j][3] > d - j), top)
             y = x
             for f in reversed(stack[top:]):
                 f[1][f[2]] = y
-                y = f[0] = _rebuild(f[0], tuple(f[1]))
+                y = f[0] = f[5](f[0], (kids := tuple(f[1])))
+                f[7] = kids
             for j in range(top, d):
-                if stack[j][3] > d - j and (r := _head_rewrite(rs, stack[j][0])) is not None:
-                    x = stack[j][0]
+                f = stack[j]
+                if f[3] > d - j and (r := _head_rewrite(rs, f[0], f[6])) is not None:
+                    x = f[0]
                     del stack[j:]
                     break
             continue
@@ -547,7 +514,7 @@ def _nf_outermost(rs, x, budget, check_sorts):
                 break
             stack.pop()
             kids = tuple(f[1])
-            x = _rebuild(f[0], kids) if any(map(operator.is_not, kids, _children(f[0]))) else f[0]
+            x = f[5](f[0], kids) if any(map(operator.is_not, kids, f[7])) else f[0]
             normal[id(x)] = x, x, 0
         else:
             return x
@@ -575,26 +542,25 @@ def normalize(rs: RewriteSystem, x, budget: int = DEFAULT_BUDGET,
 
 def normalize_steps(rs: RewriteSystem, x, budget: int = DEFAULT_BUDGET,
                     strategy: str = "innermost", check_sorts: bool = False):
-    b = _Budget(budget)
-    out = _norm_any(rs, x, b, strategy, check_sorts)
-    return out, b.steps
+    return _norm_any(rs, x, b := _Budget(budget), strategy, check_sorts), b.steps
 
 
 def all_one_step(rs: RewriteSystem, x) -> list[tuple[tuple[int, ...], str, object]]:
     """Every (position, rule, result-of-one-step) triple for a term, in
     pre-order, by a walk with a stack of frames [node, kids, index of the
-    kid at hand] from the root down to the focus x. A result is rebuilt up
-    the frames, whose indices spell its position."""
+    kid at hand, rebuild] from the root down to the focus x. A result is
+    rebuilt up the frames, whose indices spell its position."""
     results: list[tuple[tuple[int, ...], str, object]] = []
     stack: list = []
     while True:
-        for rule in rs.rules_at(x):
+        children, rebuild, rules, _ = rs._dispatch[_head_key(x)]
+        for rule in rules:
             if (r := rule.apply(x, rs.sig)) is not None:
-                for node, kids, i in reversed(stack):
-                    r = _rebuild(node, kids[:i] + (r,) + kids[i + 1:])
+                for node, kids, i, up in reversed(stack):
+                    r = up(node, kids[:i] + (r,) + kids[i + 1:])
                 results.append((tuple([f[2] for f in stack]), rule.name, r))
-        if kids := _children(x):
-            stack.append([x, kids, 0])
+        if kids := children(x):
+            stack.append([x, kids, 0, rebuild])
             x = kids[0]
             continue
         while stack and (f := stack[-1])[2] + 1 == len(f[1]):
@@ -682,14 +648,11 @@ def sigma_system(sig: Signature) -> RewriteSystem:
 def is_F_term(sig: Signature, t, rs: RewriteSystem | None = None) -> bool:
     """True iff t is normal for the substitution system. Named variables of
     this layer are all of sort 0, so normality is the whole condition."""
-    if rs is None:
-        rs = sigma_system(sig)
-    return not has_redex(rs, t)
+    return not has_redex(rs or sigma_system(sig), t)
 
 
 def is_F_prop(sig: Signature, a, rs: RewriteSystem | None = None) -> bool:
-    if rs is None:
-        rs = sigma_system(sig)
+    rs = rs or sigma_system(sig)
     return all(not s.binders and not has_redex(rs, s.body)
                for atom in syntax.atoms(a) for s in atom.args)
 
@@ -796,7 +759,7 @@ def termination_probe(rs: RewriteSystem, size_bound: int = 40, samples: int = 10
 # Pattern rules and rule files
 
 
-@_hash_consed(("name",), node=False)
+@node_class(("name",), interned=True, walked=False)
 class MetaT(_Interned):
     """Metavariable over subterms (?t); interned, so that equal patterns are
     identical and share their compiled functions."""
@@ -822,7 +785,7 @@ def _generated(lhs, rhs, rule: bool = False) -> Callable:
     (a compiled matcher, as in Sekar, Ramakrishnan & Voronkov, "Term
     indexing", 2001).
 
-    It tests its node against lhs through the field names syntax.register
+    It tests its node against lhs through the field names syntax.node_class
     records, binding metavariables left to right into `binds` (a numeric ?n
     under "#n"), and returns None at the first failed test, else the
     instance of rhs (True when there is none). A rule's function is its
@@ -895,20 +858,19 @@ def _generated(lhs, rhs, rule: bool = False) -> Callable:
         n = NODE_TYPES[type(pat)]
         args = [f"binds[{const('#' + v.name)}]" + offset(" +", v) if type(v) is MetaN
                 else const(v) for v in n.data(pat)]
-        kids = [f"{const(Slot)}({const(c.binders)}, {build(c.body)})" if n.slotted
+        kids = [new(Slot, [const(c.binders), build(c.body)]) if n.slotted
                 else build(c) for c in n.kids(pat)]
         args += [f"({''.join(k + ', ' for k in kids)})"] if n.seq else kids
-        return f"{const(type(pat))}({', '.join(args)})"
+        return new(type(pat), args)
+
+    def new(cls, args: list) -> str:  # its constructor, called past type.__call__
+        return f"{const(cls.__new__)}({', '.join([const(cls), *args])})"
 
     if lhs is not None:
         match(lhs, "x")
     lines.append(f" return {'True' if rhs is None else build(rhs)}")
     exec("\n".join(lines), env)
     return env["_f"]
-
-
-def match_pattern(pat, node, binds: dict) -> bool:
-    return _generated(pat, None)(node, binds) is not None
 
 
 def build_pattern(pat, binds: dict):
@@ -1157,32 +1119,19 @@ def parse_lprop(text: str):
     return a
 
 
-def _fapp_parts(x) -> list:
-    """f_p(args), as parts for syntax.show"""
-    parts = [f"{x.f}_{x.p}("]
-    for a in x.args:
-        if len(parts) > 1:
-            parts.append(", ")
-        parts.append(a)
-    parts.append(")")
-    return parts
-
-
 syntax.SHOW.update({
     Index: lambda x: f"{x.i}_{x.n}",
     FreeVar: lambda x: x.name,
     Id: lambda x: f"id_{x.n}",
     Shift: lambda x: f"up_{x.n}",
-    FApp: _fapp_parts,
+    FApp: lambda x: syntax._args(f"{x.f}_{x.p}(", x.args),
     Closure: lambda x: ((x.t, syntax.TIGHTEST), "[", x.s, "]"),
     MetaT: lambda x: f"?{x.name}",
+    TermSort: lambda x: str(x.n),
+    SubstSort: lambda x: f"<{x.n},{x.p}>",
 })
 print_lterm = print_lprop = syntax.show
 
-
-for _cls in (Index, FreeVar, FApp, Closure, Id, Cons, Shift, Comp):
-    _cls.__str__ = syntax.show  # type: ignore[assignment]
-    _cls.__repr__ = syntax.show_repr  # type: ignore[assignment]
 
 # read once, without load_rules' sort check, which tests run on this text
 # instead: the rules and their left sides by name

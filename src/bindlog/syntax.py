@@ -21,6 +21,7 @@ import contextlib
 import functools
 import itertools
 import re
+import weakref
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, Mapping
@@ -53,74 +54,6 @@ class Signature:
             raise ValueError(f"function/predicate name spaces overlap: {sorted(overlap)}")
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
-
-
-@dataclass(frozen=True)
-class Slot:
-    """One argument position: the variables bound there and the body."""
-
-    binders: tuple[str, ...]
-    body: object  # Term of this layer, or an LTerm when the slot belongs to the sorted layer
-
-
-@dataclass(frozen=True)
-class App:
-    symbol: str
-    args: tuple[Slot, ...]
-
-
-Term = Var | App
-
-
-@dataclass(frozen=True)
-class Atom:
-    pred: str
-    args: tuple[Slot, ...]
-
-
-@dataclass(frozen=True)
-class Imp:
-    a: object
-    b: object
-
-
-@dataclass(frozen=True)
-class And:
-    a: object
-    b: object
-
-
-@dataclass(frozen=True)
-class Or:
-    a: object
-    b: object
-
-
-@dataclass(frozen=True)
-class Bottom:
-    pass
-
-
-@dataclass(frozen=True)
-class Forall:
-    var: str
-    body: object
-
-
-@dataclass(frozen=True)
-class Exists:
-    var: str
-    body: object
-
-
-Prop = Atom | Imp | And | Or | Bottom | Forall | Exists
-
-SubstMap = Mapping[str, Term]
-
-
 # ---------------------------------------------------------------------------
 # The node protocol
 #
@@ -145,7 +78,7 @@ class NodeType:
     rebuild: Callable  # (node, children in the term view) -> node with the same data
     slotted: bool = False
     variable: bool = False
-    # the field names register was given, which generated code reads
+    # the field names node_class was given, which generated code reads
     data_fields: tuple[str, ...] = ()
     kid_fields: tuple[str, ...] = ()
     seq: bool = False
@@ -160,52 +93,194 @@ class _NodeTypes(dict):
 NODE_TYPES: dict[type, NodeType] = _NodeTypes()
 
 
-def _getter(names: tuple[str, ...]) -> Callable:
-    if not names:
-        return lambda x: ()
-    if len(names) == 1:
-        get = attrgetter(names[0])
-        return lambda x: (get(x),)
-    return attrgetter(*names)
+class Node:
+    """The classes node_class makes: copied and pickled by their fields, printed by show."""
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        return type(self), self._fields()
 
 
-def register(cls, data: tuple[str, ...] = (), kids: tuple[str, ...] = (), *,
-             seq: bool = False, slotted: bool = False, variable: bool = False):
-    """Describe cls to the walks. `data` and `kids` name its fields; with
-    `seq` the one field in `kids` holds a tuple of children."""
-    get_data = _getter(data)
-    get_kids = attrgetter(*kids) if seq else _getter(kids)
-    make = (lambda d, k: cls(*d, k)) if seq else (lambda d, k: cls(*d, *k))
-    if slotted:
-        children = lambda x: tuple([s.body for s in get_kids(x)])
-        rebuild = lambda x, k: make(get_data(x), tuple(
-            map(Slot, [s.binders for s in get_kids(x)], k)))
-    elif len(kids) == 2 and not data:  # spelled out: cls(*k) builds markedly slower
-        children, rebuild = get_kids, lambda x, k: cls(k[0], k[1])
-    elif seq:
-        children, rebuild = get_kids, lambda x, k: cls(*get_data(x), k)
-    else:
-        children, rebuild = get_kids, lambda x, k: cls(*get_data(x), *k)
-    NODE_TYPES[cls] = NodeType(cls.__name__.lower(), get_data, get_kids, make, children,
-                               rebuild, slotted, variable, data, kids, seq)
+class _ByValue(Node):
+    """A node of the named layer, equal by value (see node_class)."""
+
+    __slots__ = ("_hash",)
 
 
-def _register_quantifier(cls):
-    """cls(var, body): one slot, binding var in body."""
-    NODE_TYPES[cls] = NodeType(
-        cls.__name__.lower(), _getter(()), lambda x: (Slot((x.var,), x.body),),
-        lambda d, k: cls(k[0].binders[0], k[0].body), lambda x: (x.body,),
-        lambda x, k: cls(x.var, k[0]), slotted=True)
+def _deep_eq(a, b) -> bool:
+    xs, ys = [a], [b]  # the pairs still to compare: tuples and nodes field by field
+    while xs:
+        if (a := xs.pop()) is not (b := ys.pop()) and type(a) is type(b) and (
+                type(a) is tuple or isinstance(a, _ByValue)):
+            a, b = (a, b) if type(a) is tuple else (a._fields(), b._fields())
+            if len(a) != len(b):
+                return False
+            xs += a
+            ys += b
+        elif a is not b and not a == b:
+            return False
+    return True
 
 
-register(Var, ("name",), variable=True)
-register(App, ("symbol",), ("args",), seq=True, slotted=True)
-register(Atom, ("pred",), ("args",), seq=True, slotted=True)
-for _cls in (Imp, And, Or):
-    register(_cls, kids=("a", "b"))
-register(Bottom)
-_register_quantifier(Forall)
-_register_quantifier(Exists)
+def _deep_hash(x) -> int:
+    todo = [x]  # each hashed once the nodes below it are
+    while todo:
+        if below := [c for f in todo[-1]._fields() for c in (f if type(f) is tuple else (f,))
+                     if isinstance(c, _ByValue) and not hasattr(c, "_hash")]:
+            todo += below
+        else:
+            hash(todo.pop())
+    return x._hash
+
+
+def node_class(data: tuple[str, ...] = (), kids: tuple[str, ...] = (), *, seq: bool = False,
+               slotted: bool = False, binder: bool = False, variable: bool = False,
+               interned: bool = False, walked: bool = True):
+    """Make the class a slotted frozen dataclass built by a constructor
+    generated from its fields, whose roles `data` and `kids` name: with
+    `seq` the one kid field holds a tuple of children; those of a `slotted`
+    class are Slots; a `binder` (a quantifier) binds its one data field in
+    its one kid, which the walks see as one slot. A `walked` class gets a
+    NodeType with a generated term view. The code runs per node, so it is
+    generated per class, as rule matchers are; constructors allocate
+    through `new`.
+
+    An `interned` constructor returns the one live instance with the same
+    data, compared by value, and the same children, compared by identity
+    (Filliâtre & Conchon, "Type-safe modular hash-consing", 2006), so
+    equality and hashing are identity's, O(1) at any depth. The table
+    holds weak references without callbacks: a live instance keeps alive
+    the children whose ids make its key, so a dead entry is harmless until
+    the purge when the table has doubled. Other instances compare and hash
+    as frozen dataclasses, by the tuple of their fields; the hash, found
+    bottom-up once, is kept. Both recurse, and go on with explicit stacks
+    from a node too deep for that."""
+    ids = [f"*map(id, {k})" if seq else f"id({k})" for k in kids]
+    key = (f"{ids[0]} << 64 | {ids[1]}" if len(ids) == 2 and not data
+           else data[0] if len(data) == 1 and not kids else f"({', '.join([*data, *ids])},)")
+
+    def wrap(cls):
+        cls = dataclass(frozen=True, slots=True, init=False, repr=False, eq=False)(cls)
+        names = cls.__match_args__
+        mine, theirs, fields = ("".join(f"{x}.{f}, " for f in fs) for x, fs in
+                                (("self", names), ("other", names), ("x", data)))
+        env = {"cls": cls, "new": object.__new__, "table": {}, "ref": weakref.ref, "at": [1024],
+               "deep_eq": _deep_eq, "deep_hash": _deep_hash, "Slot": globals().get("Slot"),
+               **{f"set_{f}": d.__set__ for f in (*names, "_hash") if (d := getattr(cls, f, None))}}
+        body = "".join(f" set_{f}(x, {f})\n" for f in names)
+        if interned:
+            body = (f" key = {key}\n r = table.get(key)\n"
+                    " if r is not None and (x := r()) is not None: return x\n x = new(cls)\n"
+                    f"{body} table[key] = ref(x)\n if len(table) >= at[0]:\n"
+                    "  live = {k: r for k, r in table.items() if r() is not None}\n"
+                    "  table.clear()\n  table.update(live)\n  at[0] = max(2 * len(live), 1024)\n")
+        else:
+            body = f" x = new(cls)\n{body}"
+        kid_tuple = f"x.{kids[0]}" if seq else f"({''.join(f'x.{k}, ' for k in kids)})"
+        spread = "k" if seq else "".join(f"k[{i}], " for i in range(len(kids)))
+        view = {"data": f"({fields})", "kids": kid_tuple,  # in the order of NodeType's fields
+                "make": f"__new__(cls, *d, {'k' if seq else '*k'})", "children": kid_tuple,
+                "rebuild": f"__new__(cls, {fields}{spread})"}
+        if slotted:
+            view.update(children=f"tuple([s.body for s in x.{kids[0]}])", rebuild=(
+                f"__new__(cls, {fields}tuple([Slot.__new__(Slot, s.binders, c) "
+                f"for s, c in zip(x.{kids[0]}, k)]))"))
+        if binder:  # the walks see no data and one slot
+            view.update(data="()", kids=f"(Slot.__new__(Slot, ({fields}), x.{kids[0]}),)",
+                        make="__new__(cls, k[0].binders[0], k[0].body)",
+                        rebuild=f"__new__(cls, {fields}k[0])")
+        src = [f"def __new__(cls, {', '.join(names)}):\n{body} return x",
+               f"_fields = lambda self: ({mine})",
+               *(f"{f} = lambda {'d, k' if f == 'make' else 'x, k' if f == 'rebuild' else 'x'}: {e}"
+                 for f, e in (view.items() if walked else ()))]
+        if not interned:
+            src += [f"def __eq__(self, other):\n if type(other) is not cls: return NotImplemented\n"
+                    f" try: return ({mine}) == ({theirs})\n"
+                    " except RecursionError: return deep_eq(self, other)",
+                    "def __hash__(self):\n try: return self._hash\n except AttributeError: pass\n"
+                    f" try: h = hash(({mine}))\n except RecursionError: h = deep_hash(self)\n"
+                    " set__hash(self, h)\n return h"]
+        exec("\n".join(src), env)
+        cls.__new__, cls._table = staticmethod(env["__new__"]), env["table"]
+        for f in ("_fields", "__eq__", "__hash__")[:1 if interned else 3]:
+            setattr(cls, f, env[f])
+        if walked:
+            NODE_TYPES[cls] = NodeType(cls.__name__.lower(), *[env[f] for f in view],
+                                       slotted or binder, variable, () if binder else data,
+                                       () if binder else kids, seq)
+        return cls
+
+    return wrap
+
+
+@node_class(("name",), variable=True)
+class Var(_ByValue):
+    name: str
+
+
+@node_class(("binders",), ("body",), walked=False)
+class Slot(_ByValue):
+    """One argument position: the variables bound there and the body."""
+
+    binders: tuple[str, ...]
+    body: object  # Term of this layer, or an LTerm when the slot belongs to the sorted layer
+
+
+@node_class(("symbol",), ("args",), seq=True, slotted=True)
+class App(_ByValue):
+    symbol: str
+    args: tuple[Slot, ...]
+
+
+Term = Var | App
+
+
+@node_class(("pred",), ("args",), seq=True, slotted=True)
+class Atom(_ByValue):
+    pred: str
+    args: tuple[Slot, ...]
+
+
+@node_class(kids=("a", "b"))
+class Imp(_ByValue):
+    a: object
+    b: object
+
+
+@node_class(kids=("a", "b"))
+class And(_ByValue):
+    a: object
+    b: object
+
+
+@node_class(kids=("a", "b"))
+class Or(_ByValue):
+    a: object
+    b: object
+
+
+@node_class()
+class Bottom(_ByValue):
+    pass
+
+
+@node_class(("var",), ("body",), binder=True)
+class Forall(_ByValue):
+    var: str
+    body: object
+
+
+@node_class(("var",), ("body",), binder=True)
+class Exists(_ByValue):
+    var: str
+    body: object
+
+
+Prop = Atom | Imp | And | Or | Bottom | Forall | Exists
+
+SubstMap = Mapping[str, Term]
+
 
 _CONNECTIVES = frozenset((Imp, And, Or, Bottom, Forall, Exists))
 
@@ -836,28 +911,27 @@ def parse_prop(text: str, sig: Signature | None = None) -> Prop:
 # Printing: one printer for the nodes of both layers
 
 
-def _args(head: str, slots) -> list:
-    """The parts (see SHOW) of an application: head, then the slots, whose
-    binders are text, and the closing parenthesis."""
-    parts = [head]
-    for s in slots:
-        if len(parts) > 1:
-            parts.append(", ")
-        if s.binders:
-            parts.append(f"{' '.join(s.binders)}. ")
-        parts.append(s.body)
-    parts.append(")")
-    return parts
+def _args(head: str, parts) -> list:
+    """The parts (see SHOW) of an application: head, the given parts with
+    commas between them, and the closing parenthesis."""
+    out = [head]
+    for part in parts:
+        if len(out) > 1:
+            out.append(", ")
+        out.append(part)
+    out.append(")")
+    return out
 
 
-# How show prints each leaf and application class: as its text, or as parts
-# that are text, a node printed at level 0 or a (node, level) pair.
+# How show prints each leaf, application class and slot: as its text, or as
+# parts that are text, a node printed at level 0 or a (node, level) pair.
 # bindlog.sigma adds its own.
 SHOW: dict[type, Callable[[object], str | tuple | list]] = {
     Var: attrgetter("name"),
     App: lambda x: _args(f"{x.symbol}(", x.args),
     Atom: lambda x: _args(f"{x.pred}(", x.args) if x.args else x.pred,
     Bottom: lambda x: "false",
+    Slot: lambda x: (f"{' '.join(x.binders)}. ", x.body) if x.binders else (x.body,),
 }
 
 
@@ -895,7 +969,7 @@ def show(x, level: int = 0) -> str:
                 if level > 0:
                     inner = ("(", *inner, ")")
             else:
-                raise TypeError(f"cannot print {x!r}")
+                raise TypeError(f"cannot print a {type(x).__name__}")
             waiting.append(parts)
             parts = iter(inner)
             break
@@ -910,22 +984,16 @@ print_term = print_prop = show
 
 def show_repr(x) -> str:
     """<class text>, printed by the iterative show, so that any depth
-    prints. A slot prints as its binders and body; a node holding a part
-    that is not a node prints as the fields it was built with."""
+    prints; a node holding a part that is not a node prints as the fields
+    it was built with."""
     try:
-        text = show(x.body if type(x) is Slot else x)
+        return f"<{type(x).__name__} {show(x)}>"
     except TypeError:
-        return _FIELDS_REPR.get(type(x), object.__repr__)(x)
-    if type(x) is Slot and x.binders:
-        text = f"{' '.join(x.binders)}. {text}"
-    return f"<{type(x).__name__} {text}>"
+        fields = ", ".join(f"{f}={getattr(x, f)!r}" for f in x.__match_args__)
+        return f"{type(x).__qualname__}({fields})"
 
 
-# the dataclass-generated reprs, which recurse, kept for malformed nodes
-_FIELDS_REPR = {cls: cls.__repr__ for cls in (Var, Slot, App, Atom, Imp, And, Or, Bottom,
-                                               Forall, Exists)}
-for _cls in _FIELDS_REPR:
-    _cls.__repr__ = show_repr  # type: ignore[assignment]
+Node.__str__, Node.__repr__ = show, show_repr
 
 
 def print_sequent(left, right) -> str:
@@ -990,6 +1058,3 @@ def print_signature(sig: Signature) -> str:
     lines += [f"pred {n} : <{','.join(map(str, a))}>" for n, a in sig.predicates.items()]
     return "\n".join(lines) + "\n"
 
-
-for _cls in NODE_TYPES:
-    _cls.__str__ = show  # type: ignore[assignment]

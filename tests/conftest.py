@@ -13,7 +13,7 @@ import itertools
 import hypothesis.strategies as st
 import pytest
 
-from bindlog import syntax
+from bindlog import sigma, syntax
 from bindlog.syntax import (
     And,
     App,
@@ -43,6 +43,12 @@ BINDER_POOL = ("x", "y", "z", "a", "b", "x1", "w1")
 @pytest.fixture
 def sig():
     return SIG
+
+
+def match_pattern(pat, node, binds: dict) -> bool:
+    """Does node match the rule pattern pat? Its metavariables are bound in
+    binds, through the matcher compiled from pat."""
+    return sigma._generated(pat, None)(node, binds) is not None
 
 
 # ---------------------------------------------------------------------------

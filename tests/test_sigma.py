@@ -50,7 +50,7 @@ from bindlog.sigma import (
 )
 from bindlog.syntax import And, App, Atom, Bottom, Exists, Forall, Imp, Or, Signature, Slot, Var
 
-from conftest import SIG
+from conftest import SIG, match_pattern
 
 RS = sigma_system(SIG)
 
@@ -1822,7 +1822,7 @@ def test_patterns_match_and_build_as_reference():
             for node in nodes:
                 got, want = {}, {}
                 ok = _ref_match_pattern(lhs, node, want)
-                assert sigma.match_pattern(lhs, node, got) == ok, (lhs, node)
+                assert match_pattern(lhs, node, got) == ok, (lhs, node)
                 assert got == want, (lhs, node)
                 if ok:
                     matched += 1
