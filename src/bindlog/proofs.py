@@ -28,6 +28,26 @@ from .errors import (
 from .syntax import And, Bottom, Exists, Forall, Imp, Or, Signature
 
 
+class Rule(enum.Enum):
+    AXIOM = "axiom"
+    CUT = "cut"
+    CONTR_L = "contr-left"
+    CONTR_R = "contr-right"
+    WEAK_L = "weak-left"
+    WEAK_R = "weak-right"
+    IMP_L = "imp-left"
+    IMP_R = "imp-right"
+    AND_L = "and-left"
+    AND_R = "and-right"
+    OR_L = "or-left"
+    OR_R = "or-right"
+    BOT_L = "bot-left"
+    ALL_L = "all-left"
+    ALL_R = "all-right"
+    EX_L = "ex-left"
+    EX_R = "ex-right"
+
+
 @dataclass(frozen=True)
 class RuleSpec:
     """The shape of one rule figure, the checker's only per-rule knowledge
@@ -59,32 +79,25 @@ class RuleSpec:
 
 SAME = "same"
 
-# Each rule once: its name in proof files and its figure. The members of
-# Rule are the names upper-cased, with -left and -right as _L and _R:
-# Rule.CONTR_L is contr-left.
-_FIGURES = {
-    "axiom": RuleSpec(None, (), SAME),
-    "cut": RuleSpec(None, ((1, 0), (0, 1)), SAME),
-    "contr-left": RuleSpec("left", ((2, 0),), SAME),
-    "contr-right": RuleSpec("right", ((0, 2),), SAME),
-    "weak-left": RuleSpec("left", ((0, 0),)),
-    "weak-right": RuleSpec("right", ((0, 0),)),
-    "imp-left": RuleSpec("left", ((0, 1), (1, 0)), Imp),
-    "imp-right": RuleSpec("right", ((1, 1),), Imp),
-    "and-left": RuleSpec("left", ((2, 0),), And),
-    "and-right": RuleSpec("right", ((0, 1), (0, 1)), And),
-    "or-left": RuleSpec("left", ((1, 0), (1, 0)), Or),
-    "or-right": RuleSpec("right", ((0, 2),), Or),
-    "bot-left": RuleSpec("left", (), Bottom),
-    "all-left": RuleSpec("left", ((1, 0),), quantifier=Forall, witness=True),
-    "all-right": RuleSpec("right", ((0, 1),), quantifier=Forall),
-    "ex-left": RuleSpec("left", ((1, 0),), quantifier=Exists),
-    "ex-right": RuleSpec("right", ((0, 1),), quantifier=Exists, witness=True),
+RULES = {
+    Rule.AXIOM: RuleSpec(None, (), SAME),
+    Rule.CUT: RuleSpec(None, ((1, 0), (0, 1)), SAME),
+    Rule.CONTR_L: RuleSpec("left", ((2, 0),), SAME),
+    Rule.CONTR_R: RuleSpec("right", ((0, 2),), SAME),
+    Rule.WEAK_L: RuleSpec("left", ((0, 0),)),
+    Rule.WEAK_R: RuleSpec("right", ((0, 0),)),
+    Rule.IMP_L: RuleSpec("left", ((0, 1), (1, 0)), Imp),
+    Rule.IMP_R: RuleSpec("right", ((1, 1),), Imp),
+    Rule.AND_L: RuleSpec("left", ((2, 0),), And),
+    Rule.AND_R: RuleSpec("right", ((0, 1), (0, 1)), And),
+    Rule.OR_L: RuleSpec("left", ((1, 0), (1, 0)), Or),
+    Rule.OR_R: RuleSpec("right", ((0, 2),), Or),
+    Rule.BOT_L: RuleSpec("left", (), Bottom),
+    Rule.ALL_L: RuleSpec("left", ((1, 0),), quantifier=Forall, witness=True),
+    Rule.ALL_R: RuleSpec("right", ((0, 1),), quantifier=Forall),
+    Rule.EX_L: RuleSpec("left", ((1, 0),), quantifier=Exists),
+    Rule.EX_R: RuleSpec("right", ((0, 1),), quantifier=Exists, witness=True),
 }
-Rule = enum.Enum("Rule", {name.upper().replace("-LEFT", "_L").replace("-RIGHT", "_R"): name
-                          for name in _FIGURES}, module=__name__)
-RULES = {Rule(name): spec for name, spec in _FIGURES.items()}
-_RULE_BY_NAME = {r.value: r for r in Rule}
 
 QUANTIFIER_RULES = frozenset(r for r, spec in RULES.items() if spec.quantifier is not None)
 
@@ -348,6 +361,7 @@ def _first_rejection(proof: ProofTree, check_node) -> CheckResult:
 # `syntax lprop` switches the proposition syntax to the sorted layer, whose
 # parser then reads the text after the rule name (see Parser.params).
 
+_RULE_BY_NAME = {r.value: r for r in Rule}
 _LAYERS = ("term", "lprop")
 
 

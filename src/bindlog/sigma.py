@@ -279,7 +279,8 @@ def _has_sort(sig: Signature, t, want: Sort, path: tuple[int, ...]) -> CheckResu
     return CheckResult.passed()
 
 
-# The walks of bindlog.syntax cover this layer; a name for grafting sorted terms
+# The walks of bindlog.syntax cover this layer; grafting keeps a name here
+# for the callers that graft sorted terms.
 graft_l = syntax.graft
 
 
@@ -321,8 +322,10 @@ class RewriteSystem:
         return max((r.reach for r in self.rules if r.reach < math.inf), default=0)
 
     def rules_at(self, x) -> tuple[Rule, ...]:
-        """The rules that can fire at x's head, in declaration order."""
-        return self._dispatch[_head_key(x)][2]
+        """The rules that can fire at x's head, in declaration order; none
+        at a value that is not a term or proposition."""
+        h = _head_key(x)
+        return self._dispatch[h][2] if type(h) is str or h in NODE_TYPES else ()
 
     def rule(self, name: str) -> Rule:
         for r in self.rules:
@@ -396,18 +399,21 @@ class _Budget:
 def _check_step_sorts(sig, before, after):
     # Sorts are compositional, so comparing the redex with its replacement
     # suffices to establish preservation for the whole term.
-    if (sb := sort_of(sig, before)) != (sa := sort_of(sig, after)):
+    sb = sort_of(sig, before)
+    sa = sort_of(sig, after)
+    if sb != sa:
         raise SortMismatch((), str(sb), str(sa))
 
 
 def _nf_innermost(rs, x, budget, check_sorts):
-    """Leftmost-innermost normal form, by a loop over a stack of frames (node, kids,
-    their normal forms so far, trail, rebuild, rules at its head) of the nodes whose
-    kids are being normalized. The frame at hand is x with its trail: the nodes it
-    passes through, with the steps spent before each, entered in the table when it
-    finishes. A kid found in the table is not descended into: its recorded steps are
-    spent and its normal form taken in place. So the steps, errors and entries are
-    those of a recursive call per kid."""
+    """Leftmost-innermost normal form, by a loop over a stack of frames
+    (node, kids, their normal forms so far, trail, rebuild, rules at its
+    head) of the nodes whose kids are being normalized. The frame at hand
+    is x with its trail: the nodes it passes through, with the steps spent
+    before each, entered in the table when it finishes. A kid found in the
+    table is not descended into: its recorded steps are spent and its
+    normal form taken in place. So the steps, errors and entries are those
+    of a recursive call per kid."""
     table, dispatch, sig, App = budget.normal, rs._dispatch, rs.sig, syntax.App
     stack: list = []
     trail: list = []
@@ -542,7 +548,9 @@ def normalize(rs: RewriteSystem, x, budget: int = DEFAULT_BUDGET,
 
 def normalize_steps(rs: RewriteSystem, x, budget: int = DEFAULT_BUDGET,
                     strategy: str = "innermost", check_sorts: bool = False):
-    return _norm_any(rs, x, b := _Budget(budget), strategy, check_sorts), b.steps
+    b = _Budget(budget)
+    out = _norm_any(rs, x, b, strategy, check_sorts)
+    return out, b.steps
 
 
 def all_one_step(rs: RewriteSystem, x) -> list[tuple[tuple[int, ...], str, object]]:
@@ -648,11 +656,14 @@ def sigma_system(sig: Signature) -> RewriteSystem:
 def is_F_term(sig: Signature, t, rs: RewriteSystem | None = None) -> bool:
     """True iff t is normal for the substitution system. Named variables of
     this layer are all of sort 0, so normality is the whole condition."""
-    return not has_redex(rs or sigma_system(sig), t)
+    if rs is None:
+        rs = sigma_system(sig)
+    return not has_redex(rs, t)
 
 
 def is_F_prop(sig: Signature, a, rs: RewriteSystem | None = None) -> bool:
-    rs = rs or sigma_system(sig)
+    if rs is None:
+        rs = sigma_system(sig)
     return all(not s.binders and not has_redex(rs, s.body)
                for atom in syntax.atoms(a) for s in atom.args)
 

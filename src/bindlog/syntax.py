@@ -22,7 +22,7 @@ import functools
 import itertools
 import re
 import weakref
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from operator import attrgetter
 from typing import Callable, Mapping
 
@@ -94,57 +94,78 @@ NODE_TYPES: dict[type, NodeType] = _NodeTypes()
 
 
 class Node:
-    """The classes node_class makes: copied and pickled by their fields, printed by show."""
+    """The classes node_class makes: frozen, copied and pickled by their
+    fields, printed by show."""
 
     __slots__ = ()
 
     def __reduce__(self):
         return type(self), self._fields()
 
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
 
 class _ByValue(Node):
-    """A node of the named layer, equal by value (see node_class)."""
+    """A node of the named layer, equal and hashed as a frozen dataclass:
+    the same class and equal field tuples; the hash of the field tuple.
+    Both walk with explicit stacks, so they take input of any depth."""
 
     __slots__ = ("_hash",)
 
-
-def _deep_eq(a, b) -> bool:
-    xs, ys = [a], [b]  # the pairs still to compare: tuples and nodes field by field
-    while xs:
-        if (a := xs.pop()) is not (b := ys.pop()) and type(a) is type(b) and (
-                type(a) is tuple or isinstance(a, _ByValue)):
-            a, b = (a, b) if type(a) is tuple else (a._fields(), b._fields())
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        xs, ys = [self], [other]  # the pairs still to compare
+        while xs:
+            a, b = xs.pop(), ys.pop()
+            if a is b:
+                continue
+            if type(a) is type(b) and isinstance(a, _ByValue):
+                a, b = a._fields(), b._fields()
+            elif type(a) is not tuple or type(b) is not tuple:
+                if a == b:
+                    continue
+                return False
             if len(a) != len(b):
                 return False
             xs += a
             ys += b
-        elif a is not b and not a == b:
-            return False
-    return True
+        return True
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            pass
+        todo = [self]  # each node hashed once the nodes below it are
+        while todo:
+            below = [c for f in todo[-1]._fields() for c in (f if type(f) is tuple else (f,))
+                     if isinstance(c, _ByValue) and not hasattr(c, "_hash")]
+            if below:
+                todo += below
+            elif not hasattr(x := todo.pop(), "_hash"):
+                _set_hash(x, hash(x._fields()))
+        return self._hash
 
 
-def _deep_hash(x) -> int:
-    todo = [x]  # each hashed once the nodes below it are
-    while todo:
-        if below := [c for f in todo[-1]._fields() for c in (f if type(f) is tuple else (f,))
-                     if isinstance(c, _ByValue) and not hasattr(c, "_hash")]:
-            todo += below
-        else:
-            hash(todo.pop())
-    return x._hash
+_set_hash = _ByValue._hash.__set__  # past Node's __setattr__
 
 
 def node_class(data: tuple[str, ...] = (), kids: tuple[str, ...] = (), *, seq: bool = False,
                slotted: bool = False, binder: bool = False, variable: bool = False,
                interned: bool = False, walked: bool = True):
-    """Make the class a slotted frozen dataclass built by a constructor
-    generated from its fields, whose roles `data` and `kids` name: with
-    `seq` the one kid field holds a tuple of children; those of a `slotted`
-    class are Slots; a `binder` (a quantifier) binds its one data field in
-    its one kid, which the walks see as one slot. A `walked` class gets a
-    NodeType with a generated term view. The code runs per node, so it is
-    generated per class, as rule matchers are; constructors allocate
-    through `new`.
+    """Make the class a slotted dataclass, frozen by Node, built by a
+    constructor generated from its fields, whose roles `data` and `kids`
+    name: with `seq` the one kid field holds a tuple of children; those of
+    a `slotted` class are Slots; a `binder` (a quantifier) binds its one
+    data field in its one kid, which the walks see as one slot. A `walked`
+    class gets a NodeType with a generated term view. The code runs per
+    node, so it is generated per class, as rule matchers are; constructors
+    allocate through `new`.
 
     An `interned` constructor returns the one live instance with the same
     data, compared by value, and the same children, compared by identity
@@ -152,22 +173,20 @@ def node_class(data: tuple[str, ...] = (), kids: tuple[str, ...] = (), *, seq: b
     equality and hashing are identity's, O(1) at any depth. The table
     holds weak references without callbacks: a live instance keeps alive
     the children whose ids make its key, so a dead entry is harmless until
-    the purge when the table has doubled. Other instances compare and hash
-    as frozen dataclasses, by the tuple of their fields; the hash, found
-    bottom-up once, is kept. Both recurse, and go on with explicit stacks
-    from a node too deep for that."""
+    the purge when the table has doubled. Other classes compare and hash
+    by value (see _ByValue)."""
     ids = [f"*map(id, {k})" if seq else f"id({k})" for k in kids]
     key = (f"{ids[0]} << 64 | {ids[1]}" if len(ids) == 2 and not data
            else data[0] if len(data) == 1 and not kids else f"({', '.join([*data, *ids])},)")
 
     def wrap(cls):
-        cls = dataclass(frozen=True, slots=True, init=False, repr=False, eq=False)(cls)
+        # not frozen=True, whose __setattr__ names the class slots=True replaces:
+        # Node's is frozen
+        cls = dataclass(slots=True, init=False, repr=False, eq=False)(cls)
         names = cls.__match_args__
-        mine, theirs, fields = ("".join(f"{x}.{f}, " for f in fs) for x, fs in
-                                (("self", names), ("other", names), ("x", data)))
+        mine, fields = "".join(f"self.{f}, " for f in names), "".join(f"x.{f}, " for f in data)
         env = {"cls": cls, "new": object.__new__, "table": {}, "ref": weakref.ref, "at": [1024],
-               "deep_eq": _deep_eq, "deep_hash": _deep_hash, "Slot": globals().get("Slot"),
-               **{f"set_{f}": d.__set__ for f in (*names, "_hash") if (d := getattr(cls, f, None))}}
+               "Slot": globals().get("Slot"), **{f"set_{f}": getattr(cls, f).__set__ for f in names}}
         body = "".join(f" set_{f}(x, {f})\n" for f in names)
         if interned:
             body = (f" key = {key}\n r = table.get(key)\n"
@@ -194,17 +213,9 @@ def node_class(data: tuple[str, ...] = (), kids: tuple[str, ...] = (), *, seq: b
                f"_fields = lambda self: ({mine})",
                *(f"{f} = lambda {'d, k' if f == 'make' else 'x, k' if f == 'rebuild' else 'x'}: {e}"
                  for f, e in (view.items() if walked else ()))]
-        if not interned:
-            src += [f"def __eq__(self, other):\n if type(other) is not cls: return NotImplemented\n"
-                    f" try: return ({mine}) == ({theirs})\n"
-                    " except RecursionError: return deep_eq(self, other)",
-                    "def __hash__(self):\n try: return self._hash\n except AttributeError: pass\n"
-                    f" try: h = hash(({mine}))\n except RecursionError: h = deep_hash(self)\n"
-                    " set__hash(self, h)\n return h"]
         exec("\n".join(src), env)
-        cls.__new__, cls._table = staticmethod(env["__new__"]), env["table"]
-        for f in ("_fields", "__eq__", "__hash__")[:1 if interned else 3]:
-            setattr(cls, f, env[f])
+        cls.__new__, cls._fields = staticmethod(env["__new__"]), env["_fields"]
+        cls._table = env["table"]
         if walked:
             NODE_TYPES[cls] = NodeType(cls.__name__.lower(), *[env[f] for f in view],
                                        slotted or binder, variable, () if binder else data,

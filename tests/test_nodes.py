@@ -81,7 +81,7 @@ def test_node_class_contract(cls):
     x, fields = INSTANCES[cls]
     assert type(x) is cls and cls.__match_args__ == fields
     assert [f.name for f in dataclasses.fields(cls)] == list(fields)
-    for f in fields:
+    for f in (*fields, "_hash", "_sort", "other"):  # the caches' slots too, and no slot
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(x, f, None)
         with pytest.raises(dataclasses.FrozenInstanceError):

@@ -588,6 +588,8 @@ def test_rules_are_indexed_by_head():
     assert heads["VarShift"] is Cons and heads["AssEnv"] is Comp
     assert [r.name for r in RS.rules_at(L("x[id_0]"))] == ["VarCons", "Id", "Clos", "FPush"]
     assert RS.rules_at(FreeVar("x")) == ()
+    for x in (Slot((), FreeVar("x")), MetaT("t"), "x", 3):  # not a term or proposition
+        assert RS.rules_at(x) == ()
     rs, _ = _arith_products()
     assert [r.head for r in rs.rules] == ["+", "+", "*", "*"]
     assert [r.name for r in rs.rules_at(App("*", ()))] == ["mul0", "mulS"]
