@@ -93,151 +93,228 @@ class BindingModel:
 
 
 # ---------------------------------------------------------------------------
-# Denotation, compiled once into closures over one env dict (Feeley & Lapalme,
-# "Using closures for code generation", 1987) that holds phi and one slot per
-# quantifier. A subterm that does not read the innermost quantifier's slot is
-# evaluated again only after the innermost quantifier whose slot it reads
-# writes that slot (once, if it reads none); one that reads it but skips
-# the slot of some enclosing quantifier is evaluated once per binding of the
-# slots it reads. Errors are never stored: they are raised when their node
-# is reached, as by a recursive interpreter.
-
-
-def _raiser(exc):
-    def run(*_):
-        raise exc
-    return run
-
+# Denotation, compiled per proposition (or per term, for eval_term) into one
+# generated function, one statement per node, as rule matchers are
+# (sigma._generated). The env dict holds phi and one slot per quantifier,
+# keyed by the quantifier node's id. A quantifier is a `for` loop that
+# writes its slot, in a function of its own, so that nests of any depth
+# stay within the compiler's limit on nested blocks. A subterm that does
+# not read the innermost quantifier's slot is memoized: computed where it
+# is first reached, and again only after the innermost quantifier whose
+# slot it reads writes that slot (never, if it reads none). One that reads
+# it but skips the slot of some enclosing quantifier is tabled per binding
+# of the slots it reads, told apart by the identity of their values
+# (domain elements, which the domain tuple keeps alive). Errors are never
+# stored: a failing node raises when it is reached, as in a recursive
+# interpreter.
+#
+# The source depends only on the input's shape: model functions, levels,
+# projection indices, slots, free names and exceptions are the arguments
+# of the generated `make`, so one compiled `make` serves every input of a
+# shape, and each call of it builds fresh memos and tables.
 
 _UNSET = object()
+_EXIT = object()  # marks a node's exit on the generator's stack
+
+# Imp, And, Or: (a, b, v) where the value is v when the sides are a and b,
+# exact when both are; otherwise 1 - v, exact when a side that fixes it is.
+_JUNCTIONS = {Imp: (1, 0, 0), And: (1, 1, 1), Or: (0, 0, 0)}
 
 
-def _memo(fn, vals: list) -> Callable:
-    """fn, run again only after its entry in vals is set back to _UNSET,
-    which the quantifier owning vals does each time it writes its slot."""
-    i = len(vals)
-    vals.append(_UNSET)
+def _source(m: BindingModel, root, ctx: tuple, prop: bool) -> tuple[str, list]:
+    """The source of `make` for root, a proposition if prop, else a term at
+    level len(ctx), and its constants after (dom, ex, box, proj). Node i,
+    numbered in pre-order, computes v{i}, a (truth value, exact) pair for a
+    proposition, from its constants: c{i}, its symbol's function, its
+    quantifier's slot, its free name, its projection's index or what it
+    raises, and n{i}, its level. So the source depends only on the shape:
+    node kinds and arities and where each variable is bound."""
+    bound: dict = {}  # name -> positions of its slot binders, outermost first
+    for pos, x in enumerate(reversed(ctx)):
+        bound.setdefault(x, []).append(pos)
+    named: dict = {}  # name -> (its quantifier node, that node's depth)
+    qnodes: list = []  # the enclosing quantifiers, outermost first
+    nodes, kids, consts, levels, post, lines = [], [], [], [], [], []
+    reads: list = []  # per node: bit d set if it reads the slot of depth d
+    hoisted: dict = {}  # node -> the key of its table, None for a memo
+    loops: dict = {}  # quantifier node -> the value that stops its sweep
+    resets: dict = {}  # quantifier node -> the memos it resets
 
-    def run(env):
-        v = vals[i]
-        if v is _UNSET:
-            v = vals[i] = fn(env)
-        return v
-    return run
+    def hoist(i: int, around: int):
+        """Memoize or table node i, computed where nodes reading around are."""
+        d, r = len(qnodes) - 1, reads[i]
+        if not r >> d & 1:
+            hoisted[i] = None
+            if r:
+                resets.setdefault(qnodes[r.bit_length() - 1], []).append(f"m{i}")
+        elif around & ~r:
+            ids = [f"id(env[c{q}])" for b, q in enumerate(qnodes) if r >> b & 1]
+            hoisted[i] = ids[0] if len(ids) == 1 else f"({', '.join(ids)})"
+
+    todo = [(root, len(ctx), prop, (), -1)]
+    while todo:
+        x, n, is_prop, binders, i = todo.pop()
+        if x is _EXIT:
+            x = nodes[i]
+        else:  # enter: number the node, bind its slot, queue its children if any
+            if i >= 0:
+                kids[i].append(len(nodes))
+            i = len(nodes)
+            nodes.append(x)
+            kids.append([])
+            reads.append(0)
+            consts.append(None)
+            levels.append(n)
+            for k, b in enumerate(binders, n - len(binders)):
+                bound.setdefault(b, []).append(k)
+            if isinstance(x, Atom if is_prop else App) and x.args:
+                todo.append((_EXIT, n, is_prop, binders, i))
+                for s in reversed(x.args):
+                    level = len(s.binders) + (0 if is_prop else n)
+                    todo.append((s.body, level, False, s.binders, i))
+                continue
+            if is_prop and type(x) in _JUNCTIONS:
+                todo += (_EXIT, n, True, binders, i), (x.b, 0, True, (), i), (x.a, 0, True, (), i)
+                continue
+            if is_prop and isinstance(x, (Forall, Exists)):
+                consts[i] = id(x)  # quantifier_witness reads the slot back by this key
+                named.setdefault(x.var, []).append((i, len(qnodes)))
+                qnodes.append(i)
+                todo += (_EXIT, n, True, binders, i), (x.body, 0, True, (), i)
+                continue
+        ks, r = kids[i], 0
+        for k in ks:
+            r |= reads[k]
+        if isinstance(x, Atom if is_prop else App):
+            reads[i] = r
+            if qnodes and r >> len(qnodes) - 1 & 1:
+                for k in ks:
+                    hoist(k, r)
+            args = "(" + "".join(map("v{}, ".format, ks)) + ")"
+            consts[i] = (m.phat.get(x.pred) or KeyError(x.pred)) if is_prop else \
+                (m.fhat.get(x.symbol) or KeyError(x.symbol))
+            line = f"raise c{i}" if isinstance(consts[i], KeyError) else \
+                f"v{i} = c{i}({args}), True" if is_prop else f"v{i} = c{i}(n{i}, {args})"
+            if is_prop and qnodes:
+                hoist(i, (1 << len(qnodes)) - 1)
+        elif is_prop and isinstance(x, (Forall, Exists)):
+            line, loops[i] = f"v{i} = q{i}(env)", int(isinstance(x, Exists))
+            named[x.var].pop()
+            qnodes.pop()
+        elif is_prop and isinstance(x, Bottom):
+            line = f"v{i} = 0, True"
+        elif is_prop and type(x) in _JUNCTIONS:
+            a, b, v = _JUNCTIONS[type(x)]
+            line = (f"(va, ea), (vb, eb) = v{ks[0]}, v{ks[1]}\n"
+                    f"v{i} = ({v}, ea and eb) if va == {a} and vb == {b} else "
+                    f"({1 - v}, (va == {1 - a} and ea) or (vb == {1 - b} and eb))")
+        elif is_prop or not isinstance(x, Var):
+            consts[i] = TypeError(f"not a {'proposition' if is_prop else 'named term'}: {x!r}")
+            line = f"raise c{i}"
+        elif bound.get(x.name):
+            consts[i] = n - bound[x.name][-1]
+            line = f"v{i} = proj(c{i}, n{i})"
+        elif named.get(x.name):  # a slot its quantifier has set
+            q, d = named[x.name][-1]
+            line, reads[i] = f"v{i} = box(env[c{q}], (), n{i})", 1 << d
+        else:
+            consts[i] = x.name
+            line = f"if c{i} not in env: raise Unbound(c{i})\nv{i} = box(env[c{i}], (), n{i})"
+        for b in binders:
+            bound[b].pop()
+        post.append(i)
+        lines.append(line)
+
+    # A hoisted node's or quantifier's statements form a function of their
+    # own, called where the node is read; the rest are run's (-1).
+    body: dict = {-1: lines}
+    if hoisted or loops:
+        where = [-1] * len(nodes)
+        body = {-1: [], **{i: [] for i in (*hoisted, *loops)}}
+        for i in reversed(post):
+            for k in kids[i]:
+                where[k] = i if i in hoisted or i in loops else where[i]
+        for i, line in zip(post, lines):
+            body[i if i in hoisted else where[i]].append(line)
+            if i in hoisted:
+                read = _MEMO_READ if hoisted[i] is None else _TABLE_READ
+                body[where[i]].append(read.format(i=i, key=hoisted[i]))
+    params = "".join(map(", c{}".format, range(len(nodes)))) + \
+        "".join(map(", n{}".format, range(len(nodes))))
+    out = [f"def make(dom, ex, box, proj{params}):"]
+    for i, key in hoisted.items():
+        out.append((_MEMO if key is None else _TABLE).format(i=i, body=_block(body[i], " ")))
+    for i, stop in loops.items():
+        own = resets.get(i, ())
+        code = [f"{' = '.join(own)} = U", *body[i]] if own else body[i]
+        out.append(_LOOP.format(i=i, body=_block(code, "  "), last=kids[i][0], stop=stop,
+                                rest=1 - stop, own=f"\n nonlocal {', '.join(own)}" if own else ""))
+    out.append(f"def run(env):\n{_block(body[-1], ' ')}\n return v0")
+    return _block(out, " ")[1:] + "\n return run", consts + levels
 
 
-def _tabled(fn, keys: tuple) -> Callable:
-    """fn, run once per binding of the quantifier slots keys, told apart by
-    the identity of their values (domain elements, which the domain tuple
-    keeps alive)."""
-    table: dict = {}
-    if len(keys) == 1:
-        (k,) = keys
-
-        def run(env):
-            key = id(env[k])
-            try:
-                return table[key]
-            except KeyError:
-                pass
-            v = table[key] = fn(env)
-            return v
-        return run
-
-    def run_many(env):
-        key = tuple([id(env[k]) for k in keys])
-        try:
-            return table[key]
-        except KeyError:
-            pass
-        v = table[key] = fn(env)
-        return v
-    return run_many
+def _block(lines: list, pad: str) -> str:
+    return pad + "\n".join(lines).replace("\n", "\n" + pad)
 
 
-def _hoist(fn, reads: frozenset, around: frozenset, quants: dict) -> Callable:
-    """fn, which reads the env slots reads, as run by a node that reads
-    around; quants maps the enclosing quantifiers' slots, outermost first,
-    to the memo lists their quantifiers empty when they write. Where the
-    node reads the innermost slot, fn is memoized if it does not read that
-    slot (its memo emptied by the innermost quantifier whose slot it
-    reads), and tabled per binding of the quantifier slots it reads if it
-    does but misses another quantifier slot that the node reads."""
-    inner = next(reversed(quants), None)
-    if inner not in around:
-        return fn
-    if inner not in reads:
-        owner = next((k for k in reversed(quants) if k in reads), None)
-        return _memo(fn, quants[owner] if owner is not None else [])
-    if any(k in around and k not in reads for k in quants):
-        return _tabled(fn, tuple(k for k in quants if k in reads))
-    return fn
+# The functions of a memo, a table and a quantifier, and a hoisted node's
+# read; a quantifier's body starts by resetting the memos it owns.
+_MEMO = "m{i} = U\ndef s{i}(env):\n nonlocal m{i}\n{body}\n m{i} = v{i}\n return v{i}"
+_TABLE = "t{i} = {{}}\ndef s{i}(env, key):\n{body}\n t{i}[key] = v{i}\n return v{i}"
+_MEMO_READ = "v{i} = m{i}\nif v{i} is U: v{i} = s{i}(env)"
+_TABLE_READ = "k{i} = {key}\nv{i} = t{i}.get(k{i}, U)\nif v{i} is U: v{i} = s{i}(env, k{i})"
+_LOOP = """def q{i}(env):{own}
+ exact = True
+ for e in dom:
+  env[c{i}] = e
+{body}
+  va, ea = v{last}
+  exact = exact and ea
+  if va == {stop}: return {stop}, ea
+ env.pop(c{i}, None)
+ return {rest}, ex and exact"""
 
 
-# env -> the tuple of the closures' values, unrolled for the common arities
-_TUPLE_OF = {
-    1: lambda f: lambda env: (f(env),),
-    2: lambda f, g: lambda env: (f(env), g(env)),
-    3: lambda f, g, h: lambda env: (f(env), g(env), h(env)),
-}
+@functools.lru_cache(maxsize=512)
+def _make(source: str) -> Callable:
+    """The function `make` that source defines, compiled once per shape."""
+    env = {"U": _UNSET, "Unbound": UnboundVariable}
+    exec(source, env)
+    return env.pop("make")  # its globals do not hold it: no cycle outlives the cache entry
 
 
-def _compile_args(m: BindingModel, slots, ctx: tuple, scope: dict,
-                  quants: dict) -> tuple[Callable, frozenset]:
-    """(env -> the tuple of the slot bodies' denotations, the env slots it
-    reads); each body is hoisted (_hoist) against what the others read."""
-    parts = [_compile_term(m, s.body, tuple(reversed(s.binders)) + ctx, scope, quants)
-             for s in slots]
-    reads = frozenset().union(*(r for _, r in parts))
-    fns = [_hoist(f, r, reads, quants) for f, r in parts]
-    unrolled = _TUPLE_OF.get(len(fns))
-    return (unrolled(*fns) if unrolled else lambda env: tuple([f(env) for f in fns])), reads
-
-
-def _compile_term(m: BindingModel, t, ctx: tuple, scope: dict,
-                  quants: dict) -> tuple[Callable, frozenset]:
-    """(env -> the denotation of t at level len(ctx), the env slots it
-    reads); scope maps quantified names to their env slots, quants is as
-    for _hoist."""
-    n = len(ctx)
-    if isinstance(t, Var):
-        name, box = t.name, m.ifs.box
-        if name in ctx:
-            i, proj = ctx.index(name) + 1, m.ifs.proj
-            return (lambda env: proj(i, n)), frozenset()
-        key = scope.get(name, name)
-
-        def free(env):
-            if key not in env:
-                raise UnboundVariable(name)
-            return box(env[key], (), n)
-        return free, frozenset((key,))
-    if isinstance(t, App):
-        args, reads = _compile_args(m, t.args, ctx, scope, quants)
-        fh = m.fhat.get(t.symbol) or _raiser(KeyError(t.symbol))
-        return (lambda env: fh(n, args(env))), reads
-    return _raiser(TypeError(f"not a named term: {t!r}")), frozenset()
+def _compiled(m: BindingModel, root, ctx: tuple, prop: bool, domain: tuple = (),
+              exhaustive: bool = True) -> Callable:
+    """env -> the value of root (see _source), its quantifiers ranging over domain."""
+    source, consts = _source(m, root, ctx, prop)
+    return _make(source)(domain, exhaustive, m.ifs.box, m.ifs.proj, *consts)
 
 
 def eval_term(m: BindingModel, t, ctx: tuple[str, ...] = (), phi: Mapping | None = None):
     """Denotation of a term in a context of bound variables (innermost
     first); an element of the carrier at level len(ctx)."""
-    return _compile_term(m, t, tuple(ctx), {}, {})[0](dict(phi or {}))
+    return _compiled(m, t, tuple(ctx), False)(dict(phi or {}))
 
 
 def _closed_term_values(m: BindingModel, a) -> list:
     """The distinct values of a's closed subterms, in the pre-order of their
     first occurrence, atoms left to right; the order fixes the quantifier
-    domain's, and so the witness a sweep reports."""
+    domain's, and so the witness a sweep reports. The free names of each
+    subterm are found once, children before parents."""
     vals: list = []
-    stack = [s.body for atom in reversed(syntax.atoms(a)) for s in reversed(atom.args)]
-    while stack:
-        t = stack.pop()
-        if not syntax.free_vars(t):
-            v = eval_term(m, t, (), {})
-            if v not in vals:
+    for arg in [s.body for atom in syntax.atoms(a) for s in atom.args]:
+        order, stack = [], [arg]
+        while stack:
+            order.append(t := stack.pop())
+            stack += reversed(syntax.NODE_TYPES[type(t)].children(t))
+        free: dict = {}  # id of a subterm -> its free names
+        for t in reversed(order):
+            n = syntax.NODE_TYPES[type(t)]
+            free[id(t)] = {t.name} if n.variable else set().union(
+                *[free[id(s.body)].difference(s.binders) for s in n.kids(t)])
+        for t in order:
+            if not free[id(t)] and (v := eval_term(m, t, (), {})) not in vals:
                 vals.append(v)
-        stack += reversed(syntax.NODE_TYPES[type(t)].children(t))
     return vals
 
 
@@ -249,58 +326,13 @@ def _quantifier_domain(m: BindingModel, prop) -> tuple[tuple, bool]:
     return tuple(m.ifs.m0_samples) + tuple(extra), False
 
 
-# Imp, And, Or: (a, b, v) where the value is v when the sides are a and b,
-# exact when both are; otherwise 1 - v, exact when a side that fixes it is.
-_JUNCTIONS = {Imp: (1, 0, 0), And: (1, 1, 1), Or: (0, 0, 0)}
-
-
 def _compile_prop(m: BindingModel, a, domain: tuple, exhaustive: bool, scope: dict,
                   quants: dict) -> Callable:
-    """env -> (truth value, exact) of a, quantifiers ranging over domain;
-    scope and quants are as for _compile_term."""
-    if isinstance(a, Atom):
-        args, reads = _compile_args(m, a.args, (), scope, quants)
-        ph = m.phat.get(a.pred) or _raiser(KeyError(a.pred))
-        atom = lambda env: (ph(args(env)), True)  # noqa: E731
-        return _hoist(atom, reads, frozenset(quants), quants)
-    if isinstance(a, Bottom):
-        return lambda env: (0, True)
-    if type(a) in _JUNCTIONS:
-        x, y, v = _JUNCTIONS[type(a)]
-        left, right = (_compile_prop(m, b, domain, exhaustive, scope, quants) for b in (a.a, a.b))
-
-        def junction(env):
-            va, ea = left(env)
-            vb, eb = right(env)
-            if va == x and vb == y:
-                return v, ea and eb
-            return 1 - v, (va == 1 - x and ea) or (vb == 1 - y and eb)
-        return junction
-    if isinstance(a, (Forall, Exists)):
-        key = id(a)  # quantifier_witness reads the slot back by this key
-        memos: list = []
-        body = _compile_prop(m, a.body, domain, exhaustive, {**scope, a.var: key},
-                             {**quants, key: memos})
-        if memos:
-            blank, run_body = list(memos), body
-
-            def body(env):
-                memos[:] = blank  # the memos this slot owns hold values for the last element
-                return run_body(env)
-        stop, rest = (0, 1) if isinstance(a, Forall) else (1, 0)
-
-        def quantifier(env):
-            all_exact = True
-            for elem in domain:
-                env[key] = elem
-                val, e = body(env)
-                all_exact = all_exact and e
-                if val == stop:
-                    return stop, e
-            env.pop(key, None)  # no element decided the sweep
-            return rest, exhaustive and all_exact
-        return quantifier
-    return _raiser(TypeError(f"not a proposition: {a!r}"))
+    """env -> (truth value, exact) of a, quantifiers ranging over domain.
+    a is compiled whole: scope and quants, the names and slots of enclosing
+    quantifiers, are empty."""
+    assert not scope and not quants, "a proposition is compiled whole"
+    return _compiled(m, a, (), True, domain, exhaustive)
 
 
 def eval_prop_report(m: BindingModel, a, phi: Mapping | None = None,

@@ -5,6 +5,7 @@ import dataclasses
 import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -1035,6 +1036,174 @@ def test_nested_quantifiers_match_reference(model):
         seen["i(3)"] += got[:2] == ("raised", ValueError)
     assert all(v for k, v in seen.items() if k != "i(3)"), seen
     assert bool(seen["i(3)"]) == (model == "raising"), seen
+
+
+def _chain(leaf: str, depth: int):
+    """f and Λ(z. ...) alternating around a variable, f innermost; the
+    spine of symbols, innermost first."""
+    t, spine = Var(leaf), []
+    for k in range(depth):
+        sym = "Λ" if k % 2 else "f"
+        t = App(sym, (Slot(("z",) if sym == "Λ" else (), t),))
+        spine.append(sym)
+    return t, spine
+
+
+def test_deep_chains_evaluate():
+    # the value by a loop up the spine, each node at the level of the
+    # binders above it; the free x, or z bound by the innermost Λ
+    phi = {"x": ("l", 0)}
+    for leaf in ("x", "z"):
+        t, spine = _chain(leaf, 10_000)
+        level = spine.count("Λ")
+        want = EXT.ifs.proj(1, level) if leaf == "z" else EXT.ifs.box(phi["x"], (), level)
+        for sym in spine:
+            level -= sym == "Λ"
+            want = EXT.fhat[sym](level, (want,))
+        assert eval_term(EXT, t, (), phi) == want
+        for w in EXT.ifs.carrier(0):
+            a = Atom("=", (Slot((), t), Slot((), Var("w"))))
+            assert eval_prop_report(EXT, a, {**phi, "w": w}) == (int(w == want), True)
+
+
+def test_quantifier_nests_past_the_block_limit():
+    # 60 nested quantifiers, each decided by its first element
+    a = EP("=(v0, v59)")
+    for k in reversed(range(60)):
+        a = Exists(f"v{k}", a)
+    want = _outcome(_ref_eval_prop_report, EXT, a)
+    assert want == ("value", (1, True))
+    assert _outcome(eval_prop_report, EXT, a) == want
+    assert models.quantifier_witness(EXT, a) == _ref_quantifier_witness(EXT, a) \
+        == {f"v{k}": ("k", 0) for k in range(60)}
+
+
+def test_one_shape_compiles_once():
+    # one shape: symbols, predicates, names and models differ
+    ext_twin = load_model(dump_model(EXT, 1), EXT.sig)
+    cases = [(EXT, "forall x. exists y. =(f(x), f(y)) => =(y, w)"),
+             (ext_twin, "forall u. exists v. =(f(u), f(v)) => =(v, x)"),
+             (DELTA, "forall q. exists r. =(i(q), j(r)) => =(r, u)"),
+             (_small_delta(9), "forall r. exists q. =(j(r), i(q)) => =(q, w)")]
+    models._make.cache_clear()
+    for m, text in cases:
+        a = parse_prop(text, m.sig)
+        phi = {x: m.ifs.carrier(0)[0] if m.ifs.carrier(0) else 1 for x in ("u", "w", "x")}
+        want = _outcome(_ref_eval_prop_report, m, a, phi)
+        assert _outcome(eval_prop_report, m, a, phi) == want, text
+    assert models._make.cache_info().misses == 1
+
+
+def _shape(x, ctx=(), quants=()):
+    """What compiled code may depend on: node kinds and arities, and where
+    each variable is bound; not symbols, predicates, names or levels."""
+    if isinstance(x, Var):
+        if x.name in ctx:
+            return ("bound",)
+        if x.name in quants:
+            return "quantified", quants[::-1].index(x.name)
+        return ("free",)
+    if isinstance(x, (App, Atom)):
+        ctxs = [tuple(reversed(s.binders)) + (ctx if isinstance(x, App) else ()) for s in x.args]
+        return type(x).__name__, tuple(_shape(s.body, c, quants) for s, c in zip(x.args, ctxs))
+    if isinstance(x, (Forall, Exists)):
+        return type(x).__name__, _shape(x.body, ctx, quants + (x.var,))
+    if isinstance(x, (Imp, And, Or)):
+        return type(x).__name__, _shape(x.a, ctx, quants), _shape(x.b, ctx, quants)
+    return (type(x).__name__,)
+
+
+def _sweep_round(rng):
+    """The propositions (model, text, verdict) and ext terms of one round
+    built as model-sweep builds its own."""
+    names = ("x", "y", "z", "v", "w", "x1", "y2")
+
+    def wrap(t, ctx_syms, b):
+        for sym in ctx_syms:
+            t = f"f({t})" if sym == "f" else f"Λ({b}. {t})"
+        return t
+
+    props = []
+    for _ in range(25):
+        x, y, b = rng.sample(names, 3)
+        ctx_syms = [rng.choice("fΛ") for _ in range(rng.randint(1, 5))]
+        props.append((EXT, f"forall {x}. forall {y}. =({x}, {y}) => "
+                           f"=({wrap(x, ctx_syms, b)}, {wrap(y, ctx_syms, b)})", (1, True)))
+    props += [(EXT, text, (1, True)) for text in EXT_AXIOMS]
+    props += [(EXT, "(forall x. =(f(x), x)) => =(Λ(y. f(y)), Λ(z. z))", (0, True)),
+              (DELTA, "=(δ(a(), x. a(), y. a()), a())", (0, True)),
+              (DELTA, "forall q. =(δ(a(), x. q, y. q), q)", (0, True))]
+    for k in range(12):
+        inj, u, v = "ij"[k % 2], rng.choice("ij") + "(" + rng.choice("ij") + "(x))", \
+            rng.choice("ij") + "(" + rng.choice("ij") + "(y))"
+        picked = (u if inj == "i" else v).replace("(x)", "(q)").replace("(y)", "(q)")
+        props.append((DELTA, f"forall q. =(δ({inj}(q), x. {u}, y. {v}), {picked})", (1, False)))
+    terms = [gen.random_term(rng, EXT.sig, rng.randint(1, 8)) for _ in range(200)]
+    return [(m, parse_prop(text, m.sig), want) for m, text, want in props], terms
+
+
+def test_sweep_rounds_compile_at_most_their_shapes():
+    models._make.cache_clear()
+    shapes, evaluated = set(), 0
+    for r in range(3):
+        props, terms = _sweep_round(random.Random(f"sweep-round:{r}"))
+        for m, a, want in props:
+            assert eval_prop_report(m, a) == want, syntax.print_prop(a)
+            shapes.add(_shape(a))
+            if m is DELTA:  # its closed subterms are evaluated for the domain
+                shapes.update(_shape(t) for t in _closed_subterms(a))
+        for t in terms:
+            phi = {x: ("k", 0) for x in syntax.free_vars(t)}
+            assert EXT.ifs.elem_eq(eval_term(EXT, t, (), phi), _ref_eval_term(EXT, t, (), phi), 0)
+            shapes.add(_shape(t))
+        evaluated += len(props) + len(terms)
+    info = models._make.cache_info()
+    assert info.misses <= len(shapes) < evaluated / 4, (info, len(shapes))
+
+
+def _closed_subterms(a) -> list:
+    found = []
+    stack = [s.body for atom in syntax.atoms(a) for s in atom.args]
+    while stack:
+        t = stack.pop()
+        if not syntax.free_vars(t):
+            found.append(t)
+        stack += syntax.NODE_TYPES[type(t)].children(t)
+    return found
+
+
+class _Elem:
+    """A carrier element that a weak reference can watch."""
+
+    def __init__(self, tag):
+        self.tag = tag
+
+
+def _weakly_evaluated() -> list:
+    """Weak references to a model, a proposition compiled over it with
+    memos and tables, and the elements the evaluation saw or made."""
+    elems, made = (_Elem("a"), _Elem("b")), []
+
+    def lam(p, args):
+        made.append(_Elem("Λ"))
+        return made[-1]
+    ifs = models.IFS(carrier=lambda n: elems if n == 0 else None, proj=lambda i, n: _Elem((i, n)),
+                     box=lambda a, bs, p: a, elem_eq=lambda a, b, n: a is b)
+    m = models.BindingModel("weak", EXT.sig, ifs, {"f": lambda p, args: args[0], "Λ": lam},
+                            {"=": lambda args: int(args[0] is args[1])})
+    # f(x) is memoized per element for x, f(y) and the second atom tabled
+    # per element for y, Λ(z. z) memoized once
+    a = parse_prop("forall x. forall y. =(f(x), f(y)) => =(Λ(z. z), f(y))", m.sig)
+    run = models._compile_prop(m, a, *models._quantifier_domain(m, a), {}, {})
+    assert run({}) == (0, True) and made
+    return [weakref.ref(x) for x in (m, run, *elems, *made)]
+
+
+def test_code_cache_keeps_no_model_table_or_element_alive():
+    refs = _weakly_evaluated()
+    gc.collect()
+    assert models._make.cache_info().currsize
+    assert [r() for r in refs] == [None] * len(refs)
 
 
 # The delta model's sampler and composition as they were before their
