@@ -45,15 +45,15 @@ DEFAULT_BUDGET = 10**6
 
 
 class _Interned(syntax.Node):
-    __slots__ = ("__weakref__", "_sort")  # _sort: (signature, sort), see sort_of
+    __slots__ = ("_sort",)  # _sort: (signature, sort), see sort_of
 
 
-@node_class(("n",), interned=True, walked=False)
+@node_class(("n",), walked=False)
 class TermSort(_Interned):
     n: int
 
 
-@node_class(("n", "p"), interned=True, walked=False)
+@node_class(("n", "p"), walked=False)
 class SubstSort(_Interned):
     """<n,p>: maps p variables to terms of sort n."""
 
@@ -64,7 +64,7 @@ class SubstSort(_Interned):
 Sort = TermSort | SubstSort
 
 
-@node_class(("i", "n"), interned=True)
+@node_class(("i", "n"))
 class Index(_Interned):
     """The constant i_n of sort n, 1 <= i <= n."""
 
@@ -72,14 +72,14 @@ class Index(_Interned):
     n: int
 
 
-@node_class(("name",), variable=True, interned=True)
+@node_class(("name",), variable=True)
 class FreeVar(_Interned):
     """A named variable; always of sort 0."""
 
     name: str
 
 
-@node_class(("f", "p"), ("args",), seq=True, interned=True)
+@node_class(("f", "p"), ("args",), seq=True)
 class FApp(_Interned):
     """f_p(args): member p of the family of the binding symbol f."""
 
@@ -88,7 +88,7 @@ class FApp(_Interned):
     args: tuple
 
 
-@node_class(kids=("t", "s"), interned=True)
+@node_class(kids=("t", "s"))
 class Closure(_Interned):
     """t[s]."""
 
@@ -96,12 +96,12 @@ class Closure(_Interned):
     s: object
 
 
-@node_class(("n",), interned=True)
+@node_class(("n",))
 class Id(_Interned):
     n: int
 
 
-@node_class(kids=("t", "s"), interned=True)
+@node_class(kids=("t", "s"))
 class Cons(_Interned):
     """t . s"""
 
@@ -109,14 +109,14 @@ class Cons(_Interned):
     s: object
 
 
-@node_class(("n",), interned=True)
+@node_class(("n",))
 class Shift(_Interned):
     """up_n, of sort <n+1,n>."""
 
     n: int
 
 
-@node_class(kids=("s1", "s2"), interned=True)
+@node_class(kids=("s1", "s2"))
 class Comp(_Interned):
     """s1 o s2"""
 
@@ -770,7 +770,7 @@ def termination_probe(rs: RewriteSystem, size_bound: int = 40, samples: int = 10
 # Pattern rules and rule files
 
 
-@node_class(("name",), interned=True, walked=False)
+@node_class(("name",), walked=False)
 class MetaT(_Interned):
     """Metavariable over subterms (?t); interned, so that equal patterns are
     identical and share their compiled functions."""

@@ -97,7 +97,7 @@ class Node:
     """The classes node_class makes: frozen, copied and pickled by their
     fields, printed by show."""
 
-    __slots__ = ()
+    __slots__ = ("__weakref__",)  # the intern tables hold weak references
 
     def __reduce__(self):
         return type(self), self._fields()
@@ -110,54 +110,20 @@ class Node:
 
 
 class _ByValue(Node):
-    """A node of the named layer, equal and hashed as a frozen dataclass:
-    the same class and equal field tuples; the hash of the field tuple.
-    Both walk with explicit stacks, so they take input of any depth."""
+    """A node of the named layer: equal only to itself, as every node is,
+    but hashed as a frozen dataclass, by its field tuple, which the
+    constructor hashes once, so sets and dicts of named nodes keep one
+    order from run to run."""
 
     __slots__ = ("_hash",)
 
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        xs, ys = [self], [other]  # the pairs still to compare
-        while xs:
-            a, b = xs.pop(), ys.pop()
-            if a is b:
-                continue
-            if type(a) is type(b) and isinstance(a, _ByValue):
-                a, b = a._fields(), b._fields()
-            elif type(a) is not tuple or type(b) is not tuple:
-                if a == b:
-                    continue
-                return False
-            if len(a) != len(b):
-                return False
-            xs += a
-            ys += b
-        return True
-
     def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            pass
-        todo = [self]  # each node hashed once the nodes below it are
-        while todo:
-            below = [c for f in todo[-1]._fields() for c in (f if type(f) is tuple else (f,))
-                     if isinstance(c, _ByValue) and not hasattr(c, "_hash")]
-            if below:
-                todo += below
-            elif not hasattr(x := todo.pop(), "_hash"):
-                _set_hash(x, hash(x._fields()))
         return self._hash
-
-
-_set_hash = _ByValue._hash.__set__  # past Node's __setattr__
 
 
 def node_class(data: tuple[str, ...] = (), kids: tuple[str, ...] = (), *, seq: bool = False,
                slotted: bool = False, binder: bool = False, variable: bool = False,
-               interned: bool = False, walked: bool = True):
+               walked: bool = True):
     """Make the class a slotted dataclass, frozen by Node, built by a
     constructor generated from its fields, whose roles `data` and `kids`
     name: with `seq` the one kid field holds a tuple of children; those of
@@ -167,17 +133,17 @@ def node_class(data: tuple[str, ...] = (), kids: tuple[str, ...] = (), *, seq: b
     node, so it is generated per class, as rule matchers are; constructors
     allocate through `new`.
 
-    An `interned` constructor returns the one live instance with the same
-    data, compared by value, and the same children, compared by identity
+    The constructor returns the one live instance with the same data,
+    compared by value, and the same children, compared by identity
     (Filliâtre & Conchon, "Type-safe modular hash-consing", 2006), so
-    equality and hashing are identity's, O(1) at any depth. The table
+    equality is identity, O(1) at any depth, on both layers. The table
     holds weak references without callbacks: a live instance keeps alive
     the children whose ids make its key, so a dead entry is harmless until
-    the purge when the table has doubled. Other classes compare and hash
-    by value (see _ByValue)."""
+    the purge when the table has doubled."""
     ids = [f"*map(id, {k})" if seq else f"id({k})" for k in kids]
     key = (f"{ids[0]} << 64 | {ids[1]}" if len(ids) == 2 and not data
-           else data[0] if len(data) == 1 and not kids else f"({', '.join([*data, *ids])},)")
+           else data[0] if len(data) == 1 and not kids
+           else f"({''.join(f'{e}, ' for e in [*data, *ids])})")
 
     def wrap(cls):
         # not frozen=True, whose __setattr__ names the class slots=True replaces:
@@ -186,16 +152,16 @@ def node_class(data: tuple[str, ...] = (), kids: tuple[str, ...] = (), *, seq: b
         names = cls.__match_args__
         mine, fields = "".join(f"self.{f}, " for f in names), "".join(f"x.{f}, " for f in data)
         env = {"cls": cls, "new": object.__new__, "table": {}, "ref": weakref.ref, "at": [1024],
-               "Slot": globals().get("Slot"), **{f"set_{f}": getattr(cls, f).__set__ for f in names}}
-        body = "".join(f" set_{f}(x, {f})\n" for f in names)
-        if interned:
-            body = (f" key = {key}\n r = table.get(key)\n"
-                    " if r is not None and (x := r()) is not None: return x\n x = new(cls)\n"
-                    f"{body} table[key] = ref(x)\n if len(table) >= at[0]:\n"
-                    "  live = {k: r for k, r in table.items() if r() is not None}\n"
-                    "  table.clear()\n  table.update(live)\n  at[0] = max(2 * len(live), 1024)\n")
-        else:
-            body = f" x = new(cls)\n{body}"
+               "Slot": globals().get("Slot"), "set_hash": _ByValue._hash.__set__,
+               **{f"set_{f}": getattr(cls, f).__set__ for f in names}}
+        sets = "".join(f" set_{f}(x, {f})\n" for f in names)
+        if issubclass(cls, _ByValue):
+            sets += f" set_hash(x, hash(({''.join(f'{f}, ' for f in names)})))\n"
+        body = (f" key = {key}\n r = table.get(key)\n"
+                " if r is not None and (x := r()) is not None: return x\n x = new(cls)\n"
+                f"{sets} table[key] = ref(x)\n if len(table) >= at[0]:\n"
+                "  live = {k: r for k, r in table.items() if r() is not None}\n"
+                "  table.clear()\n  table.update(live)\n  at[0] = max(2 * len(live), 1024)\n")
         kid_tuple = f"x.{kids[0]}" if seq else f"({''.join(f'x.{k}, ' for k in kids)})"
         spread = "k" if seq else "".join(f"k[{i}], " for i in range(len(kids)))
         view = {"data": f"({fields})", "kids": kid_tuple,  # in the order of NodeType's fields
@@ -297,13 +263,24 @@ _CONNECTIVES = frozenset((Imp, And, Or, Bottom, Forall, Exists))
 
 
 def map_atoms(f, a):
-    """Proposition a with every atom A replaced by f(A), left to right."""
-    if type(a) is Atom:
-        return f(a)
-    if type(a) not in _CONNECTIVES:
-        raise TypeError(f"not a proposition: {a!r}")
-    n = NODE_TYPES[type(a)]
-    return n.rebuild(a, tuple([map_atoms(f, c) for c in n.children(a)]))
+    """Proposition a with every atom A replaced by f(A), called on the atoms
+    left to right. The walk keeps its own stack, so a may be of any depth."""
+    todo, done = [a], []  # nodes to enter or (node, NodeType, arity) to rebuild; results
+    while todo:
+        x = todo.pop()
+        if type(x) is tuple:
+            x, n, k = x
+            done[-k:] = [n.rebuild(x, tuple(done[-k:]))]
+        elif type(x) is Atom:
+            done.append(f(x))
+        elif type(x) not in _CONNECTIVES:
+            raise TypeError(f"not a proposition: {x!r}")
+        elif cs := (n := NODE_TYPES[type(x)]).children(x):
+            todo.append((x, n, len(cs)))
+            todo += reversed(cs)
+        else:
+            done.append(x)
+    return done[0]
 
 
 def atoms(a) -> list:
@@ -332,15 +309,17 @@ def free_vars(x) -> frozenset[str]:
 
 def all_names(x) -> frozenset[str]:
     """Every variable name occurring in x, free or bound, binders included."""
-    n = NODE_TYPES[type(x)]
-    if n.variable:
-        return frozenset((x.name,))
     acc: set[str] = set()
-    for c in n.kids(x):
-        if n.slotted:
-            acc.update(c.binders)
-            c = c.body
-        acc |= all_names(c)
+    todo = [x]
+    while todo:
+        n = NODE_TYPES[type(x := todo.pop())]
+        if n.variable:
+            acc.add(x.name)
+        for c in n.kids(x):
+            if n.slotted:
+                acc.update(c.binders)
+                c = c.body
+            todo.append(c)
     return frozenset(acc)
 
 

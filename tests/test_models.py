@@ -1078,6 +1078,40 @@ def test_quantifier_nests_past_the_block_limit():
         == {f"v{k}": ("k", 0) for k in range(60)}
 
 
+def test_deep_conjunction_under_a_quantifier():
+    # forall x. A /\ (A /\ ... /\ B), 10,000 deep, built directly since the
+    # parser recurses: its atoms, its translation and its value under both
+    # models, which are those of forall x. A /\ B
+    for m, w in ((EXT, EXT.ifs.carrier(0)[0]), (DELTA, 1)):
+        a, b = parse_prop("=(x, x)", m.sig), parse_prop("=(x, w)", m.sig)
+        p = b
+        for _ in range(10_000):
+            p = And(a, p)
+        p = Forall("x", p)
+        assert syntax.atoms(p) == [a] * 10_000 + [b]
+        assert precook.uncook_prop(m.sig, precook.precook_prop(m.sig, p)) is p
+        assert eval_prop_report(m, p, {"w": w}) == eval_prop_report(m, Forall("x", And(a, b)),
+                                                                  {"w": w})
+
+
+def test_identical_sibling_quantifiers_share_a_slot():
+    # equal subformulas are one node, so identical sibling quantifiers key
+    # one env slot; each gives what its alpha-variant with a z does
+    cases = ["forall y. (forall x. =(x, y)) /\\ (forall {z}. =({z}, y))",
+             "(exists x. =(x, {c})) /\\ (exists {z}. =({z}, {c}))",
+             "forall y. (exists x. =(x, y)) => (exists {z}. =({z}, y))"]
+    for m, c in ((EXT, "Λ(v. v)"), (DELTA, "a()")):
+        for case in cases:
+            shared, variant = (parse_prop(case.format(z=z, c=c), m.sig) for z in ("x", "z"))
+            sides = shared.body if isinstance(shared, Forall) else shared
+            assert sides.a is sides.b and variant != shared
+            witness, want = {}, {}
+            got = eval_prop_report(m, shared, None, witness)
+            assert got == eval_prop_report(m, variant, None, want), (case, m.name)
+            assert witness == want
+            assert models.quantifier_witness(m, shared) == models.quantifier_witness(m, variant)
+
+
 def test_one_shape_compiles_once():
     # one shape: symbols, predicates, names and models differ
     ext_twin = load_model(dump_model(EXT, 1), EXT.sig)

@@ -4,8 +4,10 @@ depth, with the values a frozen dataclass gives."""
 
 import copy
 import dataclasses
+import gc
 import pickle
 import random
+import weakref
 
 import pytest
 
@@ -151,6 +153,19 @@ def test_named_eq_and_hash_take_deep_input():
         props.append(p)
     assert props[0] == props[1] and hash(props[0]) == hash(props[1])
     assert props[0] != Exists("y", props[1].a) and props[0] != Exists("x", props[1].a)
+
+
+def test_named_nodes_are_interned():
+    assert App.__eq__ is object.__eq__
+    assert Var("x") is Var("x")
+    text = "forall x. exists y. =(δ(x, u. f(u), v. g(v, y)), Λ(x. c()))"
+    assert syntax.parse_prop(text, SIG) is syntax.parse_prop(text, SIG)
+    a, b = _chain(10_000, Var("x")), _chain(10_000, Var("x"))
+    assert a is b
+    ref = weakref.ref(a)
+    del a, b
+    gc.collect()
+    assert ref() is None
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,15 @@
 short-cut: the per-file formula table of parse_proof_file, alpha_eq's answer
 on one object reached under the same binders, and translate_proof's one
 translation per formula node. Each is compared with a frozen copy of the
-code it replaced, which shares nothing (the `_ref_*` functions)."""
+code it replaced, which keeps no table or memo (the `_ref_*` functions)."""
 
 import contextlib
+import gc
 import itertools
 import random
 import re
 import sys
+import weakref
 from collections import Counter
 from pathlib import Path
 from unittest import mock
@@ -287,7 +289,13 @@ def test_formula_table_lives_for_one_call():
     sig = syntax.parse_signature((SAMPLES / "lambda.sig").read_text())
     first, second = parse_proof_file(text, sig), parse_proof_file(text, sig)
     assert first == second
-    assert not {id(a) for a in _formulas(first)} & {id(a) for a in _formulas(second)}
+    # nodes are interned: the second parse returns the first one's formulas,
+    # and neither the formula table nor the intern tables keep them alive
+    assert all(a is b for a, b in zip(_formulas(first), _formulas(second), strict=True))
+    refs = [weakref.ref(a) for a in _formulas(first)]
+    del first, second
+    gc.collect()
+    assert all(r() is None for r in refs)
 
 
 def test_formula_table_skips_what_a_parse_does_not_end_at_its_extent():
