@@ -138,7 +138,9 @@ def subst_commutes(sig: Signature, t, u, x: str,
 def translate_proof(sig: Signature, p: "proofs.ProofTree") -> "proofs.ProofTree":
     """Map a checked proof of the binding calculus to one of the calculus
     modulo the substitution congruence: same tree shape, pre-cooked
-    sequents, quantifier nodes annotated with translated parameters."""
+    sequents, quantifier nodes annotated with translated parameters. The
+    nodes are translated in preorder, which fixes the error raised first,
+    then built premises first, so a proof of any height translates."""
     res = proofs.check_binding_proof(sig, p)
     if not res.ok:
         raise InvalidSourceProof(str(res))
@@ -149,7 +151,8 @@ def translate_proof(sig: Signature, p: "proofs.ProofTree") -> "proofs.ProofTree"
             r = cooked[id(a)] = precook_prop(sig, a)
         return r
 
-    def go(node: proofs.ProofTree) -> proofs.ProofTree:
+    nodes = []  # (sequent, rule, premise count) of each node in preorder
+    for node, _, _ in p.walk():
         concl = proofs.Sequent(tuple(map(cook, node.conclusion.left)),
                                tuple(map(cook, node.conclusion.right)))
         app = node.rule
@@ -160,6 +163,10 @@ def translate_proof(sig: Signature, p: "proofs.ProofTree") -> "proofs.ProofTree"
             if proofs.RULES[app.rule].witness:
                 t = precook(sig, app.t)
         new_app = proofs.RuleApp(app.rule, principal=app.principal, x=x, a=a, t=t)
-        return proofs.ProofTree(concl, new_app, tuple(go(q) for q in node.premises))
-
-    return go(p)
+        nodes.append((concl, new_app, len(node.premises)))
+    built: list = []  # the trees of the nodes after this one, their first premise last
+    for concl, app, k in reversed(nodes):
+        premises = tuple(reversed(built[len(built) - k:]))
+        del built[len(built) - k:]
+        built.append(proofs.ProofTree(concl, app, premises))
+    return built[0]

@@ -127,7 +127,19 @@ class ProofTree:
     premises: tuple = ()
 
     def height(self) -> int:
-        return 1 + max((p.height() for p in self.premises), default=0)
+        return 1 + max(depth for _, depth, _ in self.walk())
+
+    def walk(self):
+        """(node, depth, link) for each node of the tree in preorder, the
+        root at depth 0; a link is (index, parent's link), the root's None
+        (see syntax.path_of). The walk keeps its own stack, so a tree of
+        any height walks."""
+        stack = [(self, 0, None)]
+        while stack:
+            node, depth, link = stack.pop()
+            yield node, depth, link
+            stack += [(q, depth + 1, (i, link))
+                      for i, q in reversed(tuple(enumerate(node.premises)))]
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +197,8 @@ def _check_well_formed(sig: Signature, proof: ProofTree) -> CheckResult:
     alpha-equivalent to a subformula of these or an instance of one at a
     witness, so it is well-formed too."""
 
-    def check_node(node: ProofTree, path):
-        sequents = ([node] if not path else []) + \
+    def check_node(node: ProofTree, link):
+        sequents = ([node] if link is None else []) + \
             (list(node.premises) if node.rule.rule is Rule.CUT else [])
         items = [a for q in sequents for a in q.conclusion.left + q.conclusion.right]
         if RULES[node.rule.rule].witness:
@@ -215,7 +227,7 @@ def _check_signature(sig: Signature, cong: Congruence, proof: ProofTree) -> Chec
     judge = sigma.well_sorted if sorted_layer else syntax.well_formed
     seen: set[int] = set()  # ids: the proof keeps its formulas alive
 
-    def check_node(node: ProofTree, path):
+    def check_node(node: ProofTree, link):
         for x in node.conclusion.left + node.conclusion.right + (node.rule.a, node.rule.t):
             if x is not None and id(x) not in seen:
                 seen.add(id(x))
@@ -329,28 +341,21 @@ def _check(cong: Congruence, proof: ProofTree) -> CheckResult:
             elif any(x in syntax.free_vars(c) for c in gamma + delta):
                 raise _Rejected("SideConditionViolated", f"{x} occurs free in the context")
 
-    return _first_rejection(proof, lambda node, path: check_node(node))
+    return _first_rejection(proof, lambda node, link: check_node(node))
 
 
 def _first_rejection(proof: ProofTree, check_node) -> CheckResult:
-    """check_node(node, path) at every node in preorder; the first node it
-    rejects, as a failed CheckResult."""
-
-    def walk(node: ProofTree, path) -> CheckResult:
+    """check_node(node, link) at every node in preorder (see ProofTree.walk);
+    the first node it rejects, as a failed CheckResult."""
+    for node, _, link in proof.walk():
         try:
-            check_node(node, path)
+            check_node(node, link)
         except _Rejected as e:
-            return CheckResult.failed(e.kind, path, e.message)
+            return CheckResult.failed(e.kind, syntax.path_of(link), e.message)
         except CongruenceBudgetExceeded:
-            return CheckResult.failed("CongruenceBudgetExceeded", path,
+            return CheckResult.failed("CongruenceBudgetExceeded", syntax.path_of(link),
                                       "congruence decision ran out of budget")
-        for i, q in enumerate(node.premises):
-            r = walk(q, path + (i,))
-            if not r.ok:
-                return r
-        return CheckResult.passed()
-
-    return walk(proof, ())
+    return CheckResult.passed()
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +364,7 @@ def _first_rejection(proof: ProofTree, check_node) -> CheckResult:
 #   rule <name> [x=<var> A=<prop> t=<term> at=<index>] |- <left> |- <right>
 # with child proofs indented two spaces. An optional first line
 # `syntax lprop` switches the proposition syntax to the sorted layer, whose
-# parser then reads the text after the rule name (see Parser.params).
+# parser then reads the text after the rule name (see _read_line).
 
 _RULE_BY_NAME = {r.value: r for r in Rule}
 _LAYERS = ("term", "lprop")
@@ -371,6 +376,9 @@ def proof_file_layer(text: str) -> str:
 
 
 def parse_proof_file(text: str, sig: Signature | None = None) -> ProofTree:
+    """The proof tree of a proof file, built from a stack of the nodes whose
+    premises are still being read, one per level, so that a proof of any
+    height reads."""
     layer, lines = syntax.file_lines(text, _LAYERS)
     entries: list[tuple[int, str, int]] = []
     for lineno, line in lines:
@@ -380,9 +388,25 @@ def parse_proof_file(text: str, sig: Signature | None = None) -> ProofTree:
         entries.append((indent // 2, line.strip(), lineno))
     if not entries:
         raise ParseError("empty proof file")
+    parser = sigma.LParser if layer == "lprop" else syntax.Parser
     formulas: dict = {}  # one node per distinct formula text of this file
+    stack: list = []  # (sequent, rule, premises read so far) per open level
 
-    def parse_line(content: str, lineno: int) -> tuple[Sequent, RuleApp]:
+    def close() -> ProofTree:
+        seq, app, prems = stack.pop()
+        node = ProofTree(seq, app, tuple(prems))
+        if stack:
+            stack[-1][2].append(node)
+        return node
+
+    for depth, content, lineno in entries:
+        if depth > len(stack):
+            raise ParseError("indentation jumps by more than one level" if stack
+                             else f"unexpected indentation level {depth}", line=lineno)
+        if depth == 0 and stack:
+            raise ParseError("trailing proof lines outside the root tree", line=lineno)
+        while len(stack) > depth:
+            close()
         m = re.match(r"rule\s+(\S+)\s*(.*)$", content)
         if not m:
             raise ParseError(f"expected `rule <name> ...`: {content!r}", line=lineno)
@@ -390,46 +414,77 @@ def parse_proof_file(text: str, sig: Signature | None = None) -> ProofTree:
         if rname not in _RULE_BY_NAME:
             raise ParseError(f"unknown rule {rname!r}", line=lineno)
         with syntax.at_line(lineno):
-            p = (sigma.LParser if layer == "lprop" else syntax.Parser)(rest, sig, formulas)
+            params, left, right = _read_line(parser, rest, sig, formulas)
+        stack.append((Sequent(left, right), RuleApp(_RULE_BY_NAME[rname], params.get("at"),
+                      params.get("x"), params.get("A"), params.get("t")), []))
+    while len(stack) > 1:
+        close()
+    return close()
+
+
+def _read_line(parser: type, text: str, sig: Signature | None, formulas: dict):
+    """(parameters, left side, right side) of the text `[params] |- left |-
+    right` of a proof line after its rule name.
+
+    The text is cut at its first two `|-`, and each side at its commas
+    outside parentheses into formula texts. A formula text that `formulas`
+    holds is the node read then; a new one is read by a parser of its own
+    and entered once that parse ends at the text's end. No token spans a
+    cut, and a formula holds no comma or turnstile outside parentheses, so
+    where every piece reads, the line reads the same in one piece. On any
+    error the line is read again in one piece, which raises the error and
+    offset a one-piece read gives, stray characters first."""
+    head, *sides = text.split("|-", 2)
+    if len(sides) == 2:
+        try:
+            p = parser(head, sig)
             params = p.params()
-            p.expect("turnstile")
-            left, right = p.sequent()
             p.done()
-        return Sequent(left, right), RuleApp(_RULE_BY_NAME[rname], params.get("at"),
-                                              params.get("x"), params.get("A"), params.get("t"))
+            return params, *(tuple(_formula(parser, piece, sig, formulas)
+                                   for piece in _formula_texts(side)) for side in sides)
+        except ParseError:
+            pass
+    p = parser(text, sig)
+    params = p.params()
+    p.expect("turnstile")
+    left, right = p.sequent()
+    p.done()
+    return params, left, right
 
-    def build(idx: int, depth: int) -> tuple[ProofTree, int]:
-        d, content, lineno = entries[idx]
-        if d != depth:
-            raise ParseError(f"unexpected indentation level {d}", line=lineno)
-        seq, app = parse_line(content, lineno)
-        idx += 1
-        prems = []
-        while idx < len(entries) and entries[idx][0] == depth + 1:
-            child, idx = build(idx, depth + 1)
-            prems.append(child)
-        if idx < len(entries) and entries[idx][0] > depth + 1:
-            raise ParseError("indentation jumps by more than one level", line=entries[idx][2])
-        return ProofTree(seq, app, tuple(prems)), idx
 
-    root, idx = build(0, 0)
-    if idx != len(entries):
-        raise ParseError("trailing proof lines outside the root tree", line=entries[idx][2])
-    return root
+def _formula_texts(side: str) -> list[str]:
+    """side cut at its commas outside parentheses, each piece stripped; none
+    for a blank side."""
+    if not side.strip():
+        return []
+    pieces: list[str] = []
+    depth = 0
+    for piece in side.split(","):
+        if depth > 0:
+            pieces[-1] += "," + piece
+        else:
+            pieces.append(piece)
+        depth += piece.count("(") - piece.count(")")
+    return [piece.strip() for piece in pieces]
+
+
+def _formula(parser: type, text: str, sig: Signature | None, formulas: dict):
+    a = formulas.get(text)
+    if a is None:
+        p = parser(text, sig)
+        a = p.prop()
+        p.done()
+        formulas[text] = a
+    return a
 
 
 def print_proof_file(p: ProofTree, layer: str = "term") -> str:
     lines = ["syntax lprop"] if layer == "lprop" else []
-
-    def go(node: ProofTree, depth: int):
+    for node, depth, _ in p.walk():
         app = node.rule
         params = [f"{key}={value}" for key, value in  # nodes print by show
                   (("x", app.x), ("A", app.a), ("t", app.t), ("at", app.principal))
                   if value is not None]
         block = f" [{' '.join(params)}]" if params else ""
         lines.append("  " * depth + f"rule {app.rule.value}{block} |- {node.conclusion}")
-        for q in node.premises:
-            go(q, depth + 1)
-
-    go(p, 0)
     return "\n".join(lines) + "\n"

@@ -241,42 +241,47 @@ def well_sorted(sig: Signature, x) -> CheckResult:
     over? Error kinds: UnknownSymbol, ArityMismatch, BinderCountMismatch,
     SortMismatch and IndexOutOfRange, at the path of the offending node."""
     if not isinstance(x, syntax.Prop):
-        return _has_sort(sig, x, TermSort(0), ())
-    stack = [(x, ())]
+        return _has_sort(sig, x, TermSort(0), None)
+    stack = [(x, None)]  # (node, link); links as syntax.path_of reads them
     while stack:
-        a, path = stack.pop()
+        a, link = stack.pop()
         if type(a) is not syntax.Atom:
             kids = NODE_TYPES[type(a)].children(a)
-            stack += [(c, path + (i,)) for i, c in reversed(tuple(enumerate(kids)))]
+            stack += [(c, (i, link)) for i, c in reversed(tuple(enumerate(kids)))]
             continue
         arity = sig.predicates.get(a.pred)
         if arity is None:
-            return CheckResult.failed("UnknownSymbol", path, f"predicate {a.pred!r} not declared")
+            return CheckResult.failed("UnknownSymbol", syntax.path_of(link),
+                                      f"predicate {a.pred!r} not declared")
         if len(arity) != len(a.args):
-            return CheckResult.failed("ArityMismatch", path, f"{a.pred!r} expects "
-                                      f"{len(arity)} arguments, got {len(a.args)}")
+            return CheckResult.failed("ArityMismatch", syntax.path_of(link), f"{a.pred!r} "
+                                      f"expects {len(arity)} arguments, got {len(a.args)}")
         for i, (s, k) in enumerate(zip(a.args, arity)):
             if s.binders:
-                return CheckResult.failed("BinderCountMismatch", path + (i,),
+                return CheckResult.failed("BinderCountMismatch", syntax.path_of((i, link)),
                                           f"argument {i} of {a.pred!r} binds variables")
-            r = _has_sort(sig, s.body, TermSort(k), path + (i,))
+            r = _has_sort(sig, s.body, TermSort(k), (i, link))
             if not r.ok:
                 return r
     return CheckResult.passed()
 
 
-def _has_sort(sig: Signature, t, want: Sort, path: tuple[int, ...]) -> CheckResult:
+def _has_sort(sig: Signature, t, want: Sort, link) -> CheckResult:
+    """Has t, reached by link, sort want? An error's path is the link's
+    followed by the path sort_of gives within t."""
     try:
-        found = sort_of(sig, t, path)
+        found = sort_of(sig, t)
     except SortMismatch as e:
-        return CheckResult.failed("SortMismatch", e.path, f"expected {e.expected}, found {e.found}")
+        kind, within, message = "SortMismatch", e.path, f"expected {e.expected}, found {e.found}"
     except IndexOutOfRange as e:
-        return CheckResult.failed("IndexOutOfRange", e.path, f"index {e.i}_{e.n} out of range")
+        kind, within, message = "IndexOutOfRange", e.path, f"index {e.i}_{e.n} out of range"
     except TypeError:  # a named term
-        return CheckResult.failed("SortMismatch", path, f"{t} is not a term of this layer")
-    if found != want:
-        return CheckResult.failed("SortMismatch", path, f"expected {want}, found {found}")
-    return CheckResult.passed()
+        kind, within, message = "SortMismatch", (), f"{t} is not a term of this layer"
+    else:
+        if found == want:
+            return CheckResult.passed()
+        kind, within, message = "SortMismatch", (), f"expected {want}, found {found}"
+    return CheckResult.failed(kind, syntax.path_of(link) + within, message)
 
 
 # The walks of bindlog.syntax cover this layer; grafting keeps a name here

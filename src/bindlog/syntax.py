@@ -490,20 +490,27 @@ def numbered_names(prefix: str, skip) -> Callable[..., str]:
 # ---------------------------------------------------------------------------
 # Well-formedness over a signature
 
+def path_of(link) -> tuple[int, ...]:
+    """The path of child indices from the root that a link spells: a link
+    is (index, parent's link), and the root's is None. Walks carry links,
+    which cost O(1) per node, and spell out a path only for an error."""
+    path = []
+    while link:
+        i, link = link
+        path.append(i)
+    return tuple(reversed(path))
+
+
 def well_formed(sig: Signature, x) -> CheckResult:
     """Check symbol declarations, arities, binder counts, and binder
     distinctness. Error kinds: UnknownSymbol, ArityMismatch,
     BinderCountMismatch, DuplicateBinder. The walk keeps an explicit stack
     and checks in the order of the recursive definition: the binders of a
-    symbol's argument after the body of the argument before it. A node's
-    path is a link (index, parent's link), spelled out only for an error."""
+    symbol's argument after the body of the argument before it, and
+    carries links (see path_of)."""
 
     def failed(kind, link, message):
-        path = []
-        while link:
-            i, link = link
-            path.append(i)
-        return CheckResult.failed(kind, tuple(reversed(path)), message)
+        return CheckResult.failed(kind, path_of(link), message)
 
     stack: list = [(x, None, None)]  # (node or slot, link, (symbol, i, k) for a slot)
     while stack:
@@ -592,60 +599,25 @@ def _by_token(classes: tuple[type, ...]) -> dict[str, tuple[type, int, int]]:
     return {OPERATORS[c].kind: (c, OPERATORS[c].level, OPERATORS[c].right) for c in classes}
 
 
-def tokenize(text: str, token_re: re.Pattern = _TOKEN_RE, pos: int = 0,
-             stop: tuple[str, ...] = ()) -> list[tuple[str, str, int]]:
-    """(kind, text, offset) tokens of text from offset pos by the named
-    groups of token_re; `ident` and `sym` matches become keywords or names,
-    `ws` is dropped. They run to the first token of a kind in `stop` outside
-    parentheses, which is the last, else to an `eof` token at the end."""
+def tokenize(text: str, token_re: re.Pattern = _TOKEN_RE) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) tokens of text by the named groups of token_re,
+    then an `eof` token; `ident` and `sym` matches become keywords or names,
+    `ws` is dropped."""
     tokens = []
-    depth = 0
+    pos = 0
     while pos < len(text):
         m = token_re.match(text, pos)
         if m is None:
-            raise _unexpected(text, pos)
+            raise ParseError(f"unexpected character {text[pos]!r}", pos=pos)
         kind = m.lastgroup
         if kind != "ws":
             val = m.group()
             if kind in ("ident", "sym"):
                 kind = "kw" if val in _KEYWORDS else "name"
             tokens.append((kind, val, pos))
-            if kind == "lpar":
-                depth += 1
-            elif kind == "rpar":
-                depth -= 1
-            elif kind in stop and depth <= 0:
-                return tokens
         pos = m.end()
     tokens.append(("eof", "", pos))
     return tokens
-
-
-def _unexpected(text: str, pos: int) -> ParseError:
-    return ParseError(f"unexpected character {text[pos]!r}", pos=pos)
-
-
-@functools.cache
-def _tokens_prefix_re(parser: type) -> re.Pattern:
-    """Matches the longest prefix of a text that tokenize splits into
-    parser.token_re's tokens: the look-ahead takes each token as
-    token_re.match does and never gives it back (an atomic group, which
-    Python 3.10's re lacks)."""
-    token_re = parser.token_re
-    return re.compile(f"(?:(?=({token_re.pattern}))\\1)*", token_re.flags)
-
-
-# Text that every layer's token list splits without error: characters that
-# start a token wherever a token may start, the two-character operators and
-# `?` before a word character. It is only a quick test, which texts with
-# `'` or a stray character fail, so that they go to the full match of
-# _tokens_prefix_re.
-_PLAIN = r"[\s\w(),.\[\]=+*×<>#]*"  # runs end where an operator starts: no backtracking
-_PLAIN_TEXT_RE = re.compile(rf"{_PLAIN}(?:(?:\|-|->|/\\|\\/|\?\w){_PLAIN})*")
-
-_SEPARATORS = ("comma", "turnstile")  # the chunks of the text end at these
-_SPACE_RE = re.compile(r"\s*")
-_SEPARATOR_RE = re.compile(r",|\|-")
 
 
 class Parser:
@@ -653,48 +625,22 @@ class Parser:
 
     When a signature is supplied, a bare identifier declared as a function
     symbol parses as a zero-argument application instead of a variable.
-    The text is tokenized lazily, a chunk up to the next comma or turnstile
-    outside parentheses at a time, after one match up front has raised the
-    error of its first character that starts no token. prop_list enters
-    each proposition it reads in the `formulas` table (a fresh one unless
-    given) by its source text, and finds a text met before in the source,
-    untokenized, as the node it gave then.
+    The whole text is tokenized up front, so the first character that
+    starts no token is the error raised before any other.
     """
 
     token_re = _TOKEN_RE
 
-    def __init__(self, text: str, sig: Signature | None = None, formulas: dict | None = None):
-        if _PLAIN_TEXT_RE.fullmatch(text) is None:
-            end = _tokens_prefix_re(type(self)).match(text).end()
-            if end < len(text):
-                raise _unexpected(text, end)
-        self.text = text
-        self.tokens: list[tuple[str, str, int]] = []  # the chunks tokenized so far
-        self.scan = 0  # where the untokenized text starts
-        self._read_chunk()
+    def __init__(self, text: str, sig: Signature | None = None):
+        self.tokens = tokenize(text, self.token_re)
         self.pos = 0
         self.sig = sig
-        self.formulas = {} if formulas is None else formulas
-
-    def _read_chunk(self):
-        chunk = tokenize(self.text, self.token_re, self.scan, _SEPARATORS)
-        self.tokens += chunk
-        _, val, offset = chunk[-1]
-        self.scan = offset + len(val)
 
     def peek(self):
-        try:
-            return self.tokens[self.pos]
-        except IndexError:  # at the end of the chunks read so far
-            self._read_chunk()
-            return self.tokens[self.pos]
+        return self.tokens[self.pos]
 
     def next(self):
-        try:
-            t = self.tokens[self.pos]
-        except IndexError:
-            self._read_chunk()
-            t = self.tokens[self.pos]
+        t = self.tokens[self.pos]
         self.pos += 1
         return t
 
@@ -798,59 +744,13 @@ class Parser:
         return left, right
 
     def prop_list(self, stop: str):
-        first = self.listed_prop(stop)
-        if first is None:
+        if self.peek()[0] == stop:
             return ()
-        props = [first]
+        props = [self.prop()]
         while self.peek()[0] == "comma":
             self.next()
-            props.append(self.listed_prop())
+            props.append(self.prop())
         return tuple(props)
-
-    def listed_prop(self, stop: str = ""):
-        """A proposition of a list, shared through the formulas table; None
-        where the list is empty, at a token of kind `stop`. A text the table
-        does not hold is parsed, and entered when the token after it is a
-        comma, turnstile or end."""
-        if self.pos == len(self.tokens) and (a := self._known_prop()) is not None:
-            return a
-        kind, _, start = self.peek()
-        if kind == stop:
-            return None
-        a = self.prop()
-        _, val, last = self.tokens[self.pos - 1]
-        if self.peek()[0] in ("comma", "turnstile", "eof"):
-            self.formulas[self.text[start:last + len(val)]] = a
-        return a
-
-    def _known_prop(self):
-        """The node of the text ahead, untokenized, if the table holds it.
-
-        That text runs from the next non-space character to the first comma
-        or turnstile outside parentheses (a formula holds commas only in
-        argument lists), or to the end. A text the table holds is followed
-        by only spaces and that separator, so it would tokenize and parse as
-        it did when it was entered: the parser moves to the separator, as
-        its token."""
-        text = self.text
-        start = at = _SPACE_RE.match(text, self.scan).end()
-        depth = 0
-        while (sep := _SEPARATOR_RE.search(text, at)) is not None:
-            depth += text.count("(", at, sep.start()) - text.count(")", at, sep.start())
-            if depth <= 0:
-                break
-            at = sep.end()
-        end = len(text) if sep is None else sep.start()
-        a = self.formulas.get(text[start:end].rstrip())
-        if a is None:
-            self.scan = start
-        elif sep is None:
-            self.tokens.append(("eof", "", end))
-            self.scan = end
-        else:
-            self.tokens.append(("comma" if sep.group() == "," else "turnstile", sep.group(), end))
-            self.scan = sep.end()
-        return a
 
     def params(self) -> dict:
         """An optional parameter block `[key=value ...]`: x= a name, A= a

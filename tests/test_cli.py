@@ -288,6 +288,34 @@ def test_translate_proof_pipeline(capsys, tmp_path, corpus_sig_file):
     assert proofs.check_modulo_proof(CORPUS_SIG, cong, back).ok
 
 
+def _tall_proof_text(height: int) -> str:
+    """A narrow proof of the given (odd) height, each line indented one level
+    deeper: contr-left and weak-left in turn over P(x) |- P(x), then an
+    axiom."""
+    lines = [f"rule {('contr-left', 'weak-left')[d % 2]} |- "
+             f"{('P(x)', 'P(x), P(x)')[d % 2]} |- P(x)" for d in range(height - 1)]
+    lines.append("rule axiom |- P(x) |- P(x)")
+    return "".join(f"{'  ' * d}{line}\n" for d, line in enumerate(lines))
+
+
+def test_a_proof_of_height_10001_checks_translates_and_checks_modulo_sigma(
+        capsys, tmp_path, corpus_sig_file):
+    height = 10_001
+    text = _tall_proof_text(height)
+    src, dst = tmp_path / "tall.prf", tmp_path / "tall_modulo.prf"
+    src.write_text(text)
+    assert run(capsys, "--sig", corpus_sig_file, "check-proof", str(src)) == (
+        0, "proof check (binding): ok\n", "")
+    assert run(capsys, "--sig", corpus_sig_file, "translate-proof", str(src), "-o", str(dst)) == (
+        0, f"wrote {dst}\n", "")
+    assert run(capsys, "--sig", corpus_sig_file, "check-proof", "--modulo", "sigma", str(dst)) == (
+        0, "proof check (modulo sigma): ok\n", "")
+    tree = proofs.parse_proof_file(text, CORPUS_SIG)
+    assert tree.height() == height
+    assert proofs.print_proof_file(tree) == text
+    assert proofs.parse_proof_file(dst.read_text(), CORPUS_SIG).height() == height
+
+
 def test_eval_model(capsys):
     code, out, _ = run(capsys, "eval", "--model", "ext",
                        "--prop", "forall x. =(f(x), x)")

@@ -15,6 +15,8 @@ from collections import Counter
 from pathlib import Path
 from unittest import mock
 
+import pytest
+
 from bindlog import gen, precook, proofs, sigma, syntax
 from bindlog.errors import InvalidSourceProof, ParseError
 from bindlog.proofs import (
@@ -299,17 +301,22 @@ def test_formula_table_lives_for_one_call():
 
 
 def test_formula_table_skips_what_a_parse_does_not_end_at_its_extent():
-    # the extent of `Q)` runs to the turnstile, its parse stops at `)`
+    # the text `Q)` runs to the turnstile, its parse stops at `)`
     table: dict = {}
-    p = syntax.Parser("Q) |- Q", CORPUS_SIG, table)
-    assert p.prop_list("turnstile") == (Atom("Q", ()),) and p.peek()[1] == ")"
-    assert table == {}
+    for text in ("|- Q) |- Q", "|- R2(x, y |- Q"):
+        with pytest.raises(ParseError):
+            proofs._read_line(syntax.Parser, text, CORPUS_SIG, table)
+        assert table == {}
+    with pytest.raises(ParseError):
+        proofs._read_line(syntax.Parser, "|- Q, Q) |- Q", CORPUS_SIG, table)
+    assert table == {"Q": Atom("Q", ())}
     for text in ("rule axiom |- Q) |- Q", "rule axiom |- P(x |- P(x"):
         new = _outcome(lambda: parse_proof_file(text, CORPUS_SIG))
         assert new == _outcome(lambda: _ref_parse_proof_file(text, CORPUS_SIG))
         assert new[0] == "raised"
-    p = syntax.Parser("Q, R2(x, y), (Q) |- Q", CORPUS_SIG, table)
-    left, right = p.sequent()
+    table.clear()
+    _, left, right = proofs._read_line(syntax.Parser, "|- Q, R2(x, y), (Q) |- Q", CORPUS_SIG,
+                                       table)
     assert set(table) == {"Q", "R2(x, y)", "(Q)"} and right[0] is left[0]
 
 
@@ -513,18 +520,19 @@ def test_formula_table_edge_cases_read_as_the_reference():
 
 
 def test_a_formula_text_met_before_is_not_tokenized_again():
-    """The characters tokenized while reading proofgen's identity and
-    instantiation proofs never cover a formula whose text came earlier in
-    the file, and come to no more than the file's distinct formula text,
-    its rule heads and its parameter blocks."""
+    """The texts tokenized while reading proofgen's identity and
+    instantiation proofs are each distinct formula text of the file once, in
+    the order met, and text before a line's first turnstile: the rule's
+    parameter block. So no tokenized text covers a formula whose text came
+    earlier in the file, and their characters come to no more than the
+    file's distinct formula text, its rule heads and its parameter blocks."""
     rng = random.Random(0x70C)
-    read = []  # (parser, first, end) of each chunk handed to the tokenizer
-    real = syntax.Parser._read_chunk
+    read = []  # each text handed to the tokenizer
+    real = syntax.tokenize
 
-    def reading(self):
-        first = self.scan
-        real(self)
-        read.append((self, first, self.scan))
+    def reading(text, token_re=syntax._TOKEN_RE):
+        read.append(text)
+        return real(text, token_re)
 
     tokenized = skipped = 0
     for _ in range(40):
@@ -535,34 +543,24 @@ def test_a_formula_text_met_before_is_not_tokenized_again():
         for proof in proofs_:
             text = proofgen.to_text(proof)
             read.clear()
-            with mock.patch.object(syntax.Parser, "_read_chunk", reading):
+            with mock.patch.object(syntax, "tokenize", reading):
                 tree = parse_proof_file(text, KERNEL_SIG)
-            chunks: dict = {}
-            for parser, first, end in read:
-                chunks.setdefault(parser, []).append((first, end))
             lines = [ln.strip() for ln in text.splitlines()]
-            assert len(chunks) == len(lines)  # one parser per line, each tokenizes
-            met: set[str] = set()
-            allowed = 0
-            for line, node, spans in zip(lines, _nodes(tree), chunks.values()):
-                allowed += line.find("|-")  # the rule head and parameter block
-                at = line.find("|-") + 3 - re.match(r"rule\s+\S+\s*", line).end()
-                sides = node.conclusion
-                for i, a in enumerate((*sides.left, *sides.right)):
-                    if i == len(sides.left):
-                        at += 4  # " |- "
-                    elif i:
-                        at += 2  # ", "
+            heads = [line[:line.find("|-")] for line in lines]
+            met: list[str] = []  # distinct formula texts in the order met
+            allowed = sum(map(len, heads))  # the rule heads and parameter blocks
+            for node in _nodes(tree):
+                for a in (*node.conclusion.left, *node.conclusion.right):
                     formula = syntax.show(a)
-                    covered = any(first < at + len(formula) and at < end for first, end in spans)
                     if formula in met:
-                        assert not covered, (line, formula)
                         skipped += 1
                     else:
+                        met.append(formula)
                         allowed += len(formula)
-                    met.add(formula)
-                    at += len(formula)
-            count = sum(end - first for parser, first, end in read)
+            formulas_read = [t for t in read if t in met]
+            assert formulas_read == met, text
+            assert all(any(t in head for head in heads) for t in read if t not in met), text
+            count = sum(map(len, read))
             assert count <= allowed, text
             tokenized += count
     assert skipped > 1000 and tokenized > 10_000, (skipped, tokenized)

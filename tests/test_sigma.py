@@ -94,6 +94,24 @@ def test_sort_of_cons_comp():
     assert sort_of(SIG, L("id_2 o (1_1 . id_1)")) == SubstSort(1, 2)
 
 
+def test_well_sorted_reports_the_path_of_a_deep_failure():
+    """A 10,000-deep `/\\` chain whose last atom holds a closure of the wrong
+    sort fails at the path down the right spine, then into the closure:
+    the walk carries links, so its cost does not grow with depth squared."""
+    good = Atom("P", (Slot((), FreeVar("x")),))
+    depth = 10_000
+    for bad, kind, within in [(Atom("P", (Slot((), Closure(FreeVar("x"), Id(2))),)),
+                               "SortMismatch", (0, 1)),
+                              (Atom("P", (Slot((), Index(3, 2)),)), "IndexOutOfRange", (0,)),
+                              (Atom("Zzz", ()), "UnknownSymbol", ())]:
+        a = bad
+        for _ in range(depth):
+            a = And(good, a)
+        r = sigma.well_sorted(SIG, a)
+        assert (r.ok, r.kind, r.path) == (False, kind, (1,) * depth + within)
+        assert sigma.well_sorted(SIG, And(a.b, good)).path == (0,) + (1,) * (depth - 1) + within
+
+
 # ---------------------------------------------------------------------------
 # the rule set
 
