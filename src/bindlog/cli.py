@@ -61,15 +61,15 @@ def _system_from_arg(name: str, sig) -> sigma.RewriteSystem:
     return sigma.load_rules(Path(name).read_text(), sig=sig, name=Path(name).stem)
 
 
-def _load_proof(path: str, sig, cong: proofs.Congruence | None) -> proofs.ProofTree:
-    """Parse a proof file whose `syntax` line suits the checker that reads it:
-    the plain checker and term-layer congruences read term syntax, the
-    substitution congruence reads lprop."""
+def _load_proof(path: str, sig, cong: proofs.Congruence) -> proofs.ProofTree:
+    """Parse a proof file whose `syntax` line suits the congruence it is
+    checked modulo: the syntactic and term-layer congruences read term
+    syntax, the substitution congruence reads lprop."""
     text = Path(path).read_text()
-    want = "lprop" if cong is not None and cong.system.layer == "lterm" else "term"
+    want = "lprop" if cong.system is not None and cong.system.layer == "lterm" else "term"
     have = proofs.proof_file_layer(text)
     if have != want:
-        checker = ("the plain checker" if cong is None
+        checker = ("the plain checker" if cong.system is None
                    else f"a congruence over the {cong.system.layer} layer")
         raise ParseError(f"{path} is in {have} syntax; {checker} needs {want} syntax")
     return proofs.parse_proof_file(text, sig)
@@ -77,15 +77,10 @@ def _load_proof(path: str, sig, cong: proofs.Congruence | None) -> proofs.ProofT
 
 def cmd_check_proof(args) -> int:
     sig = _load_signature(args)
-    cong = (None if args.modulo is None
-            else proofs.Congruence(_system_from_arg(args.modulo, sig), budget=args.step_budget))
-    proof = _load_proof(args.proof, sig, cong)
-    if cong is None:
-        result = proofs.check_binding_proof(sig, proof)
-        kind = "binding"
-    else:
-        result = proofs.check_modulo_proof(sig, cong, proof)
-        kind = f"modulo {args.modulo}"
+    system = None if args.modulo is None else _system_from_arg(args.modulo, sig)
+    cong = proofs.Congruence(system, budget=args.step_budget)
+    result = proofs.check_modulo_proof(sig, cong, _load_proof(args.proof, sig, cong))
+    kind = "binding" if system is None else f"modulo {args.modulo}"
     lines = [f"proof check ({kind}): {result}"]
     _emit(args, lines, {"check": kind, "ok": result.ok,
                         "error": None if result.ok else str(result)})
@@ -116,7 +111,7 @@ def cmd_precook(args) -> int:
 
 def cmd_translate_proof(args) -> int:
     sig = _load_signature(args)
-    proof = _load_proof(args.proof, sig, None)
+    proof = _load_proof(args.proof, sig, proofs.Congruence())
     try:
         translated = precook.translate_proof(sig, proof)
     except InvalidSourceProof as e:

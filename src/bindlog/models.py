@@ -326,15 +326,6 @@ def _quantifier_domain(m: BindingModel, prop) -> tuple[tuple, bool]:
     return tuple(m.ifs.m0_samples) + tuple(extra), False
 
 
-def _compile_prop(m: BindingModel, a, domain: tuple, exhaustive: bool, scope: dict,
-                  quants: dict) -> Callable:
-    """env -> (truth value, exact) of a, quantifiers ranging over domain.
-    a is compiled whole: scope and quants, the names and slots of enclosing
-    quantifiers, are empty."""
-    assert not scope and not quants, "a proposition is compiled whole"
-    return _compiled(m, a, (), True, domain, exhaustive)
-
-
 def eval_prop_report(m: BindingModel, a, phi: Mapping | None = None,
                      witness: dict | None = None) -> tuple[int, bool]:
     """(truth value, exact). The value is exact unless it rests on a sampled
@@ -343,7 +334,7 @@ def eval_prop_report(m: BindingModel, a, phi: Mapping | None = None,
     quantifier_witness returns, read off the same sweep: a quantifier that
     stops at a deciding element leaves it in its env slot."""
     env = dict(phi or {})
-    report = _compile_prop(m, a, *_quantifier_domain(m, a), {}, {})(env)
+    report = _compiled(m, a, (), True, *_quantifier_domain(m, a))(env)
     while witness is not None and isinstance(a, (Forall, Exists)) and id(a) in env:
         witness[a.var] = env[id(a)]
         a = a.body

@@ -1,6 +1,6 @@
-"""Sequents, rule-tagged proof trees, and the two checkers: the plain
-binding-logic calculus, and the calculus modulo a congruence generated by a
-normalizing rewrite system.
+"""Sequents, rule-tagged proof trees, and the one checker: the calculus
+modulo a congruence generated by a normalizing rewrite system, of which the
+plain binding-logic calculus is the case of the syntactic congruence.
 
 Sequent sides are stored as ordered tuples. A rule application names the
 index of its principal formula in the conclusion; when omitted it defaults
@@ -141,6 +141,23 @@ class ProofTree:
             stack += [(q, depth + 1, (i, link))
                       for i, q in reversed(tuple(enumerate(node.premises)))]
 
+    # A frozen dataclass's ==, hash and repr recurse through the premises.
+    # These read the preorder of (conclusion, rule, premise count): it fixes
+    # the tree, and no tree's is a proper prefix of another's, so zip is exact.
+    def _preorder(self):
+        return ((n.conclusion, n.rule, len(n.premises)) for n, _, _ in self.walk())
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(a == b for a, b in zip(self._preorder(), other._preorder()))
+
+    def __hash__(self):
+        return hash(tuple(self._preorder()))
+
+    def __repr__(self):
+        return f"ProofTree({print_proof_file(self)!r})"
+
 
 # ---------------------------------------------------------------------------
 # Congruences
@@ -182,40 +199,20 @@ class Congruence:
 
 
 def check_binding_proof(sig: Signature, p: ProofTree) -> CheckResult:
-    """Check a proof tree against the plain binding-logic rules: matching is
-    up to alpha-equivalence, quantifier witnesses substitute capture-avoidingly
+    """Check a proof tree against the plain binding-logic rules: the calculus
+    modulo the syntactic congruence (see check_modulo_proof). Matching is up
+    to alpha-equivalence, quantifier witnesses substitute capture-avoidingly
     (with respect to symbol binders too), and the right-forall / left-exists
-    rules enforce the freshness side condition. The formulas must be
-    well-formed over sig."""
-    res = _check(Congruence(), p)
-    return res if not res.ok else _check_well_formed(sig, p)
-
-
-def _check_well_formed(sig: Signature, proof: ProofTree) -> CheckResult:
-    """well_formed over the root sequent, the premises of every cut and every
-    witness. In a proof the rules accept, every other formula is
-    alpha-equivalent to a subformula of these or an instance of one at a
-    witness, so it is well-formed too."""
-
-    def check_node(node: ProofTree, link):
-        sequents = ([node] if link is None else []) + \
-            (list(node.premises) if node.rule.rule is Rule.CUT else [])
-        items = [a for q in sequents for a in q.conclusion.left + q.conclusion.right]
-        if RULES[node.rule.rule].witness:
-            items.append(node.rule.t)
-        for x in items:
-            r = syntax.well_formed(sig, x)
-            if not r.ok:
-                raise _Rejected(r.kind, f"{x} is ill-formed: {r}")
-
-    return _first_rejection(proof, check_node)
+    rules enforce the freshness side condition."""
+    return check_modulo_proof(sig, Congruence(), p)
 
 
 def check_modulo_proof(sig: Signature, cong: Congruence, p: ProofTree) -> CheckResult:
     """Check a proof tree against the calculus modulo: every side condition
     written as a congruence is decided by the supplied normalizing system.
-    First every formula, annotation and witness must be well-formed over sig,
-    as the rules of the system can erase an ill-formed subterm."""
+    First every formula, annotation and witness must be well-formed over sig:
+    the rules of the system can erase an ill-formed subterm, and alpha
+    equates g(x x. x), whose binders repeat, with g(x y. y)."""
     res = _check_signature(sig, cong, p)
     return res if not res.ok else _check(cong, p)
 

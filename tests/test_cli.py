@@ -171,7 +171,10 @@ LAMBDA_SIG = Path(__file__).resolve().parent.parent / "samples" / "lambda.sig"
     ("rule all-left [t=f(y, y) at=1] |- Q, forall x. P(x) |- Q\n"
      "  rule weak-left [at=1] |- Q, P(f(y, y)) |- Q\n"
      "    rule axiom |- Q |- Q\n", "ArityMismatch"),
-], ids=["undeclared-predicate", "witness-arity"])
+    # the ill-formed formula is reported ahead of the rule fault at the root
+    ("rule weak-left |- Q, Q |- Q\n  rule axiom |- Zzz |- Zzz\n",
+     "UnknownSymbol at 0: Zzz is ill-formed: UnknownSymbol at root: predicate 'Zzz' not declared"),
+], ids=["undeclared-predicate", "witness-arity", "ahead-of-a-rule-fault"])
 def test_check_proof_ill_formed_over_the_signature_exits_1(capsys, tmp_path, text, kind):
     path = tmp_path / "proof.prf"
     path.write_text(text)
@@ -181,6 +184,23 @@ def test_check_proof_ill_formed_over_the_signature_exits_1(capsys, tmp_path, tex
     code, out, err = run(capsys, "--sig", str(LAMBDA_SIG), "translate-proof", str(path),
                          "-o", str(dst))
     assert code == 1 and kind in err and not dst.exists()
+
+
+def test_check_proof_rejects_a_duplicate_binder_that_alpha_hides(capsys, tmp_path):
+    # alpha_eq equates g(x x. x) with g(x y. y): every formula is judged
+    sig, path = tmp_path / "dup.sig", tmp_path / "dup.prf"
+    sig.write_text("fun g : <2>\npred P : <0>\n")
+    path.write_text("rule contr-left |- P(g(x y. y)) |- P(g(x y. y))\n"
+                    "  rule weak-left |- P(g(x x. x)), P(g(x y. y)) |- P(g(x y. y))\n"
+                    "    rule axiom |- P(g(x x. x)) |- P(g(x y. y))\n")
+    line = ("DuplicateBinder at 0: P(g(x x. x)) is ill-formed: DuplicateBinder at 0.0: "
+            "binder list ('x', 'x') of 'g' has duplicates")
+    assert run(capsys, "--sig", str(sig), "check-proof", str(path)) == (
+        1, f"proof check (binding): {line}\n", "")
+    dst = tmp_path / "translated.prf"
+    assert run(capsys, "--sig", str(sig), "translate-proof", str(path), "-o", str(dst)) == (
+        1, "", f"source proof invalid: {line}\n")
+    assert not dst.exists()
 
 
 SAMPLES = LAMBDA_SIG.parent
@@ -314,6 +334,23 @@ def test_a_proof_of_height_10001_checks_translates_and_checks_modulo_sigma(
     assert tree.height() == height
     assert proofs.print_proof_file(tree) == text
     assert proofs.parse_proof_file(dst.read_text(), CORPUS_SIG).height() == height
+
+
+def test_tall_proof_trees_compare_hash_and_print():
+    for height in (2_001, 10_001):
+        text = _tall_proof_text(height)
+        a, b = (proofs.parse_proof_file(text, CORPUS_SIG) for _ in range(2))
+        assert a is not b and a == b and hash(a) == hash(b)
+        if height < 10_000:
+            assert repr(a) == f"ProofTree({text!r})"
+        del text  # the text of height 10,001 takes 100 MB
+        assert repr(b).startswith("ProofTree('rule contr-left |- P(x) |- P(x)\\n  rule weak-left")
+        # the same tree but for the deepest node's `at=0`
+        *spine, leaf = (node for node, _, _ in a.walk())
+        c = proofs.ProofTree(leaf.conclusion, proofs.RuleApp(proofs.Rule.AXIOM, principal=0))
+        for node in reversed(spine):
+            c = proofs.ProofTree(node.conclusion, node.rule, (c,))
+        assert c.height() == height and a != c and not a == c
 
 
 def test_eval_model(capsys):

@@ -961,7 +961,7 @@ def test_hoisted_subterms_read_no_slot_per_inner_element():
         m = _small_delta(size)
         a = parse_prop("forall q. forall r. =(δ(i(q), x. j(x), y. i(r)), j(q))", m.sig)
         env = _CountingEnv()
-        assert models._compile_prop(m, a, *models._quantifier_domain(m, a), {}, {})(env) \
+        assert models._compiled(m, a, (), True, *models._quantifier_domain(m, a))(env) \
             == (1, False)
         assert env.reads[id(a)] == 2 * size
         assert env.reads.keys() == {id(a), id(a.body)}
@@ -993,7 +993,7 @@ def test_tabled_subterms_raise_each_time_they_are_reached():
     want = _outcome(_ref_eval_prop_report, m, a)
     assert want == ("raised", ValueError, ("i(3)",))
     assert _outcome(eval_prop_report, m, a) == want
-    run = models._compile_prop(m, a, *models._quantifier_domain(m, a), {}, {})
+    run = models._compiled(m, a, (), True, *models._quantifier_domain(m, a))
     for k in (1, 2):
         calls.clear()
         assert _outcome(run, {}) == want
@@ -1228,7 +1228,7 @@ def _weakly_evaluated() -> list:
     # f(x) is memoized per element for x, f(y) and the second atom tabled
     # per element for y, Λ(z. z) memoized once
     a = parse_prop("forall x. forall y. =(f(x), f(y)) => =(Λ(z. z), f(y))", m.sig)
-    run = models._compile_prop(m, a, *models._quantifier_domain(m, a), {}, {})
+    run = models._compiled(m, a, (), True, *models._quantifier_domain(m, a))
     assert run({}) == (0, True) and made
     return [weakref.ref(x) for x in (m, run, *elems, *made)]
 

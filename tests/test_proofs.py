@@ -11,11 +11,15 @@ import pytest
 from bindlog import precook, sigma, syntax
 from bindlog.errors import CheckResult, CongruenceBudgetExceeded
 from bindlog.proofs import (
+    RULES,
     Congruence,
     ProofTree,
     Rule,
     RuleApp,
     Sequent,
+    _check,
+    _first_rejection,
+    _Rejected,
     check_binding_proof,
     check_modulo_proof,
     parse_proof_file,
@@ -1164,3 +1168,109 @@ def test_fuzzed_proof_files_parse_or_check():
         assert all(isinstance(r, CheckResult) for r in results), text
         outcomes["checked ok" if results[0].ok else "rejected"] += 1
     assert min(outcomes.values()) > 50, outcomes
+
+
+# ---------------------------------------------------------------------------
+# the plain checker is the checker modulo the syntactic congruence. The
+# plain checker it replaced, a rule pass and then well_formed over the root,
+# the cuts and the witnesses only, is kept verbatim below as the reference.
+# alpha_eq equates g(x x. x) with g(x y. y), so that reference accepts a
+# duplicate binder outside those.
+
+DUP_SIG = syntax.parse_signature("fun g : <2>\npred P : <0>\n")
+DUP_PROOF = """\
+rule contr-left |- P(g(x y. y)) |- P(g(x y. y))
+  rule weak-left |- P(g(x x. x)), P(g(x y. y)) |- P(g(x y. y))
+    rule axiom |- P(g(x x. x)) |- P(g(x y. y))
+"""
+
+
+def _ref_check_binding_proof(sig: Signature, p: ProofTree) -> CheckResult:
+    res = _check(Congruence(), p)
+    return res if not res.ok else _ref_check_well_formed(sig, p)
+
+
+def _ref_check_well_formed(sig: Signature, proof: ProofTree) -> CheckResult:
+    """well_formed over the root sequent, the premises of every cut and every
+    witness. In a proof the rules accept, every other formula is
+    alpha-equivalent to a subformula of these or an instance of one at a
+    witness, so it is well-formed too."""
+
+    def check_node(node: ProofTree, link):
+        sequents = ([node] if link is None else []) + \
+            (list(node.premises) if node.rule.rule is Rule.CUT else [])
+        items = [a for q in sequents for a in q.conclusion.left + q.conclusion.right]
+        if RULES[node.rule.rule].witness:
+            items.append(node.rule.t)
+        for x in items:
+            r = syntax.well_formed(sig, x)
+            if not r.ok:
+                raise _Rejected(r.kind, f"{x} is ill-formed: {r}")
+
+    return _first_rejection(proof, check_node)
+
+
+def _unjudged_faults(sig, proof) -> set[str]:
+    """The well_formed kinds of the formulas and annotations the reference
+    does not judge: those outside the root, the cuts and the witnesses."""
+    judged, faults = set(), set()
+    for node, _, link in proof.walk():
+        for q in ([node] if link is None else []) + \
+                (list(node.premises) if node.rule.rule is Rule.CUT else []):
+            judged.update(map(id, q.conclusion.left + q.conclusion.right))
+    for node, _, _ in proof.walk():
+        for a in node.conclusion.left + node.conclusion.right + (node.rule.a,):
+            if a is not None and id(a) not in judged and not (r := syntax.well_formed(sig, a)).ok:
+                faults.add(r.kind)
+    return faults
+
+
+def test_plain_checker_differs_from_the_reference_only_on_hidden_duplicate_binders():
+    dup = parse_proof_file(DUP_PROOF, DUP_SIG)
+    assert _ref_check_binding_proof(DUP_SIG, dup).ok
+    assert not check_binding_proof(DUP_SIG, dup).ok
+    bases = [(text, sig) for text, sig, _ in _fuzz_bases() if not _declares_lprop(text)]
+    bases.append((DUP_PROOF, DUP_SIG))
+    trees = [(sig, parse_proof_file(text, sig)) for text, sig in bases]
+    trees += [(CORPUS_SIG, proof) for _, proof in corpus()]
+    rng = random.Random(0xD0B)
+    for _ in range(1500):
+        text, sig = rng.choice(bases)
+        for _ in range(rng.choice([1, 1, 2, 3])):
+            text = (_byte_mutant if rng.random() < 0.5 else _structural_mutant)(rng, text)
+        try:
+            trees.append((sig, parse_proof_file(text, sig)))
+        except syntax.ParseError:
+            pass
+    verdicts = Counter()
+    for sig, tree in trees:
+        ref, new = _ref_check_binding_proof(sig, tree), check_binding_proof(sig, tree)
+        if ref.ok != new.ok:
+            assert ref.ok and new.kind == "DuplicateBinder", (ref, new, print_proof_file(tree))
+            assert "DuplicateBinder" in _unjudged_faults(sig, tree), print_proof_file(tree)
+        verdicts[ref.ok, new.ok] += 1
+    assert verdicts[True, True] >= 100 and verdicts[False, False] >= 100, verdicts
+    assert verdicts[True, False] >= 10 and not verdicts[False, True], verdicts
+
+
+def _nested(tree):
+    """The fields a frozen dataclass's == compares, premises unfolded."""
+    return tree.conclusion, tree.rule, tuple(map(_nested, tree.premises))
+
+
+def _rebuilt(tree):
+    return ProofTree(tree.conclusion, tree.rule, tuple(map(_rebuilt, tree.premises)))
+
+
+def test_proof_tree_equality_is_the_dataclass_equality():
+    rng = random.Random(0xE0)
+    trees = [m for _, proof in corpus() for m in _mutants(rng, proof, 6)]
+    pairs = [(a, b) for a in trees for b in rng.sample(trees, 12)]
+    pairs += [(a, _rebuilt(a)) for a in trees] + [(a, a) for a in trees]
+    for a, b in pairs:
+        assert (a == b) == (_nested(a) == _nested(b)), (a, b)
+        assert (a != b) == (_nested(a) != _nested(b)), (a, b)
+        if a == b:
+            assert hash(a) == hash(b)
+    assert sum(a == b for a, b in pairs) > 2 * len(trees)
+    assert ProofTree.__eq__(trees[0], "rule axiom") is NotImplemented
