@@ -218,18 +218,17 @@ def check_modulo_proof(sig: Signature, cong: Congruence, p: ProofTree) -> CheckR
 
 
 def _check_signature(sig: Signature, cong: Congruence, proof: ProofTree) -> CheckResult:
-    """well_formed, or on the sorted layer well_sorted, over each distinct
-    formula, annotation and witness of the proof."""
+    """The signature judge (see syntax._judge), on the congruence's layer,
+    over each formula, annotation and witness of the proof, with one set of
+    judged nodes: each distinct node is judged once."""
     sorted_layer = cong.system is not None and cong.system.layer == "lterm"
-    judge = sigma.well_sorted if sorted_layer else syntax.well_formed
-    seen: set[int] = set()  # ids: the proof keeps its formulas alive
+    judged: set[int] = set()  # ids: the proof keeps its nodes alive
 
     def check_node(node: ProofTree, link):
         for x in node.conclusion.left + node.conclusion.right + (node.rule.a, node.rule.t):
-            if x is not None and id(x) not in seen:
-                seen.add(id(x))
-                if not (r := judge(sig, x)).ok:
-                    raise _Rejected(r.kind, f"{x} is ill-formed: {r}")
+            if x is not None and id(x) not in judged and \
+                    not (r := syntax._judge(sig, x, sorted_layer, judged)).ok:
+                raise _Rejected(r.kind, f"{x} is ill-formed: {r}")
 
     return _first_rejection(proof, check_node)
 

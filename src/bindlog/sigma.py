@@ -235,53 +235,12 @@ def _node_sort(x, sorts, where) -> Sort:
 
 
 def well_sorted(sig: Signature, x) -> CheckResult:
-    """Is x a proposition whose atoms apply declared predicates to
-    binder-free slots with bodies of the sorts the predicate's rank
-    prescribes, or a term of sort 0, the sort quantified variables range
-    over? Error kinds: UnknownSymbol, ArityMismatch, BinderCountMismatch,
-    SortMismatch and IndexOutOfRange, at the path of the offending node."""
-    if not isinstance(x, syntax.Prop):
-        return _has_sort(sig, x, TermSort(0), None)
-    stack = [(x, None)]  # (node, link); links as syntax.path_of reads them
-    while stack:
-        a, link = stack.pop()
-        if type(a) is not syntax.Atom:
-            kids = NODE_TYPES[type(a)].children(a)
-            stack += [(c, (i, link)) for i, c in reversed(tuple(enumerate(kids)))]
-            continue
-        arity = sig.predicates.get(a.pred)
-        if arity is None:
-            return CheckResult.failed("UnknownSymbol", syntax.path_of(link),
-                                      f"predicate {a.pred!r} not declared")
-        if len(arity) != len(a.args):
-            return CheckResult.failed("ArityMismatch", syntax.path_of(link), f"{a.pred!r} "
-                                      f"expects {len(arity)} arguments, got {len(a.args)}")
-        for i, (s, k) in enumerate(zip(a.args, arity)):
-            if s.binders:
-                return CheckResult.failed("BinderCountMismatch", syntax.path_of((i, link)),
-                                          f"argument {i} of {a.pred!r} binds variables")
-            r = _has_sort(sig, s.body, TermSort(k), (i, link))
-            if not r.ok:
-                return r
-    return CheckResult.passed()
-
-
-def _has_sort(sig: Signature, t, want: Sort, link) -> CheckResult:
-    """Has t, reached by link, sort want? An error's path is the link's
-    followed by the path sort_of gives within t."""
-    try:
-        found = sort_of(sig, t)
-    except SortMismatch as e:
-        kind, within, message = "SortMismatch", e.path, f"expected {e.expected}, found {e.found}"
-    except IndexOutOfRange as e:
-        kind, within, message = "IndexOutOfRange", e.path, f"index {e.i}_{e.n} out of range"
-    except TypeError:  # a named term
-        kind, within, message = "SortMismatch", (), f"{t} is not a term of this layer"
-    else:
-        if found == want:
-            return CheckResult.passed()
-        kind, within, message = "SortMismatch", (), f"expected {want}, found {found}"
-    return CheckResult.failed(kind, syntax.path_of(link) + within, message)
+    """The signature judge (see syntax._judge) on this layer: atoms apply
+    declared predicates to binder-free slots with bodies of the sorts the
+    predicate's ranks prescribe; a term has sort 0, the sort quantified
+    variables range over. Error kinds: UnknownSymbol, ArityMismatch,
+    BinderCountMismatch, SortMismatch and IndexOutOfRange."""
+    return syntax._judge(sig, x, True)
 
 
 # The walks of bindlog.syntax cover this layer; grafting keeps a name here
@@ -1101,15 +1060,7 @@ class LParser(syntax.Parser):
             return Shift(_parse_sub(val[3:]))
         if kind == "fam":
             fname, p_txt = val.rsplit("_", 1)
-            self.expect("lpar")
-            args = []
-            if self.peek()[0] != "rpar":
-                args.append(self.term())
-                while self.peek()[0] == "comma":
-                    self.next()
-                    args.append(self.term())
-            self.expect("rpar")
-            return FApp(fname, _parse_sub(p_txt), tuple(args))
+            return FApp(fname, _parse_sub(p_txt), self.arguments(self.term))
         if kind == "meta":
             return MetaT(val[1:])
         if kind == "name":

@@ -26,7 +26,7 @@ from dataclasses import FrozenInstanceError, dataclass
 from operator import attrgetter
 from typing import Callable, Mapping
 
-from .errors import CheckResult, ParseError
+from .errors import CheckResult, IndexOutOfRange, ParseError, SortMismatch
 
 # ---------------------------------------------------------------------------
 # Types
@@ -502,29 +502,69 @@ def path_of(link) -> tuple[int, ...]:
 
 
 def well_formed(sig: Signature, x) -> CheckResult:
-    """Check symbol declarations, arities, binder counts, and binder
-    distinctness. Error kinds: UnknownSymbol, ArityMismatch,
-    BinderCountMismatch, DuplicateBinder. The walk keeps an explicit stack
-    and checks in the order of the recursive definition: the binders of a
-    symbol's argument after the body of the argument before it, and
-    carries links (see path_of)."""
+    """The signature judge, _judge, on the named layer. Error kinds:
+    UnknownSymbol, ArityMismatch, BinderCountMismatch, DuplicateBinder and
+    SortMismatch."""
+    return _judge(sig, x, False)
 
-    def failed(kind, link, message):
-        return CheckResult.failed(kind, path_of(link), message)
 
-    stack: list = [(x, None, None)]  # (node or slot, link, (symbol, i, k) for a slot)
+_PROPS = frozenset((Atom, *_CONNECTIVES))
+
+
+@functools.cache
+def _sorts():
+    from .sigma import TermSort, sort_of  # bindlog.sigma imports this module
+    return TermSort, sort_of
+
+
+def _judge(sig: Signature, x, sorted_layer: bool, judged: set[int] | None = None) -> CheckResult:
+    """The signature judge of both layers. Each symbol is declared and has
+    as many arguments as its arity has ranks. An argument of rank k binds k
+    distinct names and its body is walked on the named layer; it binds none
+    and its body has sort k (bindlog.sigma.sort_of) on the sorted one. A
+    node that is not a proposition is a term of rank 0; one of the other
+    layer is a SortMismatch. The walk checks in the order of the recursive
+    definition, the binders of an argument after the body of the one
+    before, with an explicit stack of links (see path_of). A proposition or
+    named term whose id is in `judged` has passed: the walk adds each one
+    it enters, and the first failure ends the judging."""
+    if sorted_layer:
+        TermSort, sort_of = _sorts()
+
+    def failed(kind, link, message, within=()):
+        return CheckResult.failed(kind, path_of(link) + within, message)
+
+    stack: list = [(x, None, None)]  # (node, link, rank or None) or (slot, link, (symbol, i, k))
     while stack:
-        x, link, slot = stack.pop()
-        if slot is not None:
-            symbol, i, k = slot
-            if len(x.binders) != k:
-                return failed("BinderCountMismatch", link, f"argument {i} of {symbol!r} "
-                              f"binds {k} variables, got {len(x.binders)}")
-            if len(set(x.binders)) != k:
+        x, link, want = stack.pop()
+        if type(x) is Slot:
+            symbol, i, k = want
+            if len(x.binders) != (0 if sorted_layer else k):
+                return failed("BinderCountMismatch", link, f"argument {i} of {symbol!r} binds " + (
+                    "variables" if sorted_layer else f"{k} variables, got {len(x.binders)}"))
+            if len(set(x.binders)) != len(x.binders):
                 return failed("DuplicateBinder", link,
                               f"binder list {x.binders} of {symbol!r} has duplicates")
-            stack.append((x.body, link, None))
-        elif type(x) is App or type(x) is Atom:
+            stack.append((x.body, link, k))
+            continue
+        if want is None and type(x) not in _PROPS:
+            want = 0
+        if want is not None and sorted_layer:
+            try:
+                if type(found := sort_of(sig, x)) is not TermSort or found.n != want:
+                    return failed("SortMismatch", link, f"expected {want}, found {found}")
+            except SortMismatch as e:
+                return failed("SortMismatch", link, f"expected {e.expected}, found {e.found}", e.path)
+            except IndexOutOfRange as e:
+                return failed("IndexOutOfRange", link, f"index {e.i}_{e.n} out of range", e.path)
+            except TypeError:
+                return failed("SortMismatch", link, f"{x} is not a term of this layer")
+            continue
+        if want is not None and type(x) is not App and type(x) is not Var:
+            return failed("SortMismatch", link, f"{x} is not a term of this layer")
+        if judged is not None and (id(x) in judged or judged.add(id(x))):
+            continue
+        if type(x) is App or type(x) is Atom:
             symbol, table, kind = ((x.symbol, sig.functions, "function") if type(x) is App
                                    else (x.pred, sig.predicates, "predicate"))
             if symbol not in table:
@@ -535,7 +575,7 @@ def well_formed(sig: Signature, x) -> CheckResult:
                               f"{symbol!r} expects {len(arity)} arguments, got {len(x.args)}")
             stack += [(s, (i, link), (symbol, i, k))
                       for i, (s, k) in reversed(tuple(enumerate(zip(x.args, arity))))]
-        else:
+        elif type(x) is not Var:
             stack += [(c, (i, link), None)
                       for i, c in reversed(tuple(enumerate(NODE_TYPES[type(x)].children(x))))]
     return CheckResult.passed()
@@ -666,6 +706,24 @@ class Parser:
             left = cls(left, self.infix(classes, operand, right))
         return left
 
+    def listed(self, item: Callable, stop: str) -> tuple:
+        """What item() reads, any number of times, separated by commas;
+        none when a `stop` token comes first."""
+        if self.peek()[0] == stop:
+            return ()
+        items = [item()]
+        while self.peek()[0] == "comma":
+            self.next()
+            items.append(item())
+        return tuple(items)
+
+    def arguments(self, item: Callable) -> tuple:
+        """A parenthesized argument list of what item() reads."""
+        self.expect("lpar")
+        items = self.listed(item, "rpar")
+        self.expect("rpar")
+        return items
+
     # terms -----------------------------------------------------------------
 
     def term(self):
@@ -673,22 +731,10 @@ class Parser:
         if kind != "name":
             raise ParseError(f"expected a term, found {val!r}", pos=pos)
         if self.peek()[0] == "lpar":
-            self.next()
-            args = self.slot_list()
-            self.expect("rpar")
-            return App(val, tuple(args))
+            return App(val, self.arguments(self.term_slot))
         if self.sig is not None and val in self.sig.functions:
             return App(val, ())
         return Var(val)
-
-    def slot_list(self):
-        if self.peek()[0] == "rpar":
-            return []
-        slots = [self.term_slot()]
-        while self.peek()[0] == "comma":
-            self.next()
-            slots.append(self.term_slot())
-        return slots
 
     def term_slot(self) -> Slot:
         save = self.pos
@@ -727,30 +773,15 @@ class Parser:
             return p
         if kind == "name":
             self.next()
-            if self.peek()[0] == "lpar":
-                self.next()
-                args = self.slot_list()
-                self.expect("rpar")
-                return Atom(val, tuple(args))
-            return Atom(val, ())
+            return Atom(val, self.arguments(self.term_slot) if self.peek()[0] == "lpar" else ())
         raise ParseError(f"expected a proposition, found {val!r}", pos=pos)
 
     # sequents and proof lines --------------------------------------------------
 
     def sequent(self):
-        left = self.prop_list(stop="turnstile")
+        left = self.listed(self.prop, "turnstile")
         self.expect("turnstile")
-        right = self.prop_list(stop="eof")
-        return left, right
-
-    def prop_list(self, stop: str):
-        if self.peek()[0] == stop:
-            return ()
-        props = [self.prop()]
-        while self.peek()[0] == "comma":
-            self.next()
-            props.append(self.prop())
-        return tuple(props)
+        return left, self.listed(self.prop, "eof")
 
     def params(self) -> dict:
         """An optional parameter block `[key=value ...]`: x= a name, A= a

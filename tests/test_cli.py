@@ -163,6 +163,21 @@ def test_check_proof_layer_mismatch_is_an_input_error(capsys, tmp_path, corpus_s
     assert code == 0, out
 
 
+@pytest.mark.parametrize("text, modulo, message", [
+    ("syntax lprop\nrule axiom |- P(x) |- P(x)\n", None,
+     "is in lprop syntax; the plain checker needs term syntax"),
+    ("rule axiom |- P(x) |- P(x)\n", "sigma",
+     "is in term syntax; a congruence over the lterm layer needs lprop syntax"),
+], ids=["plain-on-lprop", "sigma-on-term"])
+def test_check_proof_names_the_syntax_its_checker_needs(capsys, tmp_path, corpus_sig_file,
+                                                       text, modulo, message):
+    path = tmp_path / "proof.prf"
+    path.write_text(text)
+    argv = ["--sig", corpus_sig_file, "check-proof", str(path)]
+    code, out, err = run(capsys, *argv, *(["--modulo", modulo] if modulo else []))
+    assert (code, out, err) == (2, "", f"input error: {path} {message}\n")
+
+
 LAMBDA_SIG = Path(__file__).resolve().parent.parent / "samples" / "lambda.sig"
 
 

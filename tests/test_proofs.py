@@ -18,6 +18,7 @@ from bindlog.proofs import (
     RuleApp,
     Sequent,
     _check,
+    _check_signature,
     _first_rejection,
     _Rejected,
     check_binding_proof,
@@ -284,6 +285,56 @@ def test_modulo_sigma_rejects_a_named_formula():
     assert (r.ok, r.kind, r.path) == (False, "SortMismatch", ())
     assert r.message == ("P(f(x)) is ill-formed: SortMismatch at 0: "
                          "f(x) is not a term of this layer")
+
+
+def test_plain_checker_rejects_a_sorted_formula():
+    tree = parse_proof_file("syntax lprop\nrule axiom |- P(Zzz_0(x, x)) |- P(Zzz_0(x, x))\n",
+                            CORPUS_SIG)
+    r = check_binding_proof(CORPUS_SIG, tree)
+    assert (r.ok, r.kind, r.path) == (False, "SortMismatch", ())
+    assert r.message == ("P(Zzz_0(x, x)) is ill-formed: SortMismatch at 0: "
+                         "Zzz_0(x, x) is not a term of this layer")
+
+
+def _peeling_proof(n: int) -> ProofTree:
+    """Q |- P => (P => ... => Q), n implications deep, by n imp-right over
+    n weak-left over the axiom Q |- Q: each imp-right peels one connective,
+    so the proof holds n distinct right formulas of sizes 1 to n."""
+    p, q = syntax.Atom("P", ()), syntax.Atom("Q", ())
+    goals = [q]
+    for _ in range(n):
+        goals.append(Imp(p, goals[-1]))
+    tree = axiom(q)
+    for j in range(1, n + 1):
+        tree = node(Rule.WEAK_L, [q] + [p] * j, [q], tree)
+    for j in range(n - 1, -1, -1):
+        tree = node(Rule.IMP_R, [q] + [p] * j, [goals[n - j]], tree)
+    return tree
+
+
+def test_signature_pass_judges_each_distinct_node_once(monkeypatch):
+    """The walks look each connective up in NODE_TYPES, so the lookups
+    count the connectives judged: linear in the distinct nodes, where
+    judging each formula whole takes n^2 / 2 on the peeling proof."""
+    sig = Signature({}, {"P": (), "Q": ()})
+    assert check_binding_proof(sig, _peeling_proof(250)).ok
+
+    class Counting(type(syntax.NODE_TYPES)):
+        lookups = 0
+
+        def __getitem__(self, cls):
+            Counting.lookups += 1
+            return super().__getitem__(cls)
+
+    monkeypatch.setattr(syntax, "NODE_TYPES", Counting(syntax.NODE_TYPES))
+    lookups = {}
+    for n in (250, 1000):
+        proof = _peeling_proof(n)
+        Counting.lookups = 0
+        assert _check_signature(sig, Congruence(), proof).ok
+        lookups[n] = Counting.lookups
+        assert n <= lookups[n] <= 2 * n, lookups
+    assert lookups[1000] < 6 * lookups[250], lookups
 
 
 def test_binding_valid_implies_modulo_valid_with_syntactic_congruence():
@@ -1001,6 +1052,37 @@ def test_modulo_checker_rejects_every_planted_signature_fault():
         planted[lterm, fault, erased] += 1
     assert set(kinds) == _FORMULA_FAULTS - {"IndexOutOfRange"}, kinds
     assert min(planted.values()) >= 20 and len(planted) == 12, planted
+
+
+def _ref_check_signature(sig: Signature, cong: Congruence, proof: ProofTree) -> CheckResult:
+    """The signature pass judging each formula, annotation and witness
+    whole, with no judged nodes shared between them."""
+    judge = (sigma.well_sorted if cong.system is not None and cong.system.layer == "lterm"
+             else syntax.well_formed)
+    for nd, _, link in proof.walk():
+        for x in nd.conclusion.left + nd.conclusion.right + (nd.rule.a, nd.rule.t):
+            if x is not None and not (r := judge(sig, x)).ok:
+                return CheckResult.failed(r.kind, syntax.path_of(link), f"{x} is ill-formed: {r}")
+    return CheckResult.passed()
+
+
+def test_signature_pass_matches_judging_each_formula_whole():
+    rng = random.Random(0x517)
+    rs = sigma.sigma_system(CORPUS_SIG)
+    sources = [(CORPUS_SIG, Congruence(rs), precook.translate_proof(CORPUS_SIG, p), True)
+               for _, p in corpus()]
+    sources += [(CORPUS_SIG, Congruence(), p, False) for _, p in corpus()]
+    sources += [(ARITH_SIG, arith_congruence(), four_is_even_proof(), False)]
+    sources = [s for s in sources if _fault_spots(s[0], s[2], s[3])]
+    kinds: Counter = Counter()
+    for k in range(400):
+        sig, cong, tree, lterm = rng.choice(sources)
+        if k % 4:
+            tree = _plant_fault(rng, sig, tree, lterm)[0]
+        r = _check_signature(sig, cong, tree)
+        assert r == _ref_check_signature(sig, cong, tree), tree
+        kinds[r.kind] += 1
+    assert kinds[None] >= 50 and len(kinds) >= 5, kinds
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from bindlog import gen, syntax
+from bindlog import gen, sigma, syntax
 from bindlog.errors import CheckResult
 from bindlog.syntax import (
     And,
@@ -344,6 +344,17 @@ def test_precedence(text, expected):
 def test_quantifier_body_extends_right():
     p = parse_prop("forall x. P(x) => Q")
     assert isinstance(p, Forall) and isinstance(p.body, syntax.Imp)
+
+
+def test_each_layer_rejects_a_term_of_the_other():
+    sig = Signature({"f": (0,)}, {"P": (0,)})
+    named = App("f", (Slot((), Var("x")),))
+    lterm = sigma.FApp("f", 0, (sigma.FreeVar("x"),))
+    for judge, alien in ((well_formed, lterm), (sigma.well_sorted, named)):
+        for x, path in ((alien, ()), (syntax.Atom("P", (Slot((), alien),)), (0,))):
+            r = judge(sig, x)
+            assert (r.ok, r.kind, r.path, r.message) == (
+                False, "SortMismatch", path, f"{alien} is not a term of this layer")
 
 
 def test_well_formed_takes_deep_input():
