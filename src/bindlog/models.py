@@ -459,8 +459,10 @@ def check_ifs(ifs: IFS, n_max: int, p_max: int, q_max: int,
             if not ifs.elem_eq(box(a, projs, n), a, n):
                 rep.violations.append(f"identity law: {fmt_element(a)} at level {n}")
     # associativity, over elements interned per level to small integers the
-    # first time they are seen: equal indices mean equal elements, so whole
-    # rows of results compare at once and elem_eq runs only where they differ
+    # first time they are seen: equal indices mean equal elements, so all the
+    # instances of one a compare at once, as bytes where every index and
+    # column number fits in one and as lists of ints where not, and elem_eq
+    # runs only where they differ
     index: dict[int, dict] = {}
     table: dict[int, list] = {}
 
@@ -472,8 +474,15 @@ def check_ifs(ifs: IFS, n_max: int, p_max: int, q_max: int,
             table.setdefault(level, []).append(e)
         return i
 
+    exhaustive = mode == "exhaustive"
+    # an exhaustive sweep meets the same elements and cs tuples for every n:
+    # (p, q) -> level-p element index -> indices of box(b, cs, q) per cs
+    rows_pq: dict[tuple, dict] = {}
     for n in range(0, n_max + 1):
         for p in range(0, p_max + 1):
+            # a -> indices of box(a, bs, p) per bs: for every q of an exhaustive
+            # sweep, for the one a at hand of a sampled one
+            inner: dict = {}
             for q in range(0, q_max + 1):
                 elems_n = _level_elements(ifs, n, mode, samples, rng)
                 elems_p = _level_elements(ifs, p, mode, samples, rng)
@@ -481,53 +490,66 @@ def check_ifs(ifs: IFS, n_max: int, p_max: int, q_max: int,
                 cs_list = list(_tuples_over(elems_q, p, mode, samples, rng))
                 width = len(cs_list)
                 elems_at_q = table.setdefault(q, [])
-                # level-p element index -> indices of box(b, cs, q) per cs
-                rows: dict[int, list[int]] = {}
+                rows = rows_pq.setdefault((p, q), {}) if exhaustive else {}
 
-                def row(b) -> list[int]:
-                    i = intern(b, p)
+                def row(i: int) -> bytes | list[int]:  # bytes while level q fits in them
                     r = rows.get(i)
                     if r is None:
-                        r = rows[i] = [intern(box(b, cs, q), q) for cs in cs_list]
+                        r = [intern(box(table[p][i], cs, q), q) for cs in cs_list]
+                        r = rows[i] = bytes(r) if len(elems_at_q) <= 256 else r
                     return r
 
-                prows = [row(b) for b in elems_p]
+                prows = [row(intern(b, p)) for b in elems_p]
                 # every index in these rows is below radix: the column of
                 # inner results (row(b)[j] for b in bs) is numbered by its
                 # indices as digits, once per bs and not once per a
                 radix = len(elems_at_q)
 
-                def with_columns(pairs: list) -> tuple[list, dict]:
-                    """pairs of bs and its column numbers, and the columns
-                    they reach: number -> the column's elements."""
-                    reached = set(itertools.chain.from_iterable(c for _, c in pairs))
-                    return pairs, {c: tuple([elems_at_q[d] for d in _digits(c, radix, n)])
-                                   for c in reached}
+                def numbered(tuples: list, numbers: list) -> tuple[bytes | list[int], dict]:
+                    """The column numbers of tuples, one tuple after another
+                    (bytes where each fits in one), and the columns they
+                    reach: number -> the column's elements."""
+                    flat = itertools.chain.from_iterable(numbers)
+                    flat = bytes(flat) if radix ** n <= 256 else list(flat)
+                    return flat, {c: tuple([elems_at_q[d] for d in _digits(c, radix, n)])
+                                  for c in set(flat)}
 
-                shared = None
-                if mode == "exhaustive":
-                    shared = with_columns(list(zip(itertools.product(elems_p, repeat=n),
-                                                   _column_numbers([prows] * n, radix, width))))
+                if exhaustive:
+                    tuples = list(itertools.product(elems_p, repeat=n))
+                    numbers, columns = numbered(tuples, _column_numbers([prows] * n, radix, width))
                 for a in elems_n:
-                    # a sampled sweep draws each a's argument tuples in turn
-                    pairs, columns = shared or with_columns(
-                        [(bs, _column_numbers([[row(b)] for b in bs], radix, width)[0])
-                         for bs in _tuples_over(elems_p, n, mode, samples, rng)])
+                    if not exhaustive:  # a sampled sweep draws each a's argument tuples in turn
+                        tuples = list(_tuples_over(elems_p, n, mode, samples, rng))
+                        numbers, columns = numbered(tuples, [
+                            _column_numbers([[row(intern(b, p))] for b in bs], radix, width)[0]
+                            for bs in tuples])
+                        inner = {}
+                    ins = inner.get(a)
+                    if ins is None:
+                        ins = inner[a] = [intern(box(a, bs, p), p) for bs in tuples]
+                    lhs = [row(i) for i in ins]
                     # column number -> index of box(a, column, q)
                     outer = dict(zip(columns, [intern(box(a, col, q), q)
                                                for col in columns.values()]))
-                    for bs, numbers in pairs:
-                        lhs = row(box(a, bs, p))
+                    # levels only grow, so every index met so far is below q's size now
+                    if type(numbers) is bytes and len(elems_at_q) <= 256:
+                        to = bytearray(256)
+                        for c, i in outer.items():
+                            to[c] = i
+                        lhs, rhs = b"".join(lhs), numbers.translate(to)
+                    else:
+                        lhs = list(itertools.chain.from_iterable(lhs))
                         rhs = list(map(outer.__getitem__, numbers))
-                        rep.checked += width
-                        if lhs == rhs:
-                            continue
-                        for cs, i, j in zip(cs_list, lhs, rhs):
-                            if i != j and not ifs.elem_eq(elems_at_q[i], elems_at_q[j], q):
-                                rep.violations.append(
-                                    f"associativity: {fmt_element(a)} "
-                                    f"{_fmt_tuple(bs)} {_fmt_tuple(cs)} (n={n},p={p},q={q})")
-                shared = pairs = None  # free this block's numbering before the next is built
+                    rep.checked += len(tuples) * width
+                    if lhs == rhs:
+                        continue
+                    for (bs, cs), i, j in zip(itertools.product(tuples, cs_list), lhs, rhs):
+                        if i != j and not ifs.elem_eq(elems_at_q[i], elems_at_q[j], q):
+                            rep.violations.append(
+                                f"associativity: {fmt_element(a)} "
+                                f"{_fmt_tuple(bs)} {_fmt_tuple(cs)} (n={n},p={p},q={q})")
+                # free this block's numbering and byte strings before the next is built
+                tuples = numbers = columns = lhs = rhs = None
     return rep
 
 

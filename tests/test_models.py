@@ -446,6 +446,17 @@ def test_check_ifs_consults_elem_eq_where_results_differ():
     _assert_same_sweep(rep, _naive_check_ifs(strict, 2, 2, 2))
 
 
+def test_check_ifs_matches_naive_past_a_byte_of_columns():
+    # at n = 3, q = 3 the columns are triples over level 3's 8 elements:
+    # 512 column numbers, more than a byte holds, so those blocks compare
+    # as lists, and the broken instances sit in them too
+    assert len(EXT.ifs.carrier(3)) ** 3 > 256
+    ifs = _broken_ext_ifs()
+    rep = check_ifs(ifs, 3, 1, 3)
+    assert any(v.endswith("(n=3,p=1,q=3)") for v in rep.violations)
+    _assert_same_sweep(rep, _naive_check_ifs(ifs, 3, 1, 3))
+
+
 def test_check_coherence_matches_naive():
     for f in ("f", "Λ"):
         _assert_same_sweep(check_coherence(EXT, f, 3, 3), _naive_check_coherence(EXT, f, 3, 3))
@@ -1443,3 +1454,14 @@ def test_delta_sweeps_match_probe_by_probe_reference(seed):
                                        mode="sampled", samples=4, seed=seed))
     assert not check_ifs(_planted_delta().ifs, 2, 2, 2, mode="sampled", samples=4, seed=1).ok
     assert not check_coherence(_planted_delta(), "i", 1, 1, mode="sampled", samples=4, seed=1).ok
+
+
+def test_delta_sweep_matches_reference_past_a_byte_of_elements():
+    # six samples grow level 0 past 256 interned elements while a block
+    # runs: at n = 1, p = 2, q = 0 its column numbers fit in a byte but the
+    # outer composites take indices past 255, so the block compares as lists
+    for m in (DELTA, _planted_delta()):
+        probed = dataclasses.replace(m.ifs, elem_eq=_same_values)
+        _assert_same_sweep(
+            check_ifs(m.ifs, 2, 2, 2, mode="sampled", samples=6, seed=1),
+            _naive_check_ifs(probed, 2, 2, 2, mode="sampled", samples=6, seed=1))
