@@ -11,14 +11,10 @@ class BindLogError(Exception):
 
 class ParseError(BindLogError):
     def __init__(self, message: str, pos: int | None = None, line: int | None = None):
-        self.message = message  # without the location, so a reader can relocate it
-        self.pos = pos
-        self.line = line
-        where = ""
-        if line is not None:
-            where = f" (line {line})"
-        elif pos is not None:
-            where = f" (at offset {pos})"
+        # the message is kept without the location, so a reader can relocate it
+        self.message, self.pos, self.line = message, pos, line
+        where = (f" (line {line})" if line is not None
+                 else f" (at offset {pos})" if pos is not None else "")
         super().__init__(message + where)
 
 

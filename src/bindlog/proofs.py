@@ -15,7 +15,6 @@ by normalize-then-compare.
 from __future__ import annotations
 
 import enum
-import re
 from dataclasses import dataclass
 
 from . import sigma, syntax
@@ -282,8 +281,8 @@ def principal_quantifier_parts(node: ProofTree):
 def _check(cong: Congruence, proof: ProofTree) -> CheckResult:
     ceq = cong.equal
 
-    def alpha_list(xs, ys) -> bool:
-        return len(xs) == len(ys) and all(map(syntax.alpha_eq, xs, ys))
+    def alpha_list(xs, ys) -> bool:  # interned: == is an identity test per formula
+        return xs == ys or len(xs) == len(ys) and all(map(syntax.alpha_eq, xs, ys))
 
     def check_node(node: ProofTree):
         app = node.rule
@@ -403,14 +402,15 @@ def parse_proof_file(text: str, sig: Signature | None = None) -> ProofTree:
             raise ParseError("trailing proof lines outside the root tree", line=lineno)
         while len(stack) > depth:
             close()
-        m = re.match(r"rule\s+(\S+)\s*(.*)$", content)
-        if not m:
+        word, rname, rest = (content.split(None, 2) + ["", ""])[:3]
+        if word != "rule" or not rname:
             raise ParseError(f"expected `rule <name> ...`: {content!r}", line=lineno)
-        rname, rest = m.group(1), m.group(2)
         if rname not in _RULE_BY_NAME:
             raise ParseError(f"unknown rule {rname!r}", line=lineno)
-        with syntax.at_line(lineno):
+        try:
             params, left, right = _read_line(parser, rest, sig, formulas)
+        except ParseError as e:
+            raise ParseError(e.message, line=lineno) from None
         stack.append((Sequent(left, right), RuleApp(_RULE_BY_NAME[rname], params.get("at"),
                       params.get("x"), params.get("A"), params.get("t")), []))
     while len(stack) > 1:
@@ -467,10 +467,7 @@ def _formula_texts(side: str) -> list[str]:
 def _formula(parser: type, text: str, sig: Signature | None, formulas: dict):
     a = formulas.get(text)
     if a is None:
-        p = parser(text, sig)
-        a = p.prop()
-        p.done()
-        formulas[text] = a
+        a = formulas[text] = parser(text, sig).whole(True)
     return a
 
 

@@ -883,10 +883,7 @@ def _depth(pat) -> int:
 
 
 class _TermPatternParser(syntax.Parser):
-    def term(self):
-        if self.peek()[0] == "meta":
-            return MetaT(self.next()[1][1:])
-        return super().term()
+    operands = {**syntax.Parser.operands, "meta": lambda p, text, following: MetaT(text[1:])}
 
 
 # The sorts a term metavariable takes in a rule's small instantiations.
@@ -1003,7 +1000,7 @@ def _check_term_pattern(name, pat):
 
 _SUB = r"(?:\d+|\?\w+(?:\+\d+)?)"  # a number or a numeric metavariable ?n, ?n+1
 
-_LTOKEN_RE = syntax.token_re(
+_LTOKEN_RE, _LTOKEN_KIND = syntax.lexicon(
     ("index", rf"{_SUB}_{_SUB}(?!\w)"),
     ("id", rf"id_{_SUB}(?!\w)"),
     ("up", rf"up_{_SUB}(?!\w)"),
@@ -1021,69 +1018,51 @@ syntax.OPERATORS.update({
 
 
 def _parse_sub(txt: str):
-    if txt.startswith("?"):
-        if "+" in txt:
-            nm, off = txt[1:].split("+")
-            return MetaN(nm, int(off))
-        return MetaN(txt[1:])
-    return int(txt)
+    if not txt.startswith("?"):
+        return int(txt)
+    name, _, offset = txt[1:].partition("+")
+    return MetaN(name, int(offset or 0))
+
+
+def _family(p, text: str, following: str):
+    fname, p_txt = text.rsplit("_", 1)
+    return FApp, (fname, _parse_sub(p_txt)), syntax.TERMS
 
 
 class LParser(syntax.Parser):
-    """Parser for sorted terms and for propositions over them."""
+    """Reader of sorted terms and of propositions over them: the named
+    layer's reader with this layer's tokens, operand table and operators."""
 
-    token_re = _LTOKEN_RE
+    token_re, kind_of = _LTOKEN_RE, staticmethod(_LTOKEN_KIND)
+    operands = {
+        "index": lambda p, text, following: Index(*map(_parse_sub, text.rsplit("_", 1))),
+        "id": lambda p, text, following: Id(_parse_sub(text[3:])),
+        "up": lambda p, text, following: Shift(_parse_sub(text[3:])),
+        "fam": _family,
+        "meta": lambda p, text, following: MetaT(text[1:]),
+        "name": lambda p, text, following: FreeVar(text),
+    }
+    grouped = True
+    term_ops = {syntax.OPERATORS[c].kind: c for c in (Cons, Comp)}
+    slots = syntax.SLOTS
+    closure = Closure
+    a_term = "a sorted term"
 
-    def term(self):
-        return self.infix((Cons, Comp), self._postfix)
-
-    def term_slot(self) -> Slot:
-        return Slot((), self.term())
-
-    def _postfix(self, _level: int):
-        t = self._atom()
-        while self.peek()[0] == "lbrack":
-            self.next()
-            s = self.term()
-            self.expect("rbrack")
-            t = Closure(t, s)
-        return t
-
-    def _atom(self):
-        kind, val, pos = self.next()
-        if kind == "index":
-            i_txt, n_txt = val.rsplit("_", 1)
-            return Index(_parse_sub(i_txt), _parse_sub(n_txt))
-        if kind == "id":
-            return Id(_parse_sub(val[3:]))
-        if kind == "up":
-            return Shift(_parse_sub(val[3:]))
-        if kind == "fam":
-            fname, p_txt = val.rsplit("_", 1)
-            return FApp(fname, _parse_sub(p_txt), self.arguments(self.term))
-        if kind == "meta":
-            return MetaT(val[1:])
-        if kind == "name":
-            return FreeVar(val)
-        if kind == "lpar":
-            t = self.term()
-            self.expect("rpar")
-            return t
-        raise ParseError(f"expected a sorted term, found {val!r}", pos=pos)
+    def __init__(self, text: str, sig: Signature | None = None):
+        super().__init__(text, sig)
+        if "fam" in self.kinds:  # a family only where "(" follows at once, else a name
+            starts = self.starts()
+            for i, kind in enumerate(self.kinds):
+                if kind == "fam" and not text.startswith("(", starts[i] + len(self.tokens[i])):
+                    self.kinds[i] = "name"
 
 
 def parse_lterm(text: str):
-    p = LParser(text)
-    t = p.term()
-    p.done()
-    return t
+    return LParser(text).whole(False)
 
 
 def parse_lprop(text: str):
-    p = LParser(text)
-    a = p.prop()
-    p.done()
-    return a
+    return LParser(text).whole(True)
 
 
 syntax.SHOW.update({

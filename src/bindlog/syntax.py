@@ -590,26 +590,35 @@ def _judge(sig: Signature, x, sorted_layer: bool, judged: set[int] | None = None
 # Zero-argument function symbols print as c() so parsing needs no signature.
 #
 # Both layers share this grammar: the tokens below, the operator table and
-# the parser of propositions and sequents. bindlog.sigma adds its own tokens,
-# its operators and an operand grammar for sorted terms.
+# the reader of propositions and sequents. bindlog.sigma adds its own tokens,
+# its operators and its operand table for sorted terms.
 
 _HEAD_TOKENS = (("ws", r"\s+|#[^\n]*"), ("imp", "=>"), ("and", r"/\\"), ("or", r"\\/"),
                 ("turnstile", r"\|-"), ("arrow", "->"), ("lpar", r"\("), ("rpar", r"\)"),
                 ("comma", ","), ("dot", r"\."), ("lbrack", r"\["), ("rbrack", r"\]"))
 _TAIL_TOKENS = (("meta", r"\?\w+"), ("sym", "[=+*×<>]"))  # after the layer's ?n_k indices
 
-
-def token_re(*layer_tokens: tuple[str, str]) -> re.Pattern:
-    """The token regex of a layer: the shared tokens with the layer's own
-    (kind, pattern) pairs in between, each kind a named group."""
-    return re.compile("|".join(f"(?P<{kind}>{pattern})" for kind, pattern
-                               in (*_HEAD_TOKENS, *layer_tokens, *_TAIL_TOKENS)))
-
-
-_TOKEN_RE = token_re(("ident", r"[^\W\d]\w*'*|\d+"))
-
 QUANTIFIERS = {"forall": Forall, "exists": Exists}
 _KEYWORDS = {*QUANTIFIERS, "false"}
+
+
+def lexicon(*layer_tokens: tuple[str, str]) -> tuple[re.Pattern, Callable[[str], str]]:
+    """A layer's token regex: the shared (kind, pattern) alternatives with
+    the layer's own in between, in order, with no groups; and the kind of a
+    token text: the first alternative that reads it all when "(" follows
+    (sigma's `fam` needs one), `ident` and `sym` as `kw` or `name`."""
+    alternatives = (*_HEAD_TOKENS, *layer_tokens, *_TAIL_TOKENS)
+    named = re.compile("|".join(f"(?P<{kind}>{pattern})" for kind, pattern in alternatives))
+
+    @functools.lru_cache(4096)
+    def kind_of(text: str) -> str:
+        kind = named.match(text + "(").lastgroup if text else "eof"
+        return ("kw" if text in _KEYWORDS else "name") if kind in ("ident", "sym") else kind
+
+    return re.compile("|".join(f"(?:{pattern})" for _, pattern in alternatives)), kind_of
+
+
+_TOKEN_RE, _TOKEN_KIND = lexicon(("ident", r"[^\W\d]\w*'*|\d+"))
 
 
 @dataclass(frozen=True, slots=True)
@@ -633,199 +642,218 @@ OPERATORS: dict[type, Operator] = {
 TIGHTEST = 4  # above every operator: show parenthesizes all but leaves and applications
 
 
-@functools.cache
-def _by_token(classes: tuple[type, ...]) -> dict[str, tuple[type, int, int]]:
-    """token kind -> (class, level, right level) of the operators of classes"""
-    return {OPERATORS[c].kind: (c, OPERATORS[c].level, OPERATORS[c].right) for c in classes}
-
-
-def tokenize(text: str, token_re: re.Pattern = _TOKEN_RE) -> list[tuple[str, str, int]]:
-    """(kind, text, offset) tokens of text by the named groups of token_re,
-    then an `eof` token; `ident` and `sym` matches become keywords or names,
-    `ws` is dropped."""
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = token_re.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos=pos)
-        kind = m.lastgroup
-        if kind != "ws":
-            val = m.group()
-            if kind in ("ident", "sym"):
-                kind = "kw" if val in _KEYWORDS else "name"
-            tokens.append((kind, val, pos))
-        pos = m.end()
-    tokens.append(("eof", "", pos))
+def tokenize(text: str, token_re: re.Pattern = _TOKEN_RE) -> list[str]:
+    """The texts of the tokens of text by token_re, whitespace and comments
+    dropped, then "" for the end: one findall, with no Python step per
+    token. A text that a character starting no token stops is scanned again
+    for that character's offset."""
+    tokens = token_re.findall(text)
+    if sum(map(len, tokens)) != len(text):  # findall skipped a character
+        pos = 0
+        while (m := token_re.match(text, pos)) is not None:
+            pos = m.end()
+        raise ParseError(f"unexpected character {text[pos]!r}", pos=pos)
+    tokens = list(itertools.filterfalse(str.isspace, tokens))
+    if "#" in text:  # only a comment holds one
+        tokens = [t for t in tokens if t[0] != "#"]
+    tokens.append("")
     return tokens
 
 
+# What an argument of an application is: a term, a slot binding no names
+# (the sorted layer's), or a slot binding the names before its dot.
+TERMS, SLOTS, BINDING_SLOTS = 0, 1, 2
+_OP, _GROUP, _ARGUMENTS = range(3)  # the frames of Parser.read
+
+
+def _name_term(p: Parser, text: str, following: str):
+    if following == "(":
+        return App, (text,), BINDING_SLOTS
+    return App(text, ()) if p.sig is not None and text in p.sig.functions else Var(text)
+
+
 class Parser:
-    """Recursive-descent parser for terms, propositions, and sequents.
+    """Reader of the named layer's terms, propositions, sequents and
+    parameter blocks; bindlog.sigma's readers change only its tables. With
+    a signature, a bare identifier declared as a function symbol reads as a
+    zero-argument application. The text is tokenized up front, so a
+    character that starts no token is the error raised before any other."""
 
-    When a signature is supplied, a bare identifier declared as a function
-    symbol parses as a zero-argument application instead of a variable.
-    The whole text is tokenized up front, so the first character that
-    starts no token is the error raised before any other.
-    """
-
-    token_re = _TOKEN_RE
+    token_re, kind_of = _TOKEN_RE, staticmethod(_TOKEN_KIND)
+    # token kind -> operand reader (parser, text, following text): a node,
+    # or (class, data, argument kind) of an application whose "(" follows
+    operands: dict[str, Callable] = {"name": _name_term}
+    grouped = False  # whether "(" opens a parenthesized term
+    term_ops: dict[str, type] = {}  # token kind -> class, of the infix operators of terms
+    prop_ops = {OPERATORS[c].kind: c for c in (Imp, Or, And)}
+    slots = BINDING_SLOTS  # the arguments of an atom
+    closure: type | None = None  # the class of the postfix t[s] of terms
+    a_term = "a term"
 
     def __init__(self, text: str, sig: Signature | None = None):
+        self.text, self.sig, self.pos = text, sig, 0
         self.tokens = tokenize(text, self.token_re)
-        self.pos = 0
-        self.sig = sig
+        self.kinds = list(map(self.kind_of, self.tokens))
 
-    def peek(self):
-        return self.tokens[self.pos]
+    def starts(self) -> list[int]:
+        """The offset of each token, the end's included, by a re-scan."""
+        return [m.start() for m in self.token_re.finditer(self.text)
+                if not m.group().isspace() and m.group()[0] != "#"] + [len(self.text)]
 
-    def next(self):
-        t = self.tokens[self.pos]
-        self.pos += 1
-        return t
+    def error(self, message: str, i: int) -> ParseError:
+        return ParseError(message, pos=self.starts()[i])
 
     def expect(self, kind: str):
-        t = self.next()
-        if t[0] != kind:
-            raise ParseError(f"expected {kind}, found {t[1]!r}", pos=t[2])
-        return t
+        if self.kinds[self.pos] != kind:
+            raise self.error(f"expected {kind}, found {self.tokens[self.pos]!r}", self.pos)
+        self.pos += 1
 
     def done(self):
-        t = self.peek()
-        if t[0] != "eof":
-            raise ParseError(f"trailing input starting at {t[1]!r}", pos=t[2])
+        if self.kinds[self.pos] != "eof":
+            raise self.error(f"trailing input starting at {self.tokens[self.pos]!r}", self.pos)
 
-    def infix(self, classes: tuple[type, ...], operand: Callable, level: int = 0):
-        """The longest expression over the operators of `classes` in which
-        every operator has at least `level`; operand(level) reads the rest."""
-        ops = _by_token(classes)
-        left = operand(level)
-        while (op := ops.get(self.peek()[0])) is not None and op[1] >= level:
-            cls, _, right = op
-            self.pos += 1
-            left = cls(left, self.infix(classes, operand, right))
-        return left
+    def whole(self, prop: bool):
+        """What read gives, which must end the text."""
+        x = self.read(prop)
+        self.done()
+        return x
 
-    def listed(self, item: Callable, stop: str) -> tuple:
-        """What item() reads, any number of times, separated by commas;
-        none when a `stop` token comes first."""
-        if self.peek()[0] == stop:
-            return ()
-        items = [item()]
-        while self.peek()[0] == "comma":
-            self.next()
-            items.append(item())
-        return tuple(items)
+    def read(self, prop: bool):
+        """The longest proposition (prop) or term from the current token on, by
+        one loop (Pratt, "Top down operator precedence", 1973). A token that
+        starts an operand gives a leaf or opens a frame on an explicit stack:
+        a quantifier, parentheses, an application or an operator waiting for
+        its right operand. An operand closes the frames it completes."""
+        tokens, kinds, i = self.tokens, self.kinds, self.pos
+        operands, ops, grouped = self.operands, (self.term_ops, self.prop_ops), self.grouped
+        stack: list = []
+        level = 0  # the least operator level that the expression at hand takes
+        arguments = None  # the frame of an application whose next argument starts
+        while True:
+            if arguments is not None and arguments[3] == BINDING_SLOTS:  # x y. before a body
+                j = i
+                while kinds[j] == "name":
+                    j += 1
+                arguments[5] = tuple(tokens[i:j]) if kinds[j] == "dot" else ()
+                if arguments[5]:
+                    i = j + 1
+            arguments = None
+            kind, text = kinds[i], tokens[i]
+            if kind == "lpar" and (prop or grouped):
+                stack.append((_GROUP, "rpar", None, level))
+                i, level = i + 1, 0
+                continue
+            if not prop:
+                reader = operands.get(kind)
+                if reader is None:
+                    raise self.error(f"expected {self.a_term}, found {text!r}", i)
+                x = reader(self, text, tokens[i + 1])
+            elif kind == "name":
+                x = (Atom, (text,), self.slots) if tokens[i + 1] == "(" else Atom(text, ())
+            elif text == "false":
+                x = Bottom()
+            elif kind == "kw" and level == 0:  # forall or exists
+                self.pos = i + 1
+                self.expect("name")
+                self.expect("dot")
+                stack.append((_OP, QUANTIFIERS[text], tokens[i + 1], level))
+                i += 3
+                continue
+            else:
+                raise self.error(f"expected a proposition, found {text!r}", i)
+            i += 1
+            if type(x) is tuple and tokens[i + 1] == ")":  # an application of no arguments
+                i, x = i + 2, x[0](*x[1], ())
+            elif type(x) is tuple:  # an application, at its "("
+                stack.append(arguments := [_ARGUMENTS, *x, [], (), prop, level])
+                i, prop, level = i + 1, False, 0
+                continue
+            while True:  # close what x completes
+                if tokens[i] == "[" and self.closure and not prop:
+                    stack.append((_GROUP, "rbrack", x, level))
+                    i, level = i + 1, 0
+                    break
+                cls = ops[prop].get(kinds[i])
+                if cls is not None and OPERATORS[cls].level >= level:
+                    stack.append((_OP, cls, x, level))
+                    i, level = i + 1, OPERATORS[cls].right
+                    break
+                if not stack:
+                    self.pos = i
+                    return x
+                frame = stack.pop()
+                if frame[0] == _ARGUMENTS:
+                    frame[4].append(Slot(frame[5], x) if frame[3] else x)
+                    if tokens[i] == ",":
+                        stack.append(frame)
+                        arguments, i, level = frame, i + 1, 0
+                        break
+                    if kinds[i] != "rpar":
+                        raise self.error(f"expected rpar, found {tokens[i]!r}", i)
+                    i += 1
+                    x, prop, level = frame[1](*frame[2], tuple(frame[4])), frame[6], frame[7]
+                elif frame[0] == _OP:  # or a quantifier, frame[2] its variable
+                    x, level = frame[1](frame[2], x), frame[3]
+                else:  # parentheses, or the [s] of a closure on frame[2]
+                    if kinds[i] != frame[1]:
+                        raise self.error(f"expected {frame[1]}, found {tokens[i]!r}", i)
+                    i, level = i + 1, frame[3]
+                    if frame[2] is not None:
+                        x = self.closure(frame[2], x)
 
-    def arguments(self, item: Callable) -> tuple:
-        """A parenthesized argument list of what item() reads."""
-        self.expect("lpar")
-        items = self.listed(item, "rpar")
-        self.expect("rpar")
-        return items
-
-    # terms -----------------------------------------------------------------
-
-    def term(self):
-        kind, val, pos = self.next()
-        if kind != "name":
-            raise ParseError(f"expected a term, found {val!r}", pos=pos)
-        if self.peek()[0] == "lpar":
-            return App(val, self.arguments(self.term_slot))
-        if self.sig is not None and val in self.sig.functions:
-            return App(val, ())
-        return Var(val)
-
-    def term_slot(self) -> Slot:
-        save = self.pos
-        binders = []
-        while self.peek()[0] == "name":
-            binders.append(self.next()[1])
-        if binders and self.peek()[0] == "dot":
-            self.next()
-            return Slot(tuple(binders), self.term())
-        self.pos = save
-        return Slot((), self.term())
-
-    # propositions ------------------------------------------------------------
-
-    def prop(self):
-        return self.infix((Imp, Or, And), self._prop_operand)
-
-    def _prop_operand(self, level: int):
-        kind, val, pos = self.peek()
-        if kind == "kw" and val in QUANTIFIERS and level == 0:
-            self.next()
-            var = self.expect("name")[1]
-            self.expect("dot")
-            return QUANTIFIERS[val](var, self.prop())
-        return self.prim()
-
-    def prim(self):
-        kind, val, pos = self.peek()
-        if kind == "kw" and val == "false":
-            self.next()
-            return Bottom()
-        if kind == "lpar":
-            self.next()
-            p = self.prop()
-            self.expect("rpar")
-            return p
-        if kind == "name":
-            self.next()
-            return Atom(val, self.arguments(self.term_slot) if self.peek()[0] == "lpar" else ())
-        raise ParseError(f"expected a proposition, found {val!r}", pos=pos)
+    term = functools.partialmethod(read, False)
+    prop = functools.partialmethod(read, True)
 
     # sequents and proof lines --------------------------------------------------
 
     def sequent(self):
-        left = self.listed(self.prop, "turnstile")
-        self.expect("turnstile")
-        return left, self.listed(self.prop, "eof")
+        """Both sides of `left |- right`, propositions separated by commas."""
+        sides = []
+        for stop in ("turnstile", "eof"):
+            sides.append([] if self.kinds[self.pos] == stop else [self.prop()])
+            while sides[-1] and self.tokens[self.pos] == ",":
+                self.pos += 1
+                sides[-1].append(self.prop())
+            if stop == "turnstile":
+                self.expect(stop)
+        return tuple(sides[0]), tuple(sides[1])
 
     def params(self) -> dict:
         """An optional parameter block `[key=value ...]`: x= a name, A= a
         proposition, t= a term, at= a non-negative integer; each key once."""
-        params: dict = {}
-        if self.peek()[0] != "lbrack":
+        params, tokens, kinds = {}, self.tokens, self.kinds
+        if tokens[self.pos] != "[":
             return params
-        self.next()
-        while self.peek()[0] != "rbrack":
-            kind, key, pos = self.next()
-            if kind != "name" or key not in ("x", "A", "t", "at"):
-                raise ParseError(f"expected x=, A=, t=, at= or ']', found {key!r}", pos=pos)
+        self.pos += 1
+        while tokens[i := self.pos] != "]":
+            key = tokens[i]
+            if kinds[i] != "name" or key not in ("x", "A", "t", "at"):
+                raise self.error(f"expected x=, A=, t=, at= or ']', found {key!r}", i)
             if key in params:
-                raise ParseError(f"duplicate parameter {key!r}", pos=pos)
-            kind, val, pos = self.next()
-            if val != "=":
-                raise ParseError(f"expected '=' after {key}, found {val!r}", pos=pos)
-            if key == "A":
-                params[key] = self.prop()
-            elif key == "t":
-                params[key] = self.term()
-            else:
-                kind, val, pos = self.next()
-                if key == "x" and kind != "name":
-                    raise ParseError(f"x= takes a name, not {val!r}", pos=pos)
-                if key == "at" and not (val.isascii() and val.isdigit()):
-                    raise ParseError(f"at= takes a non-negative integer, not {val!r}", pos=pos)
-                params[key] = val if key == "x" else int(val)
-        self.next()
+                raise self.error(f"duplicate parameter {key!r}", i)
+            if tokens[i + 1] != "=":
+                raise self.error(f"expected '=' after {key}, found {tokens[i + 1]!r}", i + 1)
+            self.pos = i + 2
+            if key in ("A", "t"):
+                params[key] = self.read(key == "A")
+                continue
+            val = tokens[i + 2]
+            if key == "x" and kinds[i + 2] != "name":
+                raise self.error(f"x= takes a name, not {val!r}", i + 2)
+            if key == "at" and not (val.isascii() and val.isdigit()):
+                raise self.error(f"at= takes a non-negative integer, not {val!r}", i + 2)
+            params[key] = val if key == "x" else int(val)
+            self.pos += 1
+        self.pos += 1
         return params
 
 
 def parse_term(text: str, sig: Signature | None = None) -> Term:
-    p = Parser(text, sig)
-    t = p.term()
-    p.done()
-    return t
+    return Parser(text, sig).whole(False)
 
 
 def parse_prop(text: str, sig: Signature | None = None) -> Prop:
-    p = Parser(text, sig)
-    a = p.prop()
-    p.done()
-    return a
+    return Parser(text, sig).whole(True)
 
 
 # ---------------------------------------------------------------------------

@@ -86,9 +86,21 @@ def test_check_proof_principal_out_of_range_exits_1(capsys, tmp_path, corpus_sig
     assert "Traceback" not in out + err
 
 
-def test_parse_deeply_nested_input_is_an_input_error(capsys, corpus_sig_file):
+def test_parse_deeply_nested_input_reads(capsys, corpus_sig_file):
     term = "f(" * 3000 + "x" + ")" * 3000
     code, out, err = run(capsys, "--sig", corpus_sig_file, "parse", "--term", term)
+    assert code == 0 and out == term + "\n" and err == ""
+
+
+def test_translating_deeply_nested_input_is_an_input_error(capsys, tmp_path, corpus_sig_file):
+    # the proof reads and checks; its translation still recurses
+    nest = "f(" * 3000 + "x" + ")" * 3000
+    path = tmp_path / "deep.prf"
+    path.write_text(f"rule axiom |- P({nest}) |- P({nest})\n")
+    code, out, err = run(capsys, "--sig", corpus_sig_file, "check-proof", str(path))
+    assert code == 0 and out == "proof check (binding): ok\n"
+    code, out, err = run(capsys, "--sig", corpus_sig_file, "translate-proof", str(path),
+                         "-o", str(tmp_path / "t.prf"))
     assert code == 2 and out == ""
     assert err.startswith("input error") and len(err.splitlines()) == 1
 

@@ -15,6 +15,7 @@ import random
 import re
 import sys
 from collections import Counter
+from typing import Callable
 
 import pytest
 
@@ -46,9 +47,12 @@ from bindlog.syntax import (
     Bottom,
     Exists,
     Forall,
+    OPERATORS,
+    QUANTIFIERS,
     Imp,
     Or,
     Parser,
+    Signature,
     Slot,
     Var,
     parse_prop,
@@ -151,6 +155,259 @@ def _ref_str(x) -> str:
 
 
 # ---------------------------------------------------------------------------
+# The recursive-descent reader that the one-loop reader replaced, verbatim
+# but for the `_ref` names: its token regexes (named groups, one per kind),
+# its tokenizer, and its Parser and LParser methods
+
+
+def _ref_token_re(*layer_tokens: tuple[str, str]) -> re.Pattern:
+    """The token regex of a layer: the shared tokens with the layer's own
+    (kind, pattern) pairs in between, each kind a named group."""
+    return re.compile("|".join(f"(?P<{kind}>{pattern})" for kind, pattern
+                               in (*syntax._HEAD_TOKENS, *layer_tokens, *syntax._TAIL_TOKENS)))
+
+
+def _ref_tokenize(text: str, token_re: re.Pattern) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) tokens of text by the named groups of token_re,
+    then an `eof` token; `ident` and `sym` matches become keywords or names,
+    `ws` is dropped."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = token_re.match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", pos=pos)
+        kind = m.lastgroup
+        if kind != "ws":
+            val = m.group()
+            if kind in ("ident", "sym"):
+                kind = "kw" if val in syntax._KEYWORDS else "name"
+            tokens.append((kind, val, pos))
+        pos = m.end()
+    tokens.append(("eof", "", pos))
+    return tokens
+
+
+def _ref_by_token(classes: tuple[type, ...]) -> dict[str, tuple[type, int, int]]:
+    """token kind -> (class, level, right level) of the operators of classes"""
+    return {OPERATORS[c].kind: (c, OPERATORS[c].level, OPERATORS[c].right) for c in classes}
+
+
+class _RefDescent:
+    """Recursive-descent parser for terms, propositions, and sequents.
+
+    When a signature is supplied, a bare identifier declared as a function
+    symbol parses as a zero-argument application instead of a variable.
+    The whole text is tokenized up front, so the first character that
+    starts no token is the error raised before any other.
+    """
+
+    token_re = _ref_token_re(("ident", r"[^\W\d]\w*'*|\d+"))
+
+    def __init__(self, text: str, sig: Signature | None = None):
+        self.tokens = _ref_tokenize(text, self.token_re)
+        self.pos = 0
+        self.sig = sig
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def next(self):
+        t = self.tokens[self.pos]
+        self.pos += 1
+        return t
+
+    def expect(self, kind: str):
+        t = self.next()
+        if t[0] != kind:
+            raise ParseError(f"expected {kind}, found {t[1]!r}", pos=t[2])
+        return t
+
+    def done(self):
+        t = self.peek()
+        if t[0] != "eof":
+            raise ParseError(f"trailing input starting at {t[1]!r}", pos=t[2])
+
+    def infix(self, classes: tuple[type, ...], operand: Callable, level: int = 0):
+        """The longest expression over the operators of `classes` in which
+        every operator has at least `level`; operand(level) reads the rest."""
+        ops = _ref_by_token(classes)
+        left = operand(level)
+        while (op := ops.get(self.peek()[0])) is not None and op[1] >= level:
+            cls, _, right = op
+            self.pos += 1
+            left = cls(left, self.infix(classes, operand, right))
+        return left
+
+    def listed(self, item: Callable, stop: str) -> tuple:
+        """What item() reads, any number of times, separated by commas;
+        none when a `stop` token comes first."""
+        if self.peek()[0] == stop:
+            return ()
+        items = [item()]
+        while self.peek()[0] == "comma":
+            self.next()
+            items.append(item())
+        return tuple(items)
+
+    def arguments(self, item: Callable) -> tuple:
+        """A parenthesized argument list of what item() reads."""
+        self.expect("lpar")
+        items = self.listed(item, "rpar")
+        self.expect("rpar")
+        return items
+
+    # terms -----------------------------------------------------------------
+
+    def term(self):
+        kind, val, pos = self.next()
+        if kind != "name":
+            raise ParseError(f"expected a term, found {val!r}", pos=pos)
+        if self.peek()[0] == "lpar":
+            return App(val, self.arguments(self.term_slot))
+        if self.sig is not None and val in self.sig.functions:
+            return App(val, ())
+        return Var(val)
+
+    def term_slot(self) -> Slot:
+        save = self.pos
+        binders = []
+        while self.peek()[0] == "name":
+            binders.append(self.next()[1])
+        if binders and self.peek()[0] == "dot":
+            self.next()
+            return Slot(tuple(binders), self.term())
+        self.pos = save
+        return Slot((), self.term())
+
+    # propositions ------------------------------------------------------------
+
+    def prop(self):
+        return self.infix((Imp, Or, And), self._prop_operand)
+
+    def _prop_operand(self, level: int):
+        kind, val, pos = self.peek()
+        if kind == "kw" and val in QUANTIFIERS and level == 0:
+            self.next()
+            var = self.expect("name")[1]
+            self.expect("dot")
+            return QUANTIFIERS[val](var, self.prop())
+        return self.prim()
+
+    def prim(self):
+        kind, val, pos = self.peek()
+        if kind == "kw" and val == "false":
+            self.next()
+            return Bottom()
+        if kind == "lpar":
+            self.next()
+            p = self.prop()
+            self.expect("rpar")
+            return p
+        if kind == "name":
+            self.next()
+            return Atom(val, self.arguments(self.term_slot) if self.peek()[0] == "lpar" else ())
+        raise ParseError(f"expected a proposition, found {val!r}", pos=pos)
+
+    # sequents and proof lines --------------------------------------------------
+
+    def sequent(self):
+        left = self.listed(self.prop, "turnstile")
+        self.expect("turnstile")
+        return left, self.listed(self.prop, "eof")
+
+    def params(self) -> dict:
+        """An optional parameter block `[key=value ...]`: x= a name, A= a
+        proposition, t= a term, at= a non-negative integer; each key once."""
+        params: dict = {}
+        if self.peek()[0] != "lbrack":
+            return params
+        self.next()
+        while self.peek()[0] != "rbrack":
+            kind, key, pos = self.next()
+            if kind != "name" or key not in ("x", "A", "t", "at"):
+                raise ParseError(f"expected x=, A=, t=, at= or ']', found {key!r}", pos=pos)
+            if key in params:
+                raise ParseError(f"duplicate parameter {key!r}", pos=pos)
+            kind, val, pos = self.next()
+            if val != "=":
+                raise ParseError(f"expected '=' after {key}, found {val!r}", pos=pos)
+            if key == "A":
+                params[key] = self.prop()
+            elif key == "t":
+                params[key] = self.term()
+            else:
+                kind, val, pos = self.next()
+                if key == "x" and kind != "name":
+                    raise ParseError(f"x= takes a name, not {val!r}", pos=pos)
+                if key == "at" and not (val.isascii() and val.isdigit()):
+                    raise ParseError(f"at= takes a non-negative integer, not {val!r}", pos=pos)
+                params[key] = val if key == "x" else int(val)
+        self.next()
+        return params
+
+_SUB = r"(?:\d+|\?\w+(?:\+\d+)?)"  # a number or a numeric metavariable ?n, ?n+1
+
+
+class _RefLDescent(_RefDescent):
+    """Parser for sorted terms and for propositions over them."""
+
+    token_re = _ref_token_re(
+        ("index", rf"{_SUB}_{_SUB}(?!\w)"),
+        ("id", rf"id_{_SUB}(?!\w)"),
+        ("up", rf"up_{_SUB}(?!\w)"),
+        ("fam", rf"[^\W\d]\w*'*_{_SUB}(?=\()"),
+        ("comp", r"o(?!\w)"),
+        ("ident", r"[^\W\d]\w*'*"),
+        ("num", r"\d+"),
+    )
+
+    def term(self):
+        return self.infix((Cons, Comp), self._postfix)
+
+    def term_slot(self) -> Slot:
+        return Slot((), self.term())
+
+    def _postfix(self, _level: int):
+        t = self._atom()
+        while self.peek()[0] == "lbrack":
+            self.next()
+            s = self.term()
+            self.expect("rbrack")
+            t = Closure(t, s)
+        return t
+
+    def _atom(self):
+        kind, val, pos = self.next()
+        if kind == "index":
+            i_txt, n_txt = val.rsplit("_", 1)
+            return Index(_parse_sub(i_txt), _parse_sub(n_txt))
+        if kind == "id":
+            return Id(_parse_sub(val[3:]))
+        if kind == "up":
+            return Shift(_parse_sub(val[3:]))
+        if kind == "fam":
+            fname, p_txt = val.rsplit("_", 1)
+            return FApp(fname, _parse_sub(p_txt), self.arguments(self.term))
+        if kind == "meta":
+            return MetaT(val[1:])
+        if kind == "name":
+            return FreeVar(val)
+        if kind == "lpar":
+            t = self.term()
+            self.expect("rpar")
+            return t
+        raise ParseError(f"expected a sorted term, found {val!r}", pos=pos)
+
+
+class _RefTermPatternDescent(_RefDescent):
+    def term(self):
+        if self.peek()[0] == "meta":
+            return MetaT(self.next()[1][1:])
+        return super().term()
+
+
+# ---------------------------------------------------------------------------
 # The earlier token regexes and precedence methods, verbatim
 
 _REF_TOKEN_RE = re.compile(
@@ -193,7 +450,7 @@ _REF_LTOKEN_RE = re.compile(
 )
 
 
-class _RefParser(Parser):
+class _RefParser(_RefDescent):
     """The term and proposition grammar: the shared methods, which are
     unchanged, and the earlier precedence methods."""
 
@@ -637,6 +894,34 @@ def test_show_matches_recursive_reference_at_every_level():
     assert seen[Closure, False] and seen[FApp, False] and seen[App, False]
 
 
+def _pattern(text: str):
+    p = sigma._TermPatternParser(text)
+    t = p.term()
+    p.done()
+    return t
+
+
+def test_readers_take_deep_input():
+    """A 10,000-deep nest reads and prints back through each reader; cut
+    before its last `)`, it raises what a 10-deep nest raises there, at the
+    end of the text."""
+    def nests(n):
+        return [(parse_term, "f(" * n + "x" + ")" * n),
+                (parse_prop, "P(" + "f(" * n + "x" + ")" * (n + 1)),
+                (parse_lterm, "f_0(" * n + "x" + ")" * n),
+                (parse_lprop, "P(" + "f_0(" * n + "x" + ")" * (n + 1)),
+                (_pattern, "f(" * n + "?x" + ")" * n)]
+
+    for (read, text), (_, short) in zip(nests(10_000), nests(10)):
+        assert syntax.show(read(text)) == text
+        with pytest.raises(ParseError) as deep:
+            read(text[:-1])
+        with pytest.raises(ParseError) as shallow:
+            read(short[:-1])
+        assert shallow.value.pos == len(short) - 1
+        assert (deep.value.message, deep.value.pos) == (shallow.value.message, len(text) - 1)
+
+
 def test_show_takes_deep_input():
     limit = sys.getrecursionlimit()
     n = 10_000
@@ -650,18 +935,20 @@ def test_show_takes_deep_input():
         cons = Cons(FreeVar("x"), cons)
         closure = Closure(closure, Id(0))
         quantified = Forall("x", quantified)
-    cases = [
-        (sorted_chain, "f_0(" * n + "x" + ")" * n),
-        (named_chain, "f(" * n + "x" + ")" * n),
-        (Atom("P", (Slot((), sorted_chain),)), "P(" + "f_0(" * n + "x" + ")" * (n + 1)),
-        (imp, "(" * (n - 1) + "A => A" + ") => A" * (n - 1)),
-        (comp, "(" * (n - 1) + "id_0 o id_0" + ") o id_0" * (n - 1)),
-        (cons, "x . " * n + "id_0"),
-        (closure, "x" + "[id_0]" * n),
-        (quantified, "forall x. " * n + "A"),
+    cases = [  # with the reader of each text
+        (sorted_chain, "f_0(" * n + "x" + ")" * n, parse_lterm),
+        (named_chain, "f(" * n + "x" + ")" * n, parse_term),
+        (Atom("P", (Slot((), sorted_chain),)), "P(" + "f_0(" * n + "x" + ")" * (n + 1),
+         parse_lprop),
+        (imp, "(" * (n - 1) + "A => A" + ") => A" * (n - 1), parse_prop),
+        (comp, "(" * (n - 1) + "id_0 o id_0" + ") o id_0" * (n - 1), parse_lterm),
+        (cons, "x . " * n + "id_0", parse_lterm),
+        (closure, "x" + "[id_0]" * n, parse_lterm),
+        (quantified, "forall x. " * n + "A", parse_prop),
     ]
-    for x, want in cases:
+    for x, want, read in cases:
         assert syntax.show(x) == str(x) == want
+        assert read(want) is x
     assert syntax.show(imp, syntax.TIGHTEST) == f"({str(imp)})"
     assert sys.getrecursionlimit() == limit
 
@@ -718,7 +1005,7 @@ def _token_mutant(rng, text, layer):
     """text with one to three tokens deleted, duplicated, inserted or
     parenthesized; tokens as a layer lexes them, or runs of non-space."""
     token_re = _REF_TOKEN_RE if layer == "term" else _REF_LTOKEN_RE
-    toks = [tok[1] for tok in syntax.tokenize(text, token_re)[:-1]] \
+    toks = [tok[1] for tok in _ref_tokenize(text, token_re)[:-1]] \
         if rng.random() < 0.5 else re.findall(r"\S+", text)
     extra = ("(", ")", "[", "]", ".", ",", "o", "=>", "\\/", "/\\", "forall x.", "false",
              "?n+1_2", "id_?n", "up_0", "f_?p(", "0", "x", "|-", "P")
@@ -781,6 +1068,41 @@ def test_parser_raises_the_first_unexpected_character_as_tokenize_does():
             assert _unexpected_character(lambda: cls(text)) == want, (cls, text)
             outcomes[want is None] += 1
     assert min(outcomes.values()) > 3000, outcomes
+
+
+def _read_outcome(cls, method, text):
+    try:
+        p = cls(text)
+        x = getattr(p, method)()
+        p.done()
+        return x
+    except ParseError as e:
+        return e.message, e.pos
+
+
+def test_readers_give_the_trees_messages_and_offsets_of_the_descent_reader():
+    """Each reader, on printed seeded trees, their token mutants and random
+    strings, gives the tree, or the ParseError message and offset, that the
+    recursive-descent reader it replaced gives."""
+    rng = random.Random(0x9A6)
+    texts = []
+    for layer, x in _seeded_nodes(0x9A7, 500):
+        text = _text(syntax.show(x))
+        texts += [text, _token_mutant(rng, text, layer), _token_mutant(rng, text, layer),
+                  f"{text}, {text} |- {text}"]
+    alphabet = ("x", "f", "(", ")", "[", "]", ",", ".", " ", "o", "=>", "|-", "?n", "1_2", "f_0(",
+                "forall", "false", "P", "=", "id_0", "x. ", "12", "!")
+    texts += ["".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12))) for _ in range(1500)]
+    readers = ((Parser, _RefDescent), (LParser, _RefLDescent),
+               (sigma._TermPatternParser, _RefTermPatternDescent))
+    outcomes = Counter()
+    for text in texts:
+        for new_cls, ref_cls in readers:
+            for method in ("term", "prop", "sequent", "params"):
+                new = _read_outcome(new_cls, method, text)
+                assert new == _read_outcome(ref_cls, method, text), (new_cls, method, text)
+                outcomes[method, type(new) is tuple and type(new[1]) is int] += 1
+    assert min(outcomes.values()) > 500, outcomes
 
 
 def test_printed_trees_parse_back():

@@ -337,6 +337,23 @@ def test_signature_pass_judges_each_distinct_node_once(monkeypatch):
     assert lookups[1000] < 6 * lookups[250], lookups
 
 
+def test_rule_pass_compares_equal_contexts_without_alpha_eq(monkeypatch):
+    """Interned contexts compare with == first, an identity test per
+    formula, so the peeling proof at n = 1,000 calls alpha_eq about once
+    per node, where comparing its contexts formula by formula called it
+    1,003,001 times."""
+    sig = Signature({}, {"P": (), "Q": ()})
+    proof, real, calls = _peeling_proof(1000), syntax.alpha_eq, Counter()
+
+    def counting(x, y):
+        calls["alpha_eq"] += 1
+        return real(x, y)
+
+    monkeypatch.setattr(syntax, "alpha_eq", counting)
+    assert check_binding_proof(sig, proof).ok
+    assert 0 < calls["alpha_eq"] <= 2000, calls
+
+
 def test_binding_valid_implies_modulo_valid_with_syntactic_congruence():
     for name, proof in corpus():
         r = check_modulo_proof(CORPUS_SIG, Congruence(), proof)

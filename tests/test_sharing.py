@@ -33,6 +33,7 @@ from bindlog.syntax import App, Atom, Forall, Imp, Slot, Var
 
 from conftest import SIG
 from proof_corpus import CORPUS_SIG, corpus
+from test_grammar import _RefDescent, _RefLDescent
 from test_proofs import (
     SAMPLE_SIGS,
     SAMPLES,
@@ -80,36 +81,12 @@ def _ref_alpha_eq(x, y) -> bool:
     return go(x, y, {}, {}, 0)
 
 
-def _ref_tokenize(text: str, token_re) -> list[tuple[str, str, int]]:
-    """(kind, text, offset) tokens by the named groups of token_re; `ident`
-    and `sym` matches become keywords or names, `ws` is dropped."""
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = token_re.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos=pos)
-        kind = m.lastgroup
-        if kind != "ws":
-            val = m.group()
-            if kind in ("ident", "sym"):
-                kind = "kw" if val in syntax._KEYWORDS else "name"
-            tokens.append((kind, val, pos))
-        pos = m.end()
-    tokens.append(("eof", "", pos))
-    return tokens
-
-
-class _RefParser(syntax.Parser):
+class _RefParser(_RefDescent):
     """The grammar over the whole line's tokens, made up front by the frozen
     tokenizer, with no formula table."""
 
-    def __init__(self, text: str, sig=None):
-        self.text, self.sig = text, sig
-        self.tokens, self.pos = _ref_tokenize(text, self.token_re), 0
 
-
-class _RefLParser(_RefParser, sigma.LParser):
+class _RefLParser(_RefParser, _RefLDescent):
     pass
 
 
