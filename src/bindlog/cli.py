@@ -340,7 +340,7 @@ def main(argv=None) -> int:
     args.seed = int(os.environ.get("BINDLOG_SEED", args.seed))
     try:
         return args.fn(args)
-    except (ParseError, FileNotFoundError) as e:
+    except (ParseError, OSError, UnicodeDecodeError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2
     except RecursionError:

@@ -70,7 +70,7 @@ class Signature:
 
 @dataclass(frozen=True, slots=True)
 class NodeType:
-    name: str  # the class name in lower case; tags nameless forms
+    name: str  # the class name in lower case; a quantifier prints it
     data: Callable  # node -> its non-child fields, in constructor order
     kids: Callable  # node -> its children: Slots for a slotted class
     make: Callable  # (data, kids) -> a node of the class
@@ -293,83 +293,138 @@ def atoms(a) -> list:
 # ---------------------------------------------------------------------------
 # Free variables and name collection
 
+def _scope(x) -> tuple[set[str], set[str]]:
+    """The free names and the binders of x, in one walk with its own stack
+    that counts the binders of each name in scope, so x may be of any depth."""
+    free, binders, bound, todo = set(), set(), {}, [x]
+    while todo:  # nodes, slots whose binders enter scope and binders leaving it
+        if type(x := todo.pop()) is tuple:
+            for b in x:
+                bound[b] -= 1
+        elif type(x) is Slot:
+            binders.update(x.binders)
+            for b in x.binders:
+                bound[b] = bound.get(b, 0) + 1
+            todo += (x.binders, x.body)
+        elif (n := NODE_TYPES[type(x)]).variable:
+            if not bound.get(x.name):
+                free.add(x.name)
+        else:  # a binder-less slot's body is entered directly
+            todo += [s if s.binders else s.body for s in n.kids(x)] if n.slotted else n.kids(x)
+    return free, binders
+
+
 def free_vars(x) -> frozenset[str]:
     """Variables with at least one occurrence not under a binder of that name."""
-    n = NODE_TYPES[type(x)]
-    if n.variable:
-        return frozenset((x.name,))
-    acc: set[str] = set()
-    for c in n.kids(x):
-        if n.slotted:
-            acc |= free_vars(c.body).difference(c.binders)
-        else:
-            acc |= free_vars(c)
-    return frozenset(acc)
+    return frozenset((x.name,)) if NODE_TYPES[type(x)].variable else frozenset(_scope(x)[0])
 
 
 def all_names(x) -> frozenset[str]:
-    """Every variable name occurring in x, free or bound, binders included."""
-    acc: set[str] = set()
-    todo = [x]
-    while todo:
-        n = NODE_TYPES[type(x := todo.pop())]
-        if n.variable:
-            acc.add(x.name)
-        for c in n.kids(x):
-            if n.slotted:
-                acc.update(c.binders)
-                c = c.body
-            todo.append(c)
-    return frozenset(acc)
+    """Every variable name occurring in x, free or bound, binders included
+    (a bound occurrence bears a binder's name)."""
+    return frozenset(set().union(*_scope(x)))
 
 
 # ---------------------------------------------------------------------------
-# Grafting: textual replacement, captures permitted
+# Replacement and renaming: graft, subst and canonical_binders
 
-def _unbind(theta: SubstMap, names) -> SubstMap:
-    return {v: t for v, t in theta.items() if v not in names} if names else theta
+def _replacer(rename=None, every=False):
+    """The one walk of graft, subst and canonical_binders, for one renaming
+    policy: walk(theta, x) is x with each free variable that theta maps
+    replaced, by the node theta gives or, for a name, by a variable of that
+    name and of its own class. Under a slot theta loses the slot's binders,
+    or, if rename(binders, theta, body) names them anew, maps each to its
+    new name. A subtree where theta is empty is returned untouched, unless
+    `every` binder is renamed."""
+
+    def walk(theta: SubstMap, x):
+        if not theta and not every:
+            return x
+        n = NODE_TYPES[type(x)]
+        if n.variable:
+            t = theta.get(x.name, x)
+            return n.make((t,), ()) if type(t) is str else t
+        kids = n.kids(x)
+        if not n.slotted:
+            return n.rebuild(x, tuple([walk(theta, c) for c in kids])) if kids else x
+        new = []
+        for s in kids:  # a loop: a comprehension would take a second frame per slot
+            binders = rename(s.binders, theta, s.body) if rename and s.binders else s.binders
+            inner = ({**theta, **dict(zip(s.binders, binders))} if binders != s.binders else
+                     {v: t for v, t in theta.items() if v not in s.binders} if s.binders else theta)
+            new.append(Slot(binders, walk(inner, s.body)))
+        return n.make(n.data(x), tuple(new))
+
+    return walk
 
 
+def _walks(rename=None):
+    """Make the decorated function, keeping its name and docstring, the walk
+    with this renaming policy, so that its calls recurse one frame per slot
+    from the first."""
+    return lambda spec: functools.update_wrapper(_replacer(rename), spec)
+
+
+@_walks()
 def graft(theta: SubstMap, x):
     """Replace free occurrences of the mapped variables, without renaming.
 
     The map is restricted under every binder to the variables it does not
     bind, so bound occurrences are never replaced; captures are allowed.
     """
-    if not theta:
-        return x
-    n = NODE_TYPES[type(x)]
-    if n.variable:
-        return theta.get(x.name, x)
-    kids = n.kids(x)
-    if not kids:
-        return x
-    if n.slotted:
-        return n.rebuild(x, tuple([graft(_unbind(theta, s.binders), s.body) for s in kids]))
-    return n.rebuild(x, tuple([graft(theta, c) for c in kids]))
+
+
+def _capture_free(binders, theta, body) -> tuple[str, ...]:
+    """subst's names for a slot's binders, under theta above the slot: a
+    binder that a term theta maps another name to has free takes the first
+    of b1, b2, ... that is none of those terms' free names or keys, a
+    binder, or a name of the body as theta's pending renames leave it."""
+    terms = {v: t for v, t in theta.items() if type(t) is not str and v not in binders}
+    free = set().union(*map(free_vars, terms.values()))
+    if free.isdisjoint(binders):
+        return binders
+    body_free, body_binders = _scope(body)  # the body's names, as theta renames them:
+    taken = free | set(terms) | set(binders) | body_binders | {
+        t if v not in binders and type(t := theta.get(v)) is str else v for v in body_free}
+    new = []
+    for b in binders:
+        if b in free:
+            taken.add(b := next(c for k in itertools.count(1) if (c := f"{b}{k}") not in taken))
+        new.append(b)
+    return tuple(new)
+
+
+@_walks(_capture_free)
+def subst(theta: SubstMap, x):
+    """Capture-avoiding substitution on either layer. A binder is renamed
+    only where a term pushed under it has it free; its new name b1, b2, ...
+    occurs neither in the slot nor in the map, so no inner binder can
+    capture it."""
+
+
+def substitute(theta: SubstMap, x):
+    """Capture-avoiding substitution with its result in the canonical
+    bound-name form, so it depends only on the alpha-classes of x and of
+    the map's terms."""
+    return canonical_binders(subst(theta, x))
+
+
+def canonical_binders(x):
+    """Rename every bound variable deterministically (x1, x2, ... in preorder,
+    skipping the free names of x). Output depends only on the alpha-class."""
+    new = numbered_names("x", free_vars(x))
+    return _replacer(lambda binders, theta, body: tuple(map(new, binders)), True)({}, x)
+
+
+def numbered_names(prefix: str, skip) -> Callable[..., str]:
+    """A source of new names, prefix1, prefix2, ... in turn, skipping the
+    names in skip; each call takes the next, whatever its argument."""
+    names = (name for k in itertools.count(1) if (name := f"{prefix}{k}") not in skip)
+    return lambda _old=None: next(names)
 
 
 # ---------------------------------------------------------------------------
-# Nameless canonical form and alpha-equivalence
-
-def to_debruijn(x):
-    """Canonical nameless form: bound occurrences become indices counting
-    binders outward (the rightmost binder of a slot is index 1), free
-    variables keep their names. Injective up to alpha-equivalence."""
-
-    def go(x, ctx: tuple[str, ...]):
-        n = NODE_TYPES[type(x)]
-        if n.variable:
-            if x.name in ctx:
-                return ("b", ctx.index(x.name) + 1)
-            return ("f", x.name)
-        if n.slotted:
-            return (n.name, *n.data(x), tuple([(len(s.binders), go(s.body, s.binders[::-1] + ctx))
-                                               for s in n.kids(x)]))
-        return (n.name, *n.data(x), *[go(c, ctx) for c in n.kids(x)])
-
-    return go(x, ())
-
+# Alpha-equivalence
 
 def _at_levels(env: dict, names, depth: int) -> dict:
     return {**env, **dict(zip(names, itertools.count(depth)))} if names else env
@@ -407,84 +462,6 @@ def alpha_eq(x, y) -> bool:
 
     env: dict = {}
     return go(x, y, env, env, 0)
-
-
-# ---------------------------------------------------------------------------
-# Capture-avoiding substitution
-
-def _fresh_namer(taken: set[str]) -> Callable[[str], str]:
-    def fresh(base: str) -> str:
-        for k in itertools.count(1):
-            cand = f"{base}{k}"
-            if cand not in taken:
-                taken.add(cand)
-                return cand
-        raise AssertionError
-
-    return fresh
-
-
-def _rename(x, env: dict[str, str], new_name: Callable[[str], str]):
-    """x with every binder b renamed to new_name(b), in preorder, and every
-    variable env maps (on entry any name, then the binders in scope)
-    renamed as env says, each through its own class."""
-    n = NODE_TYPES[type(x)]
-    if n.variable:
-        return n.make((env[x.name],), ()) if x.name in env else x
-    kids = n.kids(x)
-    if n.slotted:
-        new = []
-        for s in kids:
-            ys = tuple([new_name(b) for b in s.binders])
-            new.append(Slot(ys, _rename(s.body, {**env, **dict(zip(s.binders, ys))}, new_name)))
-        return n.make(n.data(x), tuple(new))
-    return n.rebuild(x, tuple([_rename(c, env, new_name) for c in kids]))
-
-
-def subst(theta: SubstMap, x):
-    """Capture-avoiding substitution on either layer. A binder is renamed
-    only where a term pushed under it has it free; its new name b1, b2, ...
-    occurs neither in the slot nor in the map, so no inner binder can
-    capture it."""
-    if not theta:
-        return x
-    n = NODE_TYPES[type(x)]
-    if n.variable:
-        return theta.get(x.name, x)
-    kids = n.kids(x)
-    if not n.slotted:
-        return n.rebuild(x, tuple([subst(theta, c) for c in kids])) if kids else x
-    new = []
-    for s in kids:
-        inner = _unbind(theta, s.binders)
-        binders, body = s.binders, s.body
-        range_free = set().union(*map(free_vars, inner.values())) if binders else ()
-        if range_free and range_free.intersection(binders):
-            fresh = _fresh_namer(range_free | all_names(body) | set(inner) | set(binders))
-            binders = tuple([fresh(b) if b in range_free else b for b in s.binders])
-            body = _rename(body, dict(zip(s.binders, binders)), str)  # str: same names inside
-        new.append(Slot(binders, subst(inner, body)))
-    return n.make(n.data(x), tuple(new))
-
-
-def substitute(theta: SubstMap, x):
-    """Capture-avoiding substitution with its result in the canonical
-    bound-name form, so it depends only on the alpha-classes of x and of
-    the map's terms."""
-    return canonical_binders(subst(theta, x))
-
-
-def canonical_binders(x):
-    """Rename every bound variable deterministically (x1, x2, ... in preorder,
-    skipping the free names of x). Output depends only on the alpha-class."""
-    return _rename(x, {}, numbered_names("x", free_vars(x)))
-
-
-def numbered_names(prefix: str, skip) -> Callable[..., str]:
-    """A source of new names, prefix1, prefix2, ... in turn, skipping the
-    names in skip; each call takes the next, whatever its argument."""
-    names = (name for k in itertools.count(1) if (name := f"{prefix}{k}") not in skip)
-    return lambda _old=None: next(names)
 
 
 # ---------------------------------------------------------------------------

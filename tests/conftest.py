@@ -190,6 +190,46 @@ def subst_oracle(theta, t):
     return graft(theta, rename_apart(t, avoid))
 
 
+# The nameless form of the named layer, one case per constructor and frozen:
+# the free-variable oracle below, alpha_eq's reference comparison and the
+# multiset checker of test_proofs read it.
+
+def _ref_to_debruijn(x):
+    """Canonical nameless form: bound occurrences become indices counting
+    binders outward (the rightmost binder of a slot is index 1), free
+    variables keep their names. Injective up to alpha-equivalence."""
+
+    def go(x, ctx: tuple[str, ...]):
+        if isinstance(x, Var):
+            if x.name in ctx:
+                return ("b", ctx.index(x.name) + 1)
+            return ("f", x.name)
+        if isinstance(x, App):
+            return ("app", x.symbol, _go_slots(x.args, ctx))
+        if isinstance(x, Atom):
+            return ("atom", x.pred, _go_slots(x.args, ctx))
+        if isinstance(x, Imp):
+            return ("imp", go(x.a, ctx), go(x.b, ctx))
+        if isinstance(x, And):
+            return ("and", go(x.a, ctx), go(x.b, ctx))
+        if isinstance(x, Or):
+            return ("or", go(x.a, ctx), go(x.b, ctx))
+        if isinstance(x, Bottom):
+            return ("bot",)
+        if isinstance(x, Forall):
+            return ("all", go(x.body, (x.var,) + ctx))
+        if isinstance(x, Exists):
+            return ("ex", go(x.body, (x.var,) + ctx))
+        raise TypeError(f"not a binding-layer term or proposition: {x!r}")
+
+    def _go_slots(slots, ctx):
+        return tuple(
+            (len(s.binders), go(s.body, tuple(reversed(s.binders)) + ctx)) for s in slots
+        )
+
+    return go(x, ())
+
+
 def free_vars_oracle(t) -> frozenset[str]:
     """Free variables read off the nameless canonical form."""
     names = set()
@@ -201,5 +241,5 @@ def free_vars_oracle(t) -> frozenset[str]:
             for sub in node:
                 walk(sub)
 
-    walk(syntax.to_debruijn(t))
+    walk(_ref_to_debruijn(t))
     return frozenset(names)

@@ -133,6 +133,23 @@ def test_check_proof_bad_file_is_an_input_error(capsys, tmp_path, corpus_sig_fil
     assert err.startswith("input error") and "(line 1)" in err and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("role", ["sig", "proof", "rules", "model"])
+@pytest.mark.parametrize("bad", ["directory", "not-utf-8"])
+def test_unreadable_input_file_is_an_input_error(capsys, tmp_path, corpus_sig_file, role, bad):
+    path = tmp_path / "input"
+    if bad == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff" + syntax.print_signature(CORPUS_SIG).encode())
+    sig = str(path) if role == "sig" else corpus_sig_file
+    argv = {"sig": ["parse", "--term", "x"], "proof": ["check-proof", str(path)],
+            "rules": ["normalize", "--system", str(path), "x"],
+            "model": ["eval", "--model", str(path), "--prop", "Q"]}[role]
+    code, out, err = run(capsys, "--sig", sig, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("input error: ") and len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("command, text", [
     ("check-proof", "rule weak-left [at=1] |- Q, P(x) |- Q\n  rule axiom |- Q, P( |- Q\n"),
     ("check-proof", "rule weak-left [at=1] |- Q, P(x) |- Q\n  rule axiom [A=P(] |- Q |- Q\n"),

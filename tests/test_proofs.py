@@ -36,9 +36,9 @@ from bindlog.syntax import (
     Signature,
     parse_prop,
     parse_term,
-    to_debruijn,
 )
 
+from conftest import _ref_to_debruijn
 from proof_corpus import CORPUS_SIG, axiom, corpus, equality_compat_derivation, node
 
 ARITH_SIG = Signature({"0": (), "S": (0,), "+": (0, 0), "*": (0, 0)}, {"=": (0, 0)})
@@ -87,7 +87,7 @@ def axiom_at(left, right):
 
 
 def _multiset(props):
-    return Counter(to_debruijn(p) for p in props)
+    return Counter(_ref_to_debruijn(p) for p in props)
 
 
 def independent_check(sig, tree) -> bool:
@@ -125,9 +125,9 @@ def independent_check(sig, tree) -> bool:
         t = tree.rule.t
         for prop in tree.conclusion.left:
             if isinstance(prop, syntax.Forall):
-                c = to_debruijn(prop)
+                c = _ref_to_debruijn(prop)
                 inst = syntax.substitute({prop.var: t}, prop.body)
-                want = (L - Counter({c: 1})) + Counter({to_debruijn(inst): 1})
+                want = (L - Counter({c: 1})) + Counter({_ref_to_debruijn(inst): 1})
                 if _multiset(p.left) == want and _multiset(p.right) == R:
                     ok_here = True
     else:

@@ -1,5 +1,5 @@
 """The named binding layer: free variables, grafting, alpha, substitution,
-nameless forms, well-formedness, and the text grammar."""
+well-formedness, and the text grammar."""
 
 import itertools
 import random
@@ -32,12 +32,12 @@ from bindlog.syntax import (
     print_prop,
     print_term,
     substitute,
-    to_debruijn,
     well_formed,
 )
 
 from conftest import (
     SIG,
+    _ref_to_debruijn,
     alpha_oracle,
     free_vars_oracle,
     prop_st,
@@ -75,6 +75,27 @@ def test_free_vars_mixed():
 @given(term_st())
 def test_free_vars_matches_debruijn_oracle(t):
     assert free_vars(t) == free_vars_oracle(t)
+
+
+def test_free_vars_takes_any_depth_in_linear_time(monkeypatch):
+    """One walk with its own stack: a 10,000-binder nest at the default
+    recursion limit, with one NODE_TYPES lookup per node (and one to see
+    whether the root is a variable)."""
+    t = Var("y")
+    for i in range(10_000):
+        t = App("Λ", (Slot((f"v{i % 3}",), App("g", (Slot((), Var(f"v{i % 3}")), Slot((), t)))),))
+
+    class Counting(type(syntax.NODE_TYPES)):
+        lookups = 0
+
+        def __getitem__(self, cls):
+            Counting.lookups += 1
+            return super().__getitem__(cls)
+
+    monkeypatch.setattr(syntax, "NODE_TYPES", Counting(syntax.NODE_TYPES))
+    assert free_vars(t) == {"y"}
+    assert Counting.lookups == 3 * 10_000 + 2  # Λ, g and v per level, y, and the root again
+    assert free_vars(App("Λ", (Slot(("y",), t),))) == frozenset()
 
 
 def test_free_vars_oracle_bulk():
@@ -285,36 +306,6 @@ def test_well_formed_errors_name_path():
 
 
 # ---------------------------------------------------------------------------
-# nameless forms
-
-
-def test_debruijn_simple():
-    assert to_debruijn(T("Λ(x. x)")) == ("app", "Λ", ((1, ("b", 1)),))
-
-
-def test_debruijn_nested():
-    nested = to_debruijn(T("Λ(x. Λ(y. x))"))
-    assert nested == ("app", "Λ", ((1, ("app", "Λ", ((1, ("b", 2)),))),))
-
-
-def test_debruijn_slot_order():
-    # within one slot the rightmost binder is index 1
-    t = parse_term("δ(x, x. x, y. y)", Signature({"δ": (0, 1, 1)}, {}))
-    db = to_debruijn(t)
-    assert db[2][0] == (0, ("f", "x"))
-    assert db[2][1] == (1, ("b", 1))
-
-
-def test_debruijn_iff_alpha_bulk():
-    rng = random.Random(41)
-    for _ in range(1000):
-        a = gen.random_term(rng, SIG, rng.randint(1, 8))
-        b = subst_oracle({}, a) if rng.random() < 0.5 else \
-            gen.random_term(rng, SIG, rng.randint(1, 8))
-        assert (to_debruijn(a) == to_debruijn(b)) == alpha_oracle(a, b)
-
-
-# ---------------------------------------------------------------------------
 # grammar
 
 
@@ -481,42 +472,6 @@ def _ref_graft(theta: SubstMap, x):
     raise TypeError(f"not a binding-layer term or proposition: {x!r}")
 
 
-def _ref_to_debruijn(x):
-    """Canonical nameless form: bound occurrences become indices counting
-    binders outward (the rightmost binder of a slot is index 1), free
-    variables keep their names. Injective up to alpha-equivalence."""
-
-    def go(x, ctx: tuple[str, ...]):
-        if isinstance(x, Var):
-            if x.name in ctx:
-                return ("b", ctx.index(x.name) + 1)
-            return ("f", x.name)
-        if isinstance(x, App):
-            return ("app", x.symbol, _go_slots(x.args, ctx))
-        if isinstance(x, Atom):
-            return ("atom", x.pred, _go_slots(x.args, ctx))
-        if isinstance(x, Imp):
-            return ("imp", go(x.a, ctx), go(x.b, ctx))
-        if isinstance(x, And):
-            return ("and", go(x.a, ctx), go(x.b, ctx))
-        if isinstance(x, Or):
-            return ("or", go(x.a, ctx), go(x.b, ctx))
-        if isinstance(x, Bottom):
-            return ("bot",)
-        if isinstance(x, Forall):
-            return ("all", go(x.body, (x.var,) + ctx))
-        if isinstance(x, Exists):
-            return ("ex", go(x.body, (x.var,) + ctx))
-        raise TypeError(f"not a binding-layer term or proposition: {x!r}")
-
-    def _go_slots(slots, ctx):
-        return tuple(
-            (len(s.binders), go(s.body, tuple(reversed(s.binders)) + ctx)) for s in slots
-        )
-
-    return go(x, ())
-
-
 def _ref_fresh_namer(taken: set[str]) -> Callable[[str], str]:
     def fresh(base: str) -> str:
         for k in itertools.count(1):
@@ -599,6 +554,71 @@ def _ref_canonical_binders(x):
         raise TypeError(f"not a binding-layer term or proposition: {x!r}")
 
     return go(x, {})
+
+
+# The protocol's subst, _rename, _fresh_namer and _unbind as they were
+# before the three renaming walks became one, kept verbatim but for the
+# names; free and all names come from the references above.
+
+def _ref_unbind(theta: SubstMap, names) -> SubstMap:
+    return {v: t for v, t in theta.items() if v not in names} if names else theta
+
+
+def _ref_subst_fresh_namer(taken: set[str]) -> Callable[[str], str]:
+    def fresh(base: str) -> str:
+        for k in itertools.count(1):
+            cand = f"{base}{k}"
+            if cand not in taken:
+                taken.add(cand)
+                return cand
+        raise AssertionError
+
+    return fresh
+
+
+def _ref_rename(x, env: dict[str, str], new_name: Callable[[str], str]):
+    """x with every binder b renamed to new_name(b), in preorder, and every
+    variable env maps (on entry any name, then the binders in scope)
+    renamed as env says, each through its own class."""
+    n = syntax.NODE_TYPES[type(x)]
+    if n.variable:
+        return n.make((env[x.name],), ()) if x.name in env else x
+    kids = n.kids(x)
+    if n.slotted:
+        new = []
+        for s in kids:
+            ys = tuple([new_name(b) for b in s.binders])
+            new.append(Slot(ys, _ref_rename(s.body, {**env, **dict(zip(s.binders, ys))},
+                                             new_name)))
+        return n.make(n.data(x), tuple(new))
+    return n.rebuild(x, tuple([_ref_rename(c, env, new_name) for c in kids]))
+
+
+def _ref_subst(theta: SubstMap, x):
+    """Capture-avoiding substitution on either layer. A binder is renamed
+    only where a term pushed under it has it free; its new name b1, b2, ...
+    occurs neither in the slot nor in the map, so no inner binder can
+    capture it."""
+    if not theta:
+        return x
+    n = syntax.NODE_TYPES[type(x)]
+    if n.variable:
+        return theta.get(x.name, x)
+    kids = n.kids(x)
+    if not n.slotted:
+        return n.rebuild(x, tuple([_ref_subst(theta, c) for c in kids])) if kids else x
+    new = []
+    for s in kids:
+        inner = _ref_unbind(theta, s.binders)
+        binders, body = s.binders, s.body
+        range_free = set().union(*map(_ref_free_vars, inner.values())) if binders else ()
+        if range_free and range_free.intersection(binders):
+            fresh = _ref_subst_fresh_namer(range_free | _ref_all_names(body) | set(inner)
+                                           | set(binders))
+            binders = tuple([fresh(b) if b in range_free else b for b in s.binders])
+            body = _ref_rename(body, dict(zip(s.binders, binders)), str)  # str: same names inside
+        new.append(Slot(binders, _ref_subst(inner, body)))
+    return n.make(n.data(x), tuple(new))
 
 
 def _ref_well_formed(sig: Signature, x) -> CheckResult:
@@ -709,6 +729,31 @@ def test_graft_substitute_canonical_match_reference():
         assert graft(theta, x) == _ref_graft(theta, x), x
         assert substitute(theta, x) == _ref_substitute(theta, x), x
         assert syntax.canonical_binders(x) == _ref_canonical_binders(x), x
+        # nodes are interned, so == also pins the fresh names subst chose
+        assert syntax.subst(theta, x) == _ref_subst(theta, x), x
+
+
+def test_replacing_walks_recurse_once_per_binder():
+    # a 600-binder nest at the default recursion limit: graft took two
+    # frames a binder and failed near 500, subst and canonical_binders one
+    t = Var("y")
+    for i in range(600):
+        t = App("Λ", (Slot((f"v{i}",), t),))
+    assert free_vars(graft({"y": Var("v0")}, t)) == frozenset()
+    assert free_vars(syntax.subst({"y": Var("v0")}, t)) == {"v0"}
+    assert syntax.canonical_binders(t).args[0].binders == ("x1",)
+
+
+@given(st.one_of(term_st(), prop_st()), subst_map_st())
+def test_subst_matches_frozen_reference(t, theta):
+    assert syntax.subst(theta, t) == _ref_subst(theta, t)
+
+
+def test_subst_fresh_names_see_renames_pushed_from_outside():
+    # x1 is renamed to x11 outside, so x1 is free again for the inner x
+    out = syntax.subst({"x": Var("x1"), "y": Var("x")}, T("Λ(x1. Λ(x. g(x1, y)))"))
+    assert out == T("Λ(x11. Λ(x1. g(x11, x)))") == _ref_subst({"x": Var("x1"), "y": Var("x")},
+                                                                T("Λ(x1. Λ(x. g(x1, y)))"))
 
 
 def test_nameless_forms_and_alpha_match_reference():
@@ -718,7 +763,6 @@ def test_nameless_forms_and_alpha_match_reference():
         # a renamed copy, and an unrelated input of the same kind
         for y in (_ref_substitute({}, x), rng.choice(inputs), _eq_prop(rng, 1)):
             want = _ref_to_debruijn(x) == _ref_to_debruijn(y)
-            assert (to_debruijn(x) == to_debruijn(y)) == want, (x, y)
             assert alpha_eq(x, y) == want, (x, y)
 
 
@@ -733,7 +777,7 @@ def test_well_formed_matches_reference():
 
 
 def test_walks_reject_what_is_not_a_node():
-    for walk in (free_vars, syntax.all_names, to_debruijn, syntax.canonical_binders):
+    for walk in (free_vars, syntax.all_names, syntax.canonical_binders):
         with pytest.raises(TypeError):
             walk(App("f", (Slot((), 42),)))
     with pytest.raises(TypeError):
