@@ -20,10 +20,19 @@ from . import precook, proofs, sigma, syntax
 from .errors import BindLogError, InvalidSourceProof, ParseError
 
 
+def _read(path) -> str:
+    """The text of an input file. One that is not UTF-8 is an input error
+    that names it; an OSError's message names its file already."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: {e}") from None
+
+
 def _load_signature(args) -> syntax.Signature:
     if args.sig is None:
         return syntax.Signature({}, {})
-    return syntax.parse_signature(Path(args.sig).read_text())
+    return syntax.parse_signature(_read(args.sig))
 
 
 def _emit(args, lines: list[str], payload: dict):
@@ -58,14 +67,14 @@ def _system_from_arg(name: str, sig) -> sigma.RewriteSystem:
     """`sigma`, the substitution system of sig, or a rule file's system."""
     if name == "sigma":
         return sigma.sigma_system(sig)
-    return sigma.load_rules(Path(name).read_text(), sig=sig, name=Path(name).stem)
+    return sigma.load_rules(_read(name), sig=sig, name=Path(name).stem)
 
 
 def _load_proof(path: str, sig, cong: proofs.Congruence) -> proofs.ProofTree:
     """Parse a proof file whose `syntax` line suits the congruence it is
     checked modulo: the syntactic and term-layer congruences read term
     syntax, the substitution congruence reads lprop."""
-    text = Path(path).read_text()
+    text = _read(path)
     want = "lprop" if cong.system is not None and cong.system.layer == "lterm" else "term"
     have = proofs.proof_file_layer(text)
     if have != want:
@@ -119,7 +128,11 @@ def cmd_translate_proof(args) -> int:
         return 1
     text = proofs.print_proof_file(translated, layer="lprop")
     if args.output:
-        Path(args.output).write_text(text)
+        try:
+            Path(args.output).write_text(text, encoding="utf-8")
+        except OSError as e:
+            print(f"output error: {args.output}: {e.strerror or e}", file=sys.stderr)
+            return 2
         _emit(args, [f"wrote {args.output}"], {"output": args.output})
     else:
         print(text, end="")
@@ -142,7 +155,7 @@ def _model_from_name(name: str, probe_budget: int, sig=None):
     if path.exists():
         if sig is None:
             raise ParseError("a table model needs --sig")
-        return models.load_model(path.read_text(), sig, name=path.stem)
+        return models.load_model(_read(path), sig, name=path.stem)
     raise ParseError(f"unknown model {name!r}")
 
 
@@ -340,7 +353,7 @@ def main(argv=None) -> int:
     args.seed = int(os.environ.get("BINDLOG_SEED", args.seed))
     try:
         return args.fn(args)
-    except (ParseError, OSError, UnicodeDecodeError) as e:
+    except (ParseError, OSError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2
     except RecursionError:

@@ -23,6 +23,7 @@ import itertools
 import math
 import operator
 import random
+import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable
@@ -45,7 +46,9 @@ DEFAULT_BUDGET = 10**6
 
 
 class _Interned(syntax.Node):
-    __slots__ = ("_sort",)  # _sort: (signature, sort), see sort_of
+    # _sort: (signature, sort), see sort_of; _shared: the _Shared table of
+    # the last innermost call that returned the node
+    __slots__ = ("_sort", "_shared")
 
 
 @node_class(("n",), walked=False)
@@ -281,6 +284,19 @@ class RewriteSystem:
         return _Dispatch(self.rules)
 
     @functools.cached_property
+    def _shared_refs(self) -> dict:
+        return {}  # check_sorts -> weak reference to its _Shared table
+
+    def _shared(self, check_sorts: bool) -> _Shared:
+        """The live table that innermost calls with this sort check share,
+        or a fresh one in place of a dead or full one."""
+        table = (ref := self._shared_refs.get(check_sorts)) and ref()
+        if table is None or len(table) >= SHARED_CAP:
+            table = _Shared()
+            self._shared_refs[check_sorts] = weakref.ref(table)
+        return table
+
+    @functools.cached_property
     def _near(self) -> float:
         """The largest finite reach of the rules."""
         return max((r.reach for r in self.rules if r.reach < math.inf), default=0)
@@ -345,19 +361,44 @@ class _Budget:
     innermost calls under one rule system and sort check may share a table,
     each with its own budget."""
 
-    __slots__ = ("left", "limit", "steps", "normal")
+    __slots__ = ("left", "limit", "steps", "normal", "shared")
 
     def __init__(self, limit: int, normal: dict[int, tuple] | None = None):
         self.left = limit
         self.limit = limit
         self.steps = 0
         self.normal = {} if normal is None else normal
+        self.shared = None  # innermost: a _Shared table to look in and fill too
 
     def spend(self, k: int = 1):
         if self.left < k:
             raise StepBudgetExceeded(self.limit)
         self.left -= k
         self.steps += k
+
+
+# The classes of substitution nodes. Their innermost normal forms depend on
+# binder levels and the substitution pushed in, not on a term's spine, so
+# calls on different terms meet the same ones.
+_SUBST_KINDS = frozenset({Id, Shift, Cons, Comp})
+SHARED_CAP = 4096  # entries; a full table is replaced by a fresh one
+
+
+class _Shared(dict):
+    """The substitution entries that innermost calls under one rewrite
+    system and sort check share, as _Budget.normal's: id -> (node, normal
+    form, steps to it), for nodes of the _SUBST_KINDS only. An entry is as
+    exact across calls as within one (see _Budget), so a replay gives the
+    steps and errors of a fresh table. Each normal form such a call returns
+    holds the table in its _shared slot, and the system holds it only
+    weakly: the table lives as long as some result of the calls that
+    filled it, and no entry outlives them all. A result that the table
+    holds too makes a cycle, which the collector frees."""
+
+    __slots__ = ("__weakref__",)
+
+
+_EMPTY: dict = {}
 
 
 def _check_step_sorts(sig, before, after):
@@ -377,13 +418,17 @@ def _nf_innermost(rs, x, budget, check_sorts):
     before each, entered in the table when it finishes. A kid found in the
     table is not descended into: its recorded steps are spent and its
     normal form taken in place. So the steps, errors and entries are those
-    of a recursive call per kid."""
+    of a recursive call per kid. With a shared table (budget.shared), a
+    node missing from the call's table is looked up there, and each
+    substitution entry the call makes goes there too while it has room."""
     table, dispatch, sig, App = budget.normal, rs._dispatch, rs.sig, syntax.App
+    shared = _EMPTY if budget.shared is None else budget.shared
+    kinds = () if budget.shared is None else _SUBST_KINDS  # what goes to `shared`
     stack: list = []
     trail: list = []
     look = descend = True  # look x up and enter it in the trail; descend into its kids
     while True:
-        if not (done := look and table.get(id(x))):
+        if not (done := look and (table.get(id(x)) or shared.get(id(x)))):
             if look:
                 trail.append((x, budget.steps))
             if descend:  # else x is a frame's node, rebuilt: its rules are the frame's
@@ -408,13 +453,15 @@ def _nf_innermost(rs, x, budget, check_sorts):
             if steps:
                 budget.spend(steps)
             for y, before in trail:
-                table[id(y)] = y, nf, budget.steps - before
+                table[id(y)] = entry = y, nf, budget.steps - before
+                if type(y) in kinds and len(shared) < SHARED_CAP:
+                    shared[id(y)] = entry
             if not stack:
                 return nf
             stack[-1][2].append(nf)
         x, kids, nfs, trail, rebuild, rules = stack[-1]
         i = len(nfs)
-        while i < len(kids) and (done := table.get(id(kids[i]))):
+        while i < len(kids) and (done := table.get(id(kids[i])) or shared.get(id(kids[i]))):
             if done[2]:
                 budget.spend(done[2])
             nfs.append(done[1])
@@ -503,18 +550,32 @@ def _norm_any(rs, x, budget, strategy, check_sorts):
     return norm(x)
 
 
+def _normalize(rs, x, limit, strategy, check_sorts, share=True):
+    """(normal form, steps). With `share`, an innermost call on a sorted
+    term uses the system's _Shared table for its sort check, and the normal
+    form holds it."""
+    b = _Budget(limit)
+    if share and strategy == "innermost" and isinstance(x, _Interned):
+        b.shared = rs._shared(bool(check_sorts))
+    out = _norm_any(rs, x, b, strategy, check_sorts)
+    if b.shared is not None:
+        _set_shared(out, b.shared)
+    return out, b.steps
+
+
+_set_shared = _Interned._shared.__set__
+
+
 def normalize(rs: RewriteSystem, x, budget: int = DEFAULT_BUDGET,
               strategy: str = "innermost", check_sorts: bool = False):
     """Normal form of a term or proposition (rules apply to the terms inside
     atoms). Raises StepBudgetExceeded past the step budget."""
-    return _norm_any(rs, x, _Budget(budget), strategy, check_sorts)
+    return _normalize(rs, x, budget, strategy, check_sorts)[0]
 
 
 def normalize_steps(rs: RewriteSystem, x, budget: int = DEFAULT_BUDGET,
                     strategy: str = "innermost", check_sorts: bool = False):
-    b = _Budget(budget)
-    out = _norm_any(rs, x, b, strategy, check_sorts)
-    return out, b.steps
+    return _normalize(rs, x, budget, strategy, check_sorts)
 
 
 def all_one_step(rs: RewriteSystem, x) -> list[tuple[tuple[int, ...], str, object]]:
@@ -704,7 +765,8 @@ def termination_probe(rs: RewriteSystem, size_bound: int = 40, samples: int = 10
                       *, seed: int = 0, budget: int = DEFAULT_BUDGET,
                       check_sorts: bool = True) -> TerminationReport:
     """Normalize sampled terms under both strategies within the budget,
-    recording step counts, normal-form agreement, and sort preservation."""
+    recording step counts, normal-form agreement, and sort preservation.
+    Each call keeps its own table: the samples share no normal forms."""
     from . import gen
 
     rng = random.Random(seed)
@@ -713,10 +775,8 @@ def termination_probe(rs: RewriteSystem, size_bound: int = 40, samples: int = 10
         t = gen.random_lterm(rng, rs.sig, gen.random_sort(rng), size_bound)
         report.samples += 1
         try:
-            nf_in, st_in = normalize_steps(rs, t, budget=budget, strategy="innermost",
-                                           check_sorts=check_sorts)
-            nf_out, st_out = normalize_steps(rs, t, budget=budget, strategy="outermost",
-                                             check_sorts=check_sorts)
+            nf_in, st_in = _normalize(rs, t, budget, "innermost", check_sorts, share=False)
+            nf_out, st_out = _normalize(rs, t, budget, "outermost", check_sorts)
         except StepBudgetExceeded:
             report.budget_failures.append(print_lterm(t))
             continue

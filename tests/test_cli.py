@@ -150,6 +150,30 @@ def test_unreadable_input_file_is_an_input_error(capsys, tmp_path, corpus_sig_fi
     assert err.startswith("input error: ") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("role", ["sig", "proof", "rules", "model"])
+def test_an_input_file_that_is_not_utf_8_is_named(capsys, tmp_path, corpus_sig_file, role):
+    path = tmp_path / f"{role}.txt"
+    path.write_bytes(b"\xff" + syntax.print_signature(CORPUS_SIG).encode())
+    sig = str(path) if role == "sig" else corpus_sig_file
+    argv = {"sig": ["parse", "--term", "x"], "proof": ["check-proof", str(path)],
+            "rules": ["normalize", "--system", str(path), "x"],
+            "model": ["eval", "--model", str(path), "--prop", "Q"]}[role]
+    code, out, err = run(capsys, "--sig", sig, *argv)
+    assert (code, out) == (2, "")
+    assert err == (f"input error: {path}: 'utf-8' codec can't decode byte 0xff in position 0: "
+                   "invalid start byte\n")
+
+
+def test_translate_proof_into_a_directory_is_an_output_error(capsys, tmp_path, corpus_sig_file):
+    src = tmp_path / "eq.prf"
+    src.write_text(proofs.print_proof_file(equality_compat_derivation()))
+    for dst, why in ((tmp_path, "Is a directory"),
+                     (tmp_path / "missing" / "t.prf", "No such file or directory")):
+        code, out, err = run(capsys, "--sig", corpus_sig_file, "translate-proof", str(src),
+                             "-o", str(dst))
+        assert (code, out, err) == (2, "", f"output error: {dst}: {why}\n")
+
+
 @pytest.mark.parametrize("command, text", [
     ("check-proof", "rule weak-left [at=1] |- Q, P(x) |- Q\n  rule axiom |- Q, P( |- Q\n"),
     ("check-proof", "rule weak-left [at=1] |- Q, P(x) |- Q\n  rule axiom [A=P(] |- Q |- Q\n"),

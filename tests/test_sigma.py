@@ -9,6 +9,7 @@ import gc
 import pickle
 import random
 import sys
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -1083,6 +1084,72 @@ def test_innermost_loop_matches_recursive_memo():
     assert seen["replays"] >= 5000 and seen["cut"] >= 300, seen
 
 
+def _shared_outcome(rs, t, budget, check_sorts, held):
+    """normalize_steps' outcome on t; a normal form is kept in `held`, so
+    the shared table stays alive for the next call."""
+    try:
+        out = normalize_steps(rs, t, budget=budget, check_sorts=check_sorts)
+    except Exception as e:
+        return type(e), e.args
+    held.append(out[0])
+    return out
+
+
+def test_calls_sharing_substitution_normal_forms_match_a_fresh_table_per_call():
+    # the inputs of test_innermost_memo_matches_reference_normalizer, in
+    # sequence under each system and sort check, with every result held:
+    # the shared table fills and is read across calls, and each call's
+    # normal form, steps or exception must be those of the recursive memo
+    # on a fresh table. A normal form holds the table of the last call that
+    # returned it, so the settings take turns, not the calls.
+    user = sigma.load_rules(USER_LTERM_RULES, sig=SIG)
+    extended = RewriteSystem("sigma+user", user.rules + RS.rules, "lterm", SIG)
+    rng = random.Random(0x3E30)
+    terms = []
+    for k in range(3000):
+        t = gen.random_lterm(rng, SIG, gen.random_sort(rng), rng.randint(3, 60))
+        if k % 3 == 0:  # ill-sorted: sort_of, and with it FPush, raises
+            leaf = gen.leaf_of_sort(gen.random_sort(rng), rng=rng)
+            t = _replace_at(t, rng.choice(list(_positions(t))), leaf)
+        terms.append(t)
+    seen: Counter = Counter()
+    for system in (RS, extended):
+        for check_sorts in (False, True):
+            rs, count = _counting(system)
+            held: list = []
+            applied = Counter()
+
+            def outcomes(t, budget):
+                start = count[0]
+                got = _shared_outcome(rs, t, budget, check_sorts, held)
+                middle = count[0]
+                want = _table_outcome(_ref_memo_nf_innermost, rs, t, budget, check_sorts, {},
+                                      Counter())
+                applied["shared"] += middle - start
+                applied["fresh"] += count[0] - middle
+                assert got == want, (str(t), budget, check_sorts)
+                return want
+
+            for t in terms:
+                want = outcomes(t, sigma.DEFAULT_BUDGET)
+                if isinstance(want[0], type):
+                    seen["raising"] += 1
+                elif want[1]:
+                    seen["budget"] += 1
+                    assert outcomes(t, want[1] - 1)[0] is StepBudgetExceeded
+            table = rs._shared_refs[check_sorts]()
+            assert table is not None and 0 < len(table) <= sigma.SHARED_CAP
+            assert held[-1]._shared is table
+            assert applied["shared"] < applied["fresh"] // 2, applied
+    rs, terms = _arith_products()  # a system over named terms shares nothing
+    held = []
+    for t in terms:
+        assert _shared_outcome(rs, t, sigma.DEFAULT_BUDGET, False, held) == \
+            _outcome(_ref_memo_nf_innermost, rs, t, sigma.DEFAULT_BUDGET, False)
+    assert not rs._shared_refs
+    assert seen["raising"] >= 1000 and seen["budget"] >= 7000, seen
+
+
 def _one_step_outcome(one_step, rs, t):
     try:
         return one_step(rs, t)
@@ -1185,6 +1252,66 @@ def test_interning_keeps_no_dead_terms():
         del nf
         gc.collect()
         assert _live_nodes() == before
+
+
+def test_a_held_result_shares_substitution_normal_forms_with_the_next_call():
+    # The substitution normal forms of a depth nest depend on binder levels
+    # and the closing substitution, not on the spine's symbols, so a second
+    # nest replays most of them while the first result keeps the table.
+    rs, count = _counting(DEPTH_RS)
+    first, steps = normalize_steps(rs, _depth_term(32))
+    assert (count[0], steps) == (11_386, 6_179)
+    count[0] = 0
+    other = _depth_term(32, seed=1)
+    second = normalize_steps(rs, other)
+    assert count[0] <= 1_000
+    assert second[0]._shared is first._shared is rs._shared_refs[False]()
+    assert second == normalize_steps(_counting(DEPTH_RS)[0], other)
+    # the sort check has its own table, cold
+    count[0] = 0
+    assert normalize_steps(rs, other, check_sorts=True) == second
+    assert count[0] == 11_386
+    del first, second
+    gc.collect()
+    count[0] = 0
+    normalize(rs, _depth_term(32, seed=2))
+    assert count[0] == 11_386
+
+
+def test_the_shared_table_lives_as_long_as_the_results_and_within_its_cap():
+    rs = sigma_system(DEPTH_SIG)
+    # (a . id_0) o up_0 -> a_1() . up_0, a substitution the table holds too:
+    # the result and the table make a cycle
+    sub = Comp(Cons(FApp("a", 0, ()), Id(0)), Shift(0))
+    nf = normalize(rs, sub)
+    assert nf is Cons(FApp("a", 1, ()), Shift(0))
+    ref = rs._shared_refs[False]
+    assert nf._shared is ref() and ref()[id(nf)] == (nf, nf, 0)
+    t = normalize(rs, _depth_term(8))
+    assert t._shared is ref()
+    del nf
+    gc.collect()
+    assert ref() is not None
+    del t
+    gc.collect()
+    assert ref() is None
+    # past the cap, the next call starts a fresh table; none passes the cap.
+    # A name of its own keeps each result apart from nodes held elsewhere.
+    rng = random.Random(0xCA9)
+    rs = sigma_system(SIG)
+    held, tables = [], []
+    while len(tables) < 3:
+        s = gen.random_lterm(rng, SIG, SubstSort(0, rng.randrange(3)), 60)
+        held.append(normalize(rs, Cons(FreeVar(f"v{len(held)}"), s)))
+        table = held[-1]._shared
+        assert len(table) <= sigma.SHARED_CAP
+        if not tables or table is not tables[-1]:
+            assert not tables or len(tables[-1]) == sigma.SHARED_CAP
+            tables.append(table)
+    refs = [weakref.ref(table) for table in tables]
+    del held, tables, table
+    gc.collect()
+    assert [r() for r in refs] == [None] * 3
 
 
 def test_sort_cache_is_per_signature():
