@@ -23,9 +23,8 @@ import itertools
 import math
 import operator
 import random
-import weakref
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from . import syntax
@@ -46,9 +45,7 @@ DEFAULT_BUDGET = 10**6
 
 
 class _Interned(syntax.Node):
-    # _sort: (signature, sort), see sort_of; _shared: the _Shared table of
-    # the last innermost call that returned the node
-    __slots__ = ("_sort", "_shared")
+    __slots__ = ("_sort",)  # _sort: (signature, sort), see sort_of
 
 
 @node_class(("n",), walked=False)
@@ -284,17 +281,15 @@ class RewriteSystem:
         return _Dispatch(self.rules)
 
     @functools.cached_property
-    def _shared_refs(self) -> dict:
-        return {}  # check_sorts -> weak reference to its _Shared table
-
-    def _shared(self, check_sorts: bool) -> _Shared:
-        """The live table that innermost calls with this sort check share,
-        or a fresh one in place of a dead or full one."""
-        table = (ref := self._shared_refs.get(check_sorts)) and ref()
-        if table is None or len(table) >= SHARED_CAP:
-            table = _Shared()
-            self._shared_refs[check_sorts] = weakref.ref(table)
-        return table
+    def _memos(self) -> tuple[dict, dict]:
+        """The substitution entries that innermost normalize calls share,
+        one memo per setting of the sort check, indexed by it, as
+        _Budget.normal's: id -> (node, normal form, steps to it), for nodes
+        of the _SUBST_KINDS only. An entry is as exact across calls as
+        within one (see _Budget), so a replay gives the steps and errors of
+        a fresh table. A memo lives as long as its system and holds at most
+        SHARED_CAP entries."""
+        return {}, {}
 
     @functools.cached_property
     def _near(self) -> float:
@@ -368,7 +363,7 @@ class _Budget:
         self.limit = limit
         self.steps = 0
         self.normal = {} if normal is None else normal
-        self.shared = None  # innermost: a _Shared table to look in and fill too
+        self.shared = None  # innermost: a RewriteSystem._memos memo to look in and fill too
 
     def spend(self, k: int = 1):
         if self.left < k:
@@ -381,23 +376,7 @@ class _Budget:
 # binder levels and the substitution pushed in, not on a term's spine, so
 # calls on different terms meet the same ones.
 _SUBST_KINDS = frozenset({Id, Shift, Cons, Comp})
-SHARED_CAP = 4096  # entries; a full table is replaced by a fresh one
-
-
-class _Shared(dict):
-    """The substitution entries that innermost calls under one rewrite
-    system and sort check share, as _Budget.normal's: id -> (node, normal
-    form, steps to it), for nodes of the _SUBST_KINDS only. An entry is as
-    exact across calls as within one (see _Budget), so a replay gives the
-    steps and errors of a fresh table. Each normal form such a call returns
-    holds the table in its _shared slot, and the system holds it only
-    weakly: the table lives as long as some result of the calls that
-    filled it, and no entry outlives them all. A result that the table
-    holds too makes a cycle, which the collector frees."""
-
-    __slots__ = ("__weakref__",)
-
-
+SHARED_CAP = 4096  # entries; a call that finds a memo full empties it first
 _EMPTY: dict = {}
 
 
@@ -418,7 +397,7 @@ def _nf_innermost(rs, x, budget, check_sorts):
     before each, entered in the table when it finishes. A kid found in the
     table is not descended into: its recorded steps are spent and its
     normal form taken in place. So the steps, errors and entries are those
-    of a recursive call per kid. With a shared table (budget.shared), a
+    of a recursive call per kid. With a shared memo (budget.shared), a
     node missing from the call's table is looked up there, and each
     substitution entry the call makes goes there too while it has room."""
     table, dispatch, sig, App = budget.normal, rs._dispatch, rs.sig, syntax.App
@@ -537,33 +516,26 @@ def _nf_outermost(rs, x, budget, check_sorts):
             return x
 
 
-def _norm_any(rs, x, budget, strategy, check_sorts):
+def _normalize(rs, x, limit, strategy, check_sorts):
+    """(normal form, steps). An innermost call shares the system's memo
+    for its sort check, emptied first if full."""
     nf = {"innermost": _nf_innermost, "outermost": _nf_outermost}.get(strategy)
     if nf is None:
         raise ValueError(f"unknown strategy {strategy!r}")
+    b = _Budget(limit)
+    if nf is _nf_innermost:
+        b.shared = rs._memos[bool(check_sorts)]
+        if len(b.shared) >= SHARED_CAP:
+            b.shared.clear()
 
     def norm(t):
-        return nf(rs, t, budget, check_sorts)
+        return nf(rs, t, b, check_sorts)
 
     if isinstance(x, syntax.Prop):
-        return syntax.map_atoms(lambda a: _rebuild(a, tuple(map(norm, _children(a)))), x)
-    return norm(x)
-
-
-def _normalize(rs, x, limit, strategy, check_sorts, share=True):
-    """(normal form, steps). With `share`, an innermost call on a sorted
-    term uses the system's _Shared table for its sort check, and the normal
-    form holds it."""
-    b = _Budget(limit)
-    if share and strategy == "innermost" and isinstance(x, _Interned):
-        b.shared = rs._shared(bool(check_sorts))
-    out = _norm_any(rs, x, b, strategy, check_sorts)
-    if b.shared is not None:
-        _set_shared(out, b.shared)
-    return out, b.steps
-
-
-_set_shared = _Interned._shared.__set__
+        x = syntax.map_atoms(lambda a: _rebuild(a, tuple(map(norm, _children(a)))), x)
+    else:
+        x = norm(x)
+    return x, b.steps
 
 
 def normalize(rs: RewriteSystem, x, budget: int = DEFAULT_BUDGET,
@@ -755,7 +727,11 @@ def local_confluence_probe(rs: RewriteSystem, size_bound: int = 40, samples: int
         report.with_multiple_redexes += 1
         report.peaks_checked += len(steps)
         normal: dict[int, tuple] = {}  # the sample's peaks share their subterms
-        nfs = {_nf_innermost(rs, res, _Budget(budget, normal), False) for _, _, res in steps}
+        nfs = set()
+        for _, _, res in steps:
+            b = _Budget(budget)
+            b.normal = normal
+            nfs.add(_nf_innermost(rs, res, b, False))
         if len(nfs) > 1:
             report.divergent.append(print_lterm(t))
     return report
@@ -766,17 +742,18 @@ def termination_probe(rs: RewriteSystem, size_bound: int = 40, samples: int = 10
                       check_sorts: bool = True) -> TerminationReport:
     """Normalize sampled terms under both strategies within the budget,
     recording step counts, normal-form agreement, and sort preservation.
-    Each call keeps its own table: the samples share no normal forms."""
+    The samples share the memo of a copy of rs, which dies with the call."""
     from . import gen
 
+    rs = replace(rs)
     rng = random.Random(seed)
     report = TerminationReport()
     for _ in range(samples):
         t = gen.random_lterm(rng, rs.sig, gen.random_sort(rng), size_bound)
         report.samples += 1
         try:
-            nf_in, st_in = _normalize(rs, t, budget, "innermost", check_sorts, share=False)
-            nf_out, st_out = _normalize(rs, t, budget, "outermost", check_sorts)
+            nf_in, st_in = normalize_steps(rs, t, budget, "innermost", check_sorts)
+            nf_out, st_out = normalize_steps(rs, t, budget, "outermost", check_sorts)
         except StepBudgetExceeded:
             report.budget_failures.append(print_lterm(t))
             continue

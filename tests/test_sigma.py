@@ -1084,24 +1084,19 @@ def test_innermost_loop_matches_recursive_memo():
     assert seen["replays"] >= 5000 and seen["cut"] >= 300, seen
 
 
-def _shared_outcome(rs, t, budget, check_sorts, held):
-    """normalize_steps' outcome on t; a normal form is kept in `held`, so
-    the shared table stays alive for the next call."""
+def _shared_outcome(rs, t, budget, check_sorts):
+    """normalize_steps' outcome on t, on the system's memo."""
     try:
-        out = normalize_steps(rs, t, budget=budget, check_sorts=check_sorts)
+        return normalize_steps(rs, t, budget=budget, check_sorts=check_sorts)
     except Exception as e:
         return type(e), e.args
-    held.append(out[0])
-    return out
 
 
 def test_calls_sharing_substitution_normal_forms_match_a_fresh_table_per_call():
     # the inputs of test_innermost_memo_matches_reference_normalizer, in
-    # sequence under each system and sort check, with every result held:
-    # the shared table fills and is read across calls, and each call's
-    # normal form, steps or exception must be those of the recursive memo
-    # on a fresh table. A normal form holds the table of the last call that
-    # returned it, so the settings take turns, not the calls.
+    # sequence under each system and sort check: the system's memo fills,
+    # is read and emptied across calls, and each call's normal form, steps
+    # or exception must be those of the recursive memo on a fresh table
     user = sigma.load_rules(USER_LTERM_RULES, sig=SIG)
     extended = RewriteSystem("sigma+user", user.rules + RS.rules, "lterm", SIG)
     rng = random.Random(0x3E30)
@@ -1116,13 +1111,13 @@ def test_calls_sharing_substitution_normal_forms_match_a_fresh_table_per_call():
     for system in (RS, extended):
         for check_sorts in (False, True):
             rs, count = _counting(system)
-            held: list = []
             applied = Counter()
 
             def outcomes(t, budget):
                 start = count[0]
-                got = _shared_outcome(rs, t, budget, check_sorts, held)
+                got = _shared_outcome(rs, t, budget, check_sorts)
                 middle = count[0]
+                assert len(rs._memos[check_sorts]) <= sigma.SHARED_CAP
                 want = _table_outcome(_ref_memo_nf_innermost, rs, t, budget, check_sorts, {},
                                       Counter())
                 applied["shared"] += middle - start
@@ -1137,16 +1132,13 @@ def test_calls_sharing_substitution_normal_forms_match_a_fresh_table_per_call():
                 elif want[1]:
                     seen["budget"] += 1
                     assert outcomes(t, want[1] - 1)[0] is StepBudgetExceeded
-            table = rs._shared_refs[check_sorts]()
-            assert table is not None and 0 < len(table) <= sigma.SHARED_CAP
-            assert held[-1]._shared is table
+            assert 0 < len(rs._memos[check_sorts]) <= sigma.SHARED_CAP
             assert applied["shared"] < applied["fresh"] // 2, applied
     rs, terms = _arith_products()  # a system over named terms shares nothing
-    held = []
     for t in terms:
-        assert _shared_outcome(rs, t, sigma.DEFAULT_BUDGET, False, held) == \
+        assert _shared_outcome(rs, t, sigma.DEFAULT_BUDGET, False) == \
             _outcome(_ref_memo_nf_innermost, rs, t, sigma.DEFAULT_BUDGET, False)
-    assert not rs._shared_refs
+    assert rs._memos == ({}, {})
     assert seen["raising"] >= 1000 and seen["budget"] >= 7000, seen
 
 
@@ -1243,13 +1235,16 @@ def test_one_live_node_per_structure():
 
 
 def test_interning_keeps_no_dead_terms():
+    # a system's memo keeps its entries' nodes, so each call has a system
+    # of its own, dropped before the count
     t = _depth_term(64)
     gc.collect()
     before = _live_nodes()
     for check_sorts in (False, True):
-        nf = normalize(DEPTH_RS, t, strategy="innermost", check_sorts=check_sorts)
+        rs = sigma_system(DEPTH_SIG)
+        nf = normalize(rs, t, strategy="innermost", check_sorts=check_sorts)
         assert _live_nodes() > before
-        del nf
+        del nf, rs
         gc.collect()
         assert _live_nodes() == before
 
@@ -1257,7 +1252,7 @@ def test_interning_keeps_no_dead_terms():
 def test_a_held_result_shares_substitution_normal_forms_with_the_next_call():
     # The substitution normal forms of a depth nest depend on binder levels
     # and the closing substitution, not on the spine's symbols, so a second
-    # nest replays most of them while the first result keeps the table.
+    # nest replays most of them from the system's memo.
     rs, count = _counting(DEPTH_RS)
     first, steps = normalize_steps(rs, _depth_term(32))
     assert (count[0], steps) == (11_386, 6_179)
@@ -1265,53 +1260,111 @@ def test_a_held_result_shares_substitution_normal_forms_with_the_next_call():
     other = _depth_term(32, seed=1)
     second = normalize_steps(rs, other)
     assert count[0] <= 1_000
-    assert second[0]._shared is first._shared is rs._shared_refs[False]()
     assert second == normalize_steps(_counting(DEPTH_RS)[0], other)
-    # the sort check has its own table, cold
+    # the sort check has its own memo, cold
     count[0] = 0
     assert normalize_steps(rs, other, check_sorts=True) == second
     assert count[0] == 11_386
+    # warm while the system lives, with the results dropped; a fresh system is cold
     del first, second
     gc.collect()
     count[0] = 0
+    normalize(rs, _depth_term(32, seed=2))
+    assert count[0] <= 1_000
+    rs, count = _counting(DEPTH_RS)
     normalize(rs, _depth_term(32, seed=2))
     assert count[0] == 11_386
 
 
 def test_the_shared_table_lives_as_long_as_the_results_and_within_its_cap():
     rs = sigma_system(DEPTH_SIG)
-    # (a . id_0) o up_0 -> a_1() . up_0, a substitution the table holds too:
-    # the result and the table make a cycle
+    system = weakref.ref(rs)
+    # (a . id_0) o up_0 -> a_1() . up_0: the memo holds the input and the result
     sub = Comp(Cons(FApp("a", 0, ()), Id(0)), Shift(0))
     nf = normalize(rs, sub)
     assert nf is Cons(FApp("a", 1, ()), Shift(0))
-    ref = rs._shared_refs[False]
-    assert nf._shared is ref() and ref()[id(nf)] == (nf, nf, 0)
-    t = normalize(rs, _depth_term(8))
-    assert t._shared is ref()
-    del nf
+    memo = rs._memos[False]
+    assert memo[id(nf)] == (nf, nf, 0) and memo[id(sub)][:2] == (sub, nf)
+    node = weakref.ref(sub)
+    del sub, nf, memo
     gc.collect()
-    assert ref() is not None
-    del t
+    assert node() is not None  # kept while the system lives
+    del rs
     gc.collect()
-    assert ref() is None
-    # past the cap, the next call starts a fresh table; none passes the cap.
-    # A name of its own keeps each result apart from nodes held elsewhere.
+    assert system() is None and node() is None
+    # a call that finds the memo full empties it; it never passes the cap.
+    # A name of its own makes each input a new node, whose entries the call makes.
     rng = random.Random(0xCA9)
     rs = sigma_system(SIG)
-    held, tables = [], []
-    while len(tables) < 3:
+    memo = rs._memos[False]
+    calls = emptied = size = 0
+    while emptied < 3:
         s = gen.random_lterm(rng, SIG, SubstSort(0, rng.randrange(3)), 60)
-        held.append(normalize(rs, Cons(FreeVar(f"v{len(held)}"), s)))
-        table = held[-1]._shared
-        assert len(table) <= sigma.SHARED_CAP
-        if not tables or table is not tables[-1]:
-            assert not tables or len(tables[-1]) == sigma.SHARED_CAP
-            tables.append(table)
-    refs = [weakref.ref(table) for table in tables]
-    del held, tables, table
+        calls += 1
+        normalize(rs, Cons(FreeVar(f"v{calls}"), s))
+        assert rs._memos[False] is memo and 0 < len(memo) <= sigma.SHARED_CAP
+        if len(memo) < size:
+            assert size == sigma.SHARED_CAP
+            emptied += 1
+        size = len(memo)
+
+
+def test_alternating_sort_checks_keep_both_memos_warm():
+    # The two settings of the sort check take turns call by call on one
+    # family, with every result held: each setting reads its own memo, so
+    # after the first nest each call is warm, and each outcome is that of
+    # the recursive memo on a fresh table.
+    rs, count = _counting(DEPTH_RS)
+    held = []
+    for seed in range(4):
+        t = _depth_term(32, seed=seed)
+        for check_sorts in (False, True):
+            count[0] = 0
+            held.append(_shared_outcome(rs, t, sigma.DEFAULT_BUDGET, check_sorts))
+            assert count[0] == 11_386 if seed == 0 else count[0] <= 1_000
+            assert held[-1] == _outcome(_ref_memo_nf_innermost, rs, t, sigma.DEFAULT_BUDGET,
+                                        check_sorts)
+    # ill-sorted members and rules that break sorts make the settings differ
+    user = sigma.load_rules(USER_LTERM_RULES, sig=SIG)
+    extended = RewriteSystem("sigma+user", user.rules + RS.rules, "lterm", SIG)
+    rng = random.Random(0xA17)
+    differ = 0
+    for k in range(400):
+        t = gen.random_lterm(rng, SIG, gen.random_sort(rng), rng.randint(3, 60))
+        if k % 3 == 0:
+            leaf = gen.leaf_of_sort(gen.random_sort(rng), rng=rng)
+            t = _replace_at(t, rng.choice(list(_positions(t))), leaf)
+        got = [_shared_outcome(extended, t, sigma.DEFAULT_BUDGET, check_sorts)
+               for check_sorts in (False, True)]
+        for check_sorts in (False, True):
+            assert got[check_sorts] == _outcome(_ref_memo_nf_innermost, extended, t,
+                                                sigma.DEFAULT_BUDGET, check_sorts), str(t)
+        differ += got[0] != got[1]
+    assert all(rs._memos) and all(extended._memos) and differ >= 20, differ
+
+
+def test_a_held_leaf_result_keeps_nothing_alive_past_its_system():
+    # _leaf keeps its nodes for the process; a normal form that is one of
+    # them holds no memo, so the memo and its nodes die with the system.
+    # A name of its own makes `sub` a node that no other memo holds.
+    leaf = sigma._leaf(SubstSort(1, 2))
+    assert leaf is Cons(Index(1, 1), Id(1))
+    t = _depth_term(8)
     gc.collect()
-    assert [r() for r in refs] == [None] * 3
+    before = _live_nodes()
+    rs = sigma_system(DEPTH_SIG)
+    system = weakref.ref(rs)
+    assert normalize(rs, Comp(Cons(Index(1, 1), Id(1)), Id(1))) is leaf
+    sub = Comp(Cons(FreeVar("held_leaf"), Id(0)), Shift(0))
+    normalize(rs, sub)
+    normalize(rs, t)
+    node = weakref.ref(sub)
+    del sub
+    gc.collect()
+    assert node() is not None  # in the memo
+    del rs
+    gc.collect()
+    assert system() is None and node() is None and _live_nodes() == before
 
 
 def test_sort_cache_is_per_signature():
@@ -2074,3 +2127,44 @@ def _subterms(t):
     yield t
     for c in sigma._children(t):
         yield from _subterms(c)
+
+
+def test_the_probes_build_budgets_as_a_one_argument_subclass_can(monkeypatch):
+    # a _Budget subclass that takes the limit alone, as a tracer's may:
+    # each probe builds its budgets with it and reports as without it
+    want = [sigma.local_confluence_probe(RS, 25, 100, seed=1),
+            sigma.termination_probe(RS, 25, 100, seed=2)]
+    made = []
+
+    class OneArgBudget(sigma._Budget):
+        __slots__ = ()
+
+        def __init__(self, limit):
+            super().__init__(limit)
+            made.append(self)
+
+    monkeypatch.setattr(sigma, "_Budget", OneArgBudget)
+    assert sigma.local_confluence_probe(RS, 25, 100, seed=1) == want[0]
+    assert made and want[0].peaks_checked >= 100
+    made.clear()
+    assert sigma.termination_probe(RS, 25, 100, seed=2) == want[1]
+    assert len(made) == 200
+
+
+def test_the_termination_probe_normalizes_through_normalize_steps(monkeypatch):
+    # the public entry point, so a wrapper of it sees the probe's calls; on
+    # a copy of the system, so the samples leave its memos empty
+    calls = []
+    inner = sigma.normalize_steps
+
+    def counted(rs, t, budget, strategy, check_sorts):
+        calls.append((rs, strategy))
+        return inner(rs, t, budget, strategy, check_sorts)
+
+    monkeypatch.setattr(sigma, "normalize_steps", counted)
+    rs = sigma_system(SIG)
+    report = sigma.termination_probe(rs, 25, 150, seed=3)
+    assert report.ok and report.samples == 150
+    assert [strategy for _, strategy in calls] == ["innermost", "outermost"] * 150
+    assert all(used is not rs and used.rules is rs.rules for used, _ in calls)
+    assert rs._memos == ({}, {})
